@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,8 +23,19 @@ from .errors import InvalidCoords, MMLError, NonConvergence, NotHyperbolic
 DEFAULT_SEED = 20150831
 
 
+def _finite_floats(values, what: str) -> list[float]:
+    """values as finite floats; InvalidCoords names `what` otherwise."""
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError) as e:
+        raise InvalidCoords(f"{what}: not a number ({e})") from e
+    if not all(math.isfinite(v) for v in out):
+        raise InvalidCoords(f"{what}: values must be finite, got {out}")
+    return out
+
+
 def _parse_coords(text: str) -> reprs.TraceCoords:
-    parts = [float(v) for v in text.split(",")]
+    parts = _finite_floats(text.split(","), "--coords")
     if len(parts) != 3:
         raise InvalidCoords("--coords wants x,y,z")
     return reprs.TraceCoords(*parts)
@@ -38,9 +48,10 @@ def _load_spec(path: str) -> tuple[reprs.TraceCoords, reprs.DeformationSpec | No
     except (OSError, json.JSONDecodeError) as e:
         raise InvalidCoords(f"cannot read spec {path}: {e}") from e
     try:
-        coords = reprs.TraceCoords(float(data["x"]), float(data["y"]), float(data["z"]))
-    except (KeyError, TypeError, ValueError) as e:
+        xyz = (data["x"], data["y"], data["z"])
+    except (KeyError, TypeError) as e:
         raise InvalidCoords(f"spec {path}: bad coordinates ({e})") from e
+    coords = reprs.TraceCoords(*_finite_floats(xyz, f"spec {path} coordinates"))
     deform = None
     d = data.get("deformation")
     if d is not None:
@@ -78,7 +89,7 @@ def _build(args, need_deform: bool) -> reprs.HoledTorusRep:
         if kind == "zero":
             deform = reprs.DeformationSpec.zero()
         elif kind == "path":
-            direction = tuple(float(v) for v in args.path_dir.split(","))
+            direction = tuple(_finite_floats(args.path_dir.split(","), "--path-dir"))
             deform = reprs.DeformationSpec.linear_path(coords, direction, h=args.h)
         elif kind == "tangent":
             rng = np.random.default_rng(args.seed)
@@ -158,12 +169,7 @@ def _cmd_sweep(args) -> int:
             cells.append(c)
     jobs = [(c, args.seed + 1000 * i + j, args.tol, args.n_ceiling)
             for i, c in enumerate(cells) for j in range(args.deforms_per_cell)]
-    workers = max(1, int(os.environ.get("MML_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda a: _sweep_cell(*a), jobs))
-    else:
-        results = [_sweep_cell(*a) for a in jobs]
+    results = [_sweep_cell(*a) for a in jobs]
     n_pass = sum(r["passed"] for r in results)
     payload = {"cells": results, "pass_count": n_pass, "total": len(results)}
     text = json.dumps(payload, indent=2) + "\n"

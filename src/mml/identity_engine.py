@@ -186,8 +186,9 @@ def choose_truncation(rep, tail_tolerance: float, n_ceiling: int = 200,
                       tail=None) -> tuple[int, list[CurveBin], float]:
     """Smallest enumerated depth whose certified tail is below tolerance.
 
-    tail(n_max, bins, m_hat) defaults to the identity tail; raises
-    NonConvergence at the bin ceiling.
+    tail(n_max, bins, m_hat) defaults to the identity tail; a depth with
+    no enumerated curve is never accepted.  Raises NonConvergence at the
+    bin ceiling.
     """
     if tail_tolerance <= 0:
         raise ValueError("tail_tolerance must be positive")
@@ -198,9 +199,13 @@ def choose_truncation(rep, tail_tolerance: float, n_ceiling: int = 200,
     n_max = min(_GROW_START, n_ceiling)
     while True:
         bins, m_hat = _grown_bins(rep, tables, n_max)
-        if tail(n_max, bins, m_hat) <= tail_tolerance:
+        # m_hat == 0: no curve enumerated yet, so the fitted tail reads 0
+        # without certifying anything.
+        if m_hat > 0 and tail(n_max, bins, m_hat) <= tail_tolerance:
             return n_max, bins, m_hat
         if n_max >= n_ceiling:
+            if m_hat == 0:
+                raise NonConvergence(f"no curve enumerated up to bin ceiling {n_ceiling}")
             raise NonConvergence(
                 f"tail {tail(n_max, bins, m_hat)} > {tail_tolerance} at bin ceiling {n_ceiling}")
         n_max = min(n_max + _GROW_STEP, n_ceiling)

@@ -165,7 +165,7 @@ def validate_fuchsian(rep: HoledTorusRep, sample_depth: int = 6) -> FuchsianRepo
     Not a discreteness certificate: it verifies x, y, z > 2, boundary
     trace < -2, and |trace| > 2 for every slope with |p| + q <= depth.
     """
-    from .torus_curves import farey_enumerate, slope_trace
+    from .torus_curves import farey_enumerate, make_tables
 
     c = rep.coords
     if not (c.x > 2.0 and c.y > 2.0 and c.z > 2.0):
@@ -175,8 +175,9 @@ def validate_fuchsian(rep: HoledTorusRep, sample_depth: int = 6) -> FuchsianRepo
         return FuchsianReport(False, "boundary-parabolic")
     if kappa >= -2.0:
         return FuchsianReport(False, f"boundary trace {kappa} not < -2")
+    pos, neg = make_tables(rep)
     for s in farey_enumerate(sample_depth):
-        t = slope_trace(rep, s)
+        t = (pos if s.p >= 0 else neg).trace(abs(s.p), s.q).re
         if abs(t) <= 2.0:
             return FuchsianReport(False, "non-hyperbolic simple curve", str(s))
     return FuchsianReport(True)

@@ -78,11 +78,26 @@ def identity() -> DualMatrix2:
     return DualMatrix2(np.eye(2))
 
 
+def _product(m: DualMatrix2, n: DualMatrix2) -> DualMatrix2:
+    """m*n without re-validation: products of validated 2x2 float parts
+    are 2x2 float arrays, so only freezing them is left to do."""
+    val = m.val @ n.val
+    eps = m.val @ n.eps + m.eps @ n.val
+    val.setflags(write=False)
+    eps.setflags(write=False)
+    out = object.__new__(DualMatrix2)
+    object.__setattr__(out, "val", val)
+    object.__setattr__(out, "eps", eps)
+    return out
+
+
 def compose(*ms: DualMatrix2) -> DualMatrix2:
     """Product of group elements; value M0*N0, eps M0*N1 + M1*N0."""
-    out = identity()
-    for n in ms:
-        out = DualMatrix2(out.val @ n.val, out.val @ n.eps + out.eps @ n.val)
+    if not ms:
+        return identity()
+    out = ms[0]
+    for n in ms[1:]:
+        out = _product(out, n)
     return out
 
 

@@ -19,7 +19,8 @@ from typing import Iterable
 
 from .dualnum import DualScalar
 from .errors import MMLError, RecursionMismatch
-from .sl2grp import DualMatrix2, compose, dual_trace, inverse, margulis_from_trace, translation_length
+from .sl2grp import (DualMatrix2, compose, dual_trace, identity, inverse, margulis_from_trace,
+                     translation_length)
 
 #: Direct evaluation vs recursion disagreement beyond this raises.
 RECURSION_TOL = 1e-6
@@ -108,7 +109,9 @@ class TraceTable:
 
     One table covers nonnegative slopes for its generators; the mirrored
     family (negative slopes) uses a second table built on the inverse of
-    the first generator.  Build once, then treat as read-only.
+    the first generator.  Build once, then treat as read-only.  Besides
+    the traces, a table memoizes the matrix of each Christoffel word and
+    the curve class of each slope it has met.
     """
 
     def __init__(self, gen_a: DualMatrix2, gen_b: DualMatrix2, mirror: bool = False):
@@ -121,6 +124,8 @@ class TraceTable:
             (0, 1): dual_trace(gen_b),
             (1, 1): dual_trace(ab),
         }
+        self._words: dict[str, DualMatrix2] = {"a": gen_a, "b": gen_b, "ab": ab}
+        self._curves: dict[tuple[int, int], CurveClass] = {}
 
     def trace(self, p: int, q: int) -> DualScalar:
         t = self._memo.get((p, q))
@@ -139,23 +144,54 @@ class TraceTable:
 
     def _check_against_word(self, p: int, q: int, t: DualScalar) -> None:
         direct = dual_trace(self.word_matrix(christoffel_word(p, q)))
-        scale = max(1.0, abs(direct.re))
-        if abs(direct.re - t.re) > RECURSION_TOL * scale:
+        if abs(direct.re - t.re) > RECURSION_TOL * max(1.0, abs(direct.re)):
             raise RecursionMismatch(
                 f"slope {p}/{q}: recursion {t.re} vs direct {direct.re}")
+        if abs(direct.inf - t.inf) > RECURSION_TOL * max(1.0, abs(direct.re), abs(direct.inf)):
+            raise RecursionMismatch(
+                f"slope {p}/{q}: recursion eps part {t.inf} vs direct {direct.inf}")
 
     def word_matrix(self, word: str) -> DualMatrix2:
-        letters = {"a": self.gen_a, "b": self.gen_b}
-        return compose(*(letters[c] for c in word))
+        """Product of the generators spelled by word over {a, b}.
+
+        The recursion runs in _word_product, so a wrapper around this
+        method (perfbench's tracer) sees one call per requested word.
+        """
+        return self._word_product(word)
+
+    def _word_product(self, word: str) -> DualMatrix2:
+        # A Christoffel word is word(upper) + word(lower) of its Farey
+        # parents, so splitting there makes both halves memo hits along a
+        # descent and costs one matrix product per slope; any other word
+        # is split in half and not memoized.
+        m = self._words.get(word)
+        if m is not None:
+            return m
+        p, q = word.count("a"), word.count("b")
+        if p + q != len(word):
+            raise KeyError(f"word {word!r} has a letter outside {{a, b}}")
+        if not word:
+            return identity()
+        christoffel = math.gcd(p, q) == 1 and christoffel_word(p, q) == word
+        cut = sum(_farey_parents(p, q)[1]) if christoffel else len(word) // 2
+        m = compose(self._word_product(word[:cut]), self._word_product(word[cut:]))
+        if christoffel:
+            self._words[word] = m
+        return m
 
     def curve(self, p: int, q: int) -> CurveClass:
+        c = self._curves.get((p, q))
+        if c is not None:
+            return c
         t = self.trace(p, q)
         slope = Slope(-p, q) if self.mirror else Slope(p, q)
-        return CurveClass(slope=slope,
-                          word=slope_word(slope),
-                          trace=t.re,
-                          length=translation_length(t.re),
-                          alpha=margulis_from_trace(t))
+        c = CurveClass(slope=slope,
+                       word=slope_word(slope),
+                       trace=t.re,
+                       length=translation_length(t.re),
+                       alpha=margulis_from_trace(t))
+        self._curves[(p, q)] = c
+        return c
 
 
 def make_tables(rep) -> tuple[TraceTable, TraceTable]:

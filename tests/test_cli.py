@@ -1,5 +1,8 @@
 import csv
 import json
+import warnings
+
+import pytest
 
 from mml.cli import main
 
@@ -102,3 +105,47 @@ def test_sweep_seed_reproducible(tmp_path):
         assert run(["sweep", "--cells", "1", "--deforms-per-cell", "2",
                     "--tol", "1e-4", "--seed", "5", "--out", str(o)]) == 0
     assert o1.read_bytes() == o2.read_bytes()
+
+
+@pytest.mark.parametrize("coords", ["abc,4,4", "np.float64(4.0),4,4", "nan,4,4",
+                                    "4,inf,4", "4,4,-inf"])
+def test_unparsable_or_nonfinite_coords_fail_cleanly(coords, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify-mcshane", "--coords", coords]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --coords") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("x", ["abc", "NaN", "Infinity", None, [4]])
+def test_bad_spec_coordinates_fail_cleanly(x, tmp_path, capsys):
+    spec = tmp_path / "rep.json"
+    spec.write_text(json.dumps({"y": 4, "z": 4}) if x is None
+                    else json.dumps({"x": x, "y": 4, "z": 4}).replace('"NaN"', "NaN")
+                    .replace('"Infinity"', "Infinity"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify-margulis", "--spec", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: spec {spec}") and err.count("\n") == 1
+
+
+def test_nonfinite_path_dir_fails_cleanly(capsys):
+    assert run(["verify-margulis", "--coords", "4,4,4", "--deform", "path",
+                "--path-dir", "1,nan,1"]) == 1
+    assert capsys.readouterr().err.startswith("error: --path-dir")
+
+
+@pytest.mark.parametrize("command, extra", [("verify-mcshane", []),
+                                            ("verify-margulis", ["--deform", "tangent"])])
+def test_far_from_cusp_never_certifies_an_empty_census(command, extra, tmp_path):
+    # At (200, 200, 200) every curve is longer than the first growth depth, so
+    # the first steps enumerate nothing and must not be accepted.
+    out = tmp_path / "r.json"
+    assert run([command, "--coords", "200,200,200", "--tol", "1e-6",
+                "--out", str(out)] + extra) == 0
+    report = json.loads(out.read_text())
+    assert report["n_max"] > 16 and report["m_hat"] > 0
+    assert sum(b["count"] for b in report["bins"]) > 0
+    assert abs(report["residual"]) <= max(report["tail_bound"], 1e-6)
+    assert report["partial_sum"] > 0.99 * report["target"]

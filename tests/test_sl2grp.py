@@ -23,6 +23,17 @@ def test_compose_identity():
     assert np.allclose(c.val, m.val) and np.allclose(c.eps, m.eps)
 
 
+def test_compose_results_are_frozen_float_2x2(rng):
+    m, n = random_hyperbolic_dual(rng), random_hyperbolic_dual(rng)
+    for c in (compose(m, n), compose(m, n, inverse(m)), compose(m), compose()):
+        for part in (c.val, c.eps):
+            assert part.shape == (2, 2) and part.dtype == np.float64
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0, 0] = 1.0
+    assert np.array_equal(compose().val, np.eye(2)) and not compose().eps.any()
+
+
 def test_compose_block_rule(rng):
     m, n = random_hyperbolic_dual(rng), random_hyperbolic_dual(rng)
     c = compose(m, n)

@@ -1,14 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 
-from mml.errors import NotHyperbolic
-from mml.representation import TraceCoords, build_rep
-from mml.sl2grp import dual_trace
-from mml.torus_curves import (ImportedTerm, Slope, bin_curves, enumerate_family,
-                              enumerate_up_to, export_census, farey_enumerate,
-                              fit_bin_constant, import_curve_list, make_tables,
-                              slope_trace, slope_word)
+from mml.dualnum import DualScalar
+from mml.errors import NotHyperbolic, RecursionMismatch
+from mml.representation import (TraceCoords, attach_deformation, build_rep, random_tangent,
+                                validate_fuchsian)
+from mml.sl2grp import compose, dual_trace, identity
+from mml.torus_curves import (ImportedTerm, Slope, bin_curves, christoffel_word,
+                              enumerate_family, enumerate_up_to, export_census,
+                              farey_enumerate, fit_bin_constant, import_curve_list,
+                              make_tables, slope_trace, slope_word)
+
+
+def _deformed_444():
+    rep = build_rep(TraceCoords(4, 4, 4))
+    return attach_deformation(rep, random_tangent(rep, np.random.default_rng(7)))
 
 
 def test_slope_canonicalization():
@@ -58,13 +66,13 @@ def test_traces_444_generator():
 
 
 def test_recursion_matches_direct_everywhere():
-    rep = build_rep(TraceCoords(4, 4, 4))
-    pos, neg = make_tables(rep)
-    for s in farey_enumerate(9):
+    pos, neg = make_tables(_deformed_444())
+    for s in farey_enumerate(12):
         table = pos if s.p >= 0 else neg
         rec = table.trace(abs(s.p), s.q)
         direct = dual_trace(table.word_matrix(slope_word(Slope(abs(s.p), s.q))))
         assert abs(rec.re - direct.re) <= 1e-9 * max(1.0, abs(direct.re))
+        assert abs(rec.inf - direct.inf) <= 1e-9 * max(1.0, abs(direct.re), abs(direct.inf))
 
 
 def test_slope_symmetry_equal_coords():
@@ -137,3 +145,69 @@ def test_import_curve_list(tmp_path):
                     "3.0,3.0,0.0,0.0\n")
     terms = import_curve_list(path)
     assert terms == [ImportedTerm(1.5, 2.5, 0.1, -0.2), ImportedTerm(3.0, 3.0, 0.0, 0.0)]
+
+
+def _assert_same_matrix(m, ref):
+    for got, want in ((m.val, ref.val), (m.eps, ref.eps)):
+        scale = max(1.0, float(np.abs(want).max()))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_word_matrix_matches_letter_by_letter_product():
+    for table in make_tables(_deformed_444()):
+        letters = {"a": table.gen_a, "b": table.gen_b}
+        words = [christoffel_word(p, q) for p in range(41) for q in range(41 - p)
+                 if p + q >= 1 and math.gcd(p, q) == 1]
+        for w in words + ["ba", "aab", "bab", "bbaab"]:
+            _assert_same_matrix(table.word_matrix(w), compose(*(letters[c] for c in w)))
+        _assert_same_matrix(table.word_matrix(""), identity())
+        with pytest.raises(KeyError):
+            table.word_matrix("abc")
+
+
+def test_word_matrix_costs_one_product_per_new_slope(monkeypatch):
+    import mml.torus_curves as tc
+
+    factors = []
+    monkeypatch.setattr(tc, "compose", lambda *ms: factors.append(len(ms)) or compose(*ms))
+    pos, _ = make_tables(_deformed_444())
+    for p, q in [(2, 1), (3, 1), (3, 2), (5, 3), (8, 5)]:
+        before = len(factors)
+        pos.trace(p, q)
+        assert len(factors) > before
+        assert factors[before:] == [2] * (len(factors) - before)
+
+
+@pytest.mark.parametrize("part", ["re", "inf"])
+def test_corrupted_recursion_is_caught(part):
+    pos, _ = make_tables(_deformed_444())
+    t = pos._memo[(1, 1)]
+    bumped = {"re": DualScalar(t.re + 1.0, t.inf), "inf": DualScalar(t.re, t.inf + 1.0)}
+    pos._memo[(1, 1)] = bumped[part]
+    with pytest.raises(RecursionMismatch):
+        pos.trace(2, 1)
+
+
+def test_curve_memo_reuses_classes_across_growth():
+    rep = _deformed_444()
+    tables = make_tables(rep)
+    short = enumerate_up_to(rep, 20.0, tables)
+    deep = enumerate_up_to(rep, 30.0, tables)
+    assert all(c is tables[0].curve(c.slope.p, c.slope.q) for c in short if c.slope.p >= 0)
+    assert [c for c in deep if c.length < 10.0] == short
+    assert enumerate_up_to(rep, 30.0) == deep
+
+
+def test_validate_fuchsian_builds_one_table_pair(monkeypatch):
+    import mml.torus_curves as tc
+
+    built = []
+    init = tc.TraceTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tc.TraceTable, "__init__", counting_init)
+    assert validate_fuchsian(build_rep(TraceCoords(4, 5, 6))).passed
+    assert len(built) == 2
