@@ -122,6 +122,10 @@ def _emit_report(report: engine.SeriesReport, out: str | None, fmt: str) -> None
 
 def _cmd_verify_mcshane(args) -> int:
     rep = _build(args, need_deform=False)
+    c = rep.coords
+    if not (min(c.x, c.y, c.z) > 2.0 and c.boundary_trace() <= -2.0 + engine.PARABOLIC_TOL):
+        raise InvalidCoords(f"coordinates ({c.x}, {c.y}, {c.z}) need x, y, z > 2 and "
+                            f"boundary trace {c.boundary_trace()} <= -2")
     report = engine.mcshane_sum(rep, tail_tolerance=args.tol, n_ceiling=args.n_ceiling)
     _emit_report(report, args.out, args.format)
     return 0 if report.passed else 2

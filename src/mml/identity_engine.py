@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import NonConvergence, NotHyperbolic
 from .sl2grp import dual_trace, margulis_from_trace, translation_length
@@ -112,21 +112,7 @@ class SeriesReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "partial_sum": self.partial_sum,
-            "residual": self.residual,
-            "n_max": self.n_max,
-            "tail_bound": self.tail_bound,
-            "m_hat": self.m_hat,
-            "kappa_hat": self.kappa_hat,
-            "h_partial_sum": self.h_partial_sum,
-            "h_threshold_n": self.h_threshold_n,
-            "bins": [{"n": b.n, "count": b.count,
-                      "sum_d": b.sum_d, "sum_deriv": b.sum_deriv}
-                     for b in self.bins],
-            "passed": self.passed,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -176,10 +162,18 @@ def _boundary_values(rep) -> tuple[float, float, bool]:
     return translation_length(t.re), margulis_from_trace(t), False
 
 
-def _grown_bins(rep, tables, n_max: int) -> tuple[list[CurveBin], float]:
-    curves = enumerate_up_to(rep, n_max + 1, tables)
-    bins = bin_curves(curves, n_max)
-    return bins, fit_bin_constant(bins)
+def _grow(rep, n_ceiling: int, done) -> tuple[int, list[CurveBin], float, bool]:
+    """(n_max, bins, m_hat, done) at n_max = min(16, n_ceiling), then 8 deeper
+    per step, until done(n_max, bins, m_hat) holds or n_max reaches the ceiling."""
+    tables = make_tables(rep)
+    n_max = min(_GROW_START, n_ceiling)
+    while True:
+        bins = bin_curves(enumerate_up_to(rep, n_max + 1, tables), n_max)
+        m_hat = fit_bin_constant(bins)
+        ok = done(n_max, bins, m_hat)
+        if ok or n_max >= n_ceiling:
+            return n_max, bins, m_hat, ok
+        n_max = min(n_max + _GROW_STEP, n_ceiling)
 
 
 def choose_truncation(rep, tail_tolerance: float, n_ceiling: int = 200,
@@ -195,56 +189,78 @@ def choose_truncation(rep, tail_tolerance: float, n_ceiling: int = 200,
     if tail is None:
         ell_bdry, _, _ = _boundary_values(rep)
         tail = lambda n_max, bins, m_hat: tail_bound_identity(n_max, m_hat, ell_bdry)
-    tables = make_tables(rep)
-    n_max = min(_GROW_START, n_ceiling)
-    while True:
-        bins, m_hat = _grown_bins(rep, tables, n_max)
-        # m_hat == 0: no curve enumerated yet, so the fitted tail reads 0
-        # without certifying anything.
-        if m_hat > 0 and tail(n_max, bins, m_hat) <= tail_tolerance:
-            return n_max, bins, m_hat
-        if n_max >= n_ceiling:
-            if m_hat == 0:
-                raise NonConvergence(f"no curve enumerated up to bin ceiling {n_ceiling}")
-            raise NonConvergence(
-                f"tail {tail(n_max, bins, m_hat)} > {tail_tolerance} at bin ceiling {n_ceiling}")
-        n_max = min(n_max + _GROW_STEP, n_ceiling)
+    # m_hat == 0: no curve enumerated yet, so the fitted tail reads 0
+    # without certifying anything.
+    n_max, bins, m_hat, ok = _grow(
+        rep, n_ceiling,
+        lambda n_max, bins, m_hat: m_hat > 0 and tail(n_max, bins, m_hat) <= tail_tolerance)
+    if ok:
+        return n_max, bins, m_hat
+    if m_hat == 0:
+        raise NonConvergence(f"no curve enumerated up to bin ceiling {n_ceiling}")
+    raise NonConvergence(
+        f"tail {tail(n_max, bins, m_hat)} > {tail_tolerance} at bin ceiling {n_ceiling}")
 
 
-def _h_running(bins: list[CurveBin], ell_bdry: float) -> tuple[float, int | None]:
-    """Running sum of the H coefficients and the first bin where it tops 1."""
-    acc = KahanSum()
-    threshold = None
-    for b in bins:
-        for c in b.members:
-            acc.add(coeff_H(2.0 * c.length, ell_bdry))
-        if threshold is None and acc.total > 1.0:
-            threshold = b.index
-    return acc.total, threshold
+def _curve_bins(bins: list[CurveBin]) -> list[tuple[int, list[tuple]]]:
+    """Enumerated bins as (index, members), each curve as the pair (l, l, alpha, alpha)."""
+    return [(b.index, [(c.length, c.length, c.alpha, c.alpha) for c in b.members])
+            for b in bins]
 
 
-def _bin_stats(bins: list[CurveBin], ell_bdry: float, alpha_bdry: float,
-               cusp: bool) -> list[BinStat]:
-    stats = []
-    for b in bins:
-        sd = KahanSum()
-        sv = KahanSum()
-        for c in b.members:
+def _imported_bins(terms: list[ImportedTerm]) -> list[tuple[int, list[tuple]]]:
+    """Imported pairs binned by int(l1 + l2), bins 0 .. the top one, input order within."""
+    by_bin: dict[int, list[tuple]] = {}
+    for t in terms:
+        by_bin.setdefault(int(t.ell_gamma1 + t.ell_gamma2), []).append(
+            (t.ell_gamma1, t.ell_gamma2, t.alpha_gamma1, t.alpha_gamma2))
+    return [(n, by_bin.get(n, [])) for n in range(max(by_bin, default=0) + 1)]
+
+
+def _series(bins, ell_bdry: float, alpha_bdry: float,
+            cusp: bool) -> tuple[list[BinStat], list[float]]:
+    """One pass over (index, members) bins of (l1, l2, alpha1, alpha2) pairs.
+
+    Returns the per-bin Kahan sums of the gap terms D (the cusp summand
+    when cusp) and of their derivatives, and the running sum of the H
+    coefficients after each bin.
+    """
+    stats, h_running = [], []
+    h = KahanSum()
+    for n, members in bins:
+        sd, sv = KahanSum(), KahanSum()
+        for l1, l2, a1, a2 in members:
             if cusp:
-                sd.add(cusp_gap(c.length))
+                sd.add(cusp_gap(l1))
             else:
-                sd.add(gap_D(ell_bdry, c.length, c.length))
-                sv.add(term_derivative(c.length, c.length, ell_bdry,
-                                       c.alpha, c.alpha, alpha_bdry))
-        stats.append(BinStat(b.index, len(b.members), sd.total, sv.total))
-    return stats
+                sd.add(gap_D(ell_bdry, l1, l2))
+                sv.add(term_derivative(l1, l2, ell_bdry, a1, a2, alpha_bdry))
+            h.add(coeff_H(l1 + l2, ell_bdry))
+        stats.append(BinStat(n, len(members), sd.total, sv.total))
+        h_running.append(h.total)
+    return stats, h_running
 
 
-def _combine(stats: list[BinStat], attr: str) -> float:
+def _first_over_one(h_running: list[float]) -> int | None:
+    """First bin (bins run 0, 1, ...) whose running H sum exceeds 1."""
+    return next((n for n, h in enumerate(h_running) if h > 1.0), None)
+
+
+def _report(target: float, series: tuple[list[BinStat], list[float]], attr: str,
+            tail_bound: float, m_hat: float, kappa_hat: float,
+            tolerance: float) -> SeriesReport:
+    """Combine the bins of a series in index order and judge the residual."""
+    stats, h_running = series
     acc = KahanSum()
     for s in stats:  # fixed index order: the deterministic combine contract
         acc.add(getattr(s, attr))
-    return acc.total
+    residual = target - acc.total
+    return SeriesReport(
+        target=target, partial_sum=acc.total, residual=residual,
+        n_max=stats[-1].n if stats else 0, tail_bound=tail_bound, m_hat=m_hat,
+        kappa_hat=kappa_hat, h_partial_sum=h_running[-1] if h_running else 0.0,
+        h_threshold_n=_first_over_one(h_running), bins=tuple(stats),
+        passed=abs(residual) <= max(tail_bound, tolerance))
 
 
 def kappa_from_bins(bins: list[CurveBin], ell_bdry: float, alpha_bdry: float) -> float:
@@ -263,20 +279,11 @@ def mcshane_sum(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200) -> Seri
     2/(1+e^l) with target 1.
     """
     ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
-    tail = lambda n_max, bins, m_hat: tail_bound_identity(n_max, m_hat, ell_bdry)
-    n_max, bins, m_hat = choose_truncation(rep, tail_tolerance, n_ceiling, tail)
-    stats = _bin_stats(bins, ell_bdry, alpha_bdry, cusp)
-    partial = _combine(stats, "sum_d")
-    target = 1.0 if cusp else ell_bdry
-    residual = target - partial
-    bound = tail_bound_identity(n_max, m_hat, ell_bdry)
-    h_sum, h_thresh = _h_running(bins, ell_bdry)
-    return SeriesReport(
-        target=target, partial_sum=partial, residual=residual, n_max=n_max,
-        tail_bound=bound, m_hat=m_hat,
-        kappa_hat=kappa_from_bins(bins, ell_bdry, alpha_bdry),
-        h_partial_sum=h_sum, h_threshold_n=h_thresh, bins=tuple(stats),
-        passed=abs(residual) <= max(bound, tail_tolerance))
+    n_max, bins, m_hat = choose_truncation(rep, tail_tolerance, n_ceiling)
+    return _report(1.0 if cusp else ell_bdry,
+                   _series(_curve_bins(bins), ell_bdry, alpha_bdry, cusp), "sum_d",
+                   tail_bound_identity(n_max, m_hat, ell_bdry), m_hat,
+                   kappa_from_bins(bins, ell_bdry, alpha_bdry), tail_tolerance)
 
 
 def margulis_residual(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200) -> SeriesReport:
@@ -295,17 +302,10 @@ def margulis_residual(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200) -
         return tail_bound_derivative(n_max, m_hat, ell_bdry, kappa, alpha_bdry)
 
     n_max, bins, m_hat = choose_truncation(rep, tail_tolerance, n_ceiling, tail)
-    stats = _bin_stats(bins, ell_bdry, alpha_bdry, cusp=False)
-    partial = _combine(stats, "sum_deriv")
-    residual = alpha_bdry - partial
-    kappa = kappa_from_bins(bins, ell_bdry, alpha_bdry)
-    bound = tail_bound_derivative(n_max, m_hat, ell_bdry, kappa, alpha_bdry)
-    h_sum, h_thresh = _h_running(bins, ell_bdry)
-    return SeriesReport(
-        target=alpha_bdry, partial_sum=partial, residual=residual, n_max=n_max,
-        tail_bound=bound, m_hat=m_hat, kappa_hat=kappa,
-        h_partial_sum=h_sum, h_threshold_n=h_thresh, bins=tuple(stats),
-        passed=abs(residual) <= max(bound, tail_tolerance))
+    return _report(alpha_bdry,
+                   _series(_curve_bins(bins), ell_bdry, alpha_bdry, cusp=False), "sum_deriv",
+                   tail(n_max, bins, m_hat), m_hat,
+                   kappa_from_bins(bins, ell_bdry, alpha_bdry), tail_tolerance)
 
 
 def mirzakhani_threshold(rep, n_ceiling: int = 200) -> tuple[list[float], int | None]:
@@ -313,22 +313,11 @@ def mirzakhani_threshold(rep, n_ceiling: int = 200) -> tuple[list[float], int | 
     ell_bdry, _, cusp = _boundary_values(rep)
     if cusp:
         raise NotHyperbolic("threshold needs a hyperbolic boundary")
-    tables = make_tables(rep)
-    n_max = _GROW_START
-    while True:
-        bins, _ = _grown_bins(rep, tables, n_max)
-        running = []
-        acc = KahanSum()
-        threshold = None
-        for b in bins:
-            for c in b.members:
-                acc.add(coeff_H(2.0 * c.length, ell_bdry))
-            running.append(acc.total)
-            if threshold is None and acc.total > 1.0:
-                threshold = b.index
-        if threshold is not None or n_max >= n_ceiling:
-            return running, threshold
-        n_max = min(n_max + _GROW_STEP, n_ceiling)
+    running = lambda bins: _series(_curve_bins(bins), ell_bdry, 0.0, cusp=False)[1]
+    _, bins, _, _ = _grow(rep, n_ceiling,
+                          lambda n_max, bins, m_hat: _first_over_one(running(bins)) is not None)
+    h_running = running(bins)
+    return h_running, _first_over_one(h_running)
 
 
 def kappa_estimate(rep, max_total_length: float = 40.0) -> float:
@@ -339,24 +328,6 @@ def kappa_estimate(rep, max_total_length: float = 40.0) -> float:
     return kappa_from_bins(bins, 0.0 if cusp else ell_bdry, alpha_bdry)
 
 
-def _imported_stats(terms: list[ImportedTerm], ell_bdry: float,
-                    alpha_bdry: float) -> list[BinStat]:
-    n_top = max((int(t.ell_gamma1 + t.ell_gamma2) for t in terms), default=0)
-    by_bin: dict[int, list[ImportedTerm]] = {}
-    for t in terms:
-        by_bin.setdefault(int(t.ell_gamma1 + t.ell_gamma2), []).append(t)
-    stats = []
-    for n in range(n_top + 1):
-        sd = KahanSum()
-        sv = KahanSum()
-        for t in by_bin.get(n, []):
-            sd.add(gap_D(ell_bdry, t.ell_gamma1, t.ell_gamma2))
-            sv.add(term_derivative(t.ell_gamma1, t.ell_gamma2, ell_bdry,
-                                   t.alpha_gamma1, t.alpha_gamma2, alpha_bdry))
-        stats.append(BinStat(n, len(by_bin.get(n, [])), sd.total, sv.total))
-    return stats
-
-
 def mcshane_sum_imported(ell_bdry: float, terms: list[ImportedTerm],
                          tolerance: float = 1e-6) -> SeriesReport:
     """Length identity over an externally supplied pair list (genus >= 2).
@@ -364,31 +335,14 @@ def mcshane_sum_imported(ell_bdry: float, terms: list[ImportedTerm],
     No tail certification: coverage is the caller's contract, so the
     report passes purely on the tolerance.
     """
-    stats = _imported_stats(terms, ell_bdry, 0.0)
-    partial = _combine(stats, "sum_d")
-    residual = ell_bdry - partial
-    h = KahanSum()
-    for t in terms:
-        h.add(coeff_H(t.ell_gamma1 + t.ell_gamma2, ell_bdry))
-    return SeriesReport(
-        target=ell_bdry, partial_sum=partial, residual=residual,
-        n_max=stats[-1].n if stats else 0, tail_bound=0.0, m_hat=0.0,
-        kappa_hat=0.0, h_partial_sum=h.total, h_threshold_n=None,
-        bins=tuple(stats), passed=abs(residual) <= tolerance)
+    return _report(ell_bdry, _series(_imported_bins(terms), ell_bdry, 0.0, cusp=False),
+                   "sum_d", 0.0, 0.0, 0.0, tolerance)
 
 
 def margulis_residual_imported(ell_bdry: float, alpha_bdry: float,
                                terms: list[ImportedTerm],
                                tolerance: float = 1e-6) -> SeriesReport:
     """Differentiated identity over an externally supplied pair list."""
-    stats = _imported_stats(terms, ell_bdry, alpha_bdry)
-    partial = _combine(stats, "sum_deriv")
-    residual = alpha_bdry - partial
-    h = KahanSum()
-    for t in terms:
-        h.add(coeff_H(t.ell_gamma1 + t.ell_gamma2, ell_bdry))
-    return SeriesReport(
-        target=alpha_bdry, partial_sum=partial, residual=residual,
-        n_max=stats[-1].n if stats else 0, tail_bound=0.0, m_hat=0.0,
-        kappa_hat=0.0, h_partial_sum=h.total, h_threshold_n=None,
-        bins=tuple(stats), passed=abs(residual) <= tolerance)
+    return _report(alpha_bdry,
+                   _series(_imported_bins(terms), ell_bdry, alpha_bdry, cusp=False),
+                   "sum_deriv", 0.0, 0.0, 0.0, tolerance)

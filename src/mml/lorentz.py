@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotHyperbolic
-from .sl2grp import DualMatrix2
+from .sl2grp import DualMatrix2, adjugate
 
 # Orthonormal basis of sl(2,R) for <X,Y> = tr(XY)/2: two spacelike, one timelike.
 E1 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -74,7 +74,7 @@ def adjoint_of(m: DualMatrix2) -> LorentzIsometry:
     which is traceless when the group invariant holds.
     """
     m0 = m.val
-    m0_inv = np.array([[m0[1, 1], -m0[0, 1]], [-m0[1, 0], m0[0, 0]]])
+    m0_inv = adjugate(m0)
     cols = [sl2_to_vec(m0 @ e @ m0_inv) for e in (E1, E2, E3)]
     u = m.eps @ m0_inv
     u = u - 0.5 * np.trace(u) * np.eye(2)  # project out rounding in the trace

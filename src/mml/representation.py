@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidCoords
-from .sl2grp import DualMatrix2, commutator, compose, dual_trace
+from .sl2grp import (DualMatrix2, commutator, compose, dual_trace, project_tangent,
+                     tangency_defect)
 
 TANGENT_TOL = 1e-10
 DEFAULT_PATH_STEP = 1e-4
@@ -112,13 +113,6 @@ def build_rep(c: TraceCoords) -> HoledTorusRep:
     return rep
 
 
-def _project_tangent(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """Remove the component of m1 violating d(det)/deps = 0 at det(m0) = 1."""
-    adj = np.array([[m0[1, 1], -m0[0, 1]], [-m0[1, 0], m0[0, 0]]])
-    c = float(np.trace(adj @ m1))
-    return m1 - 0.5 * c * m0
-
-
 def attach_deformation(rep: HoledTorusRep, d: DeformationSpec) -> HoledTorusRep:
     """Return a copy of rep with eps parts set from the deformation spec."""
     a0, b0 = rep.A.val, rep.B.val
@@ -126,8 +120,7 @@ def attach_deformation(rep: HoledTorusRep, d: DeformationSpec) -> HoledTorusRep:
         a1 = np.zeros((2, 2)) if d.a_eps is None else np.asarray(d.a_eps, dtype=float)
         b1 = np.zeros((2, 2)) if d.b_eps is None else np.asarray(d.b_eps, dtype=float)
         for m0, m1, name in ((a0, a1, "A"), (b0, b1, "B")):
-            adj = np.array([[m0[1, 1], -m0[0, 1]], [-m0[1, 0], m0[0, 0]]])
-            if abs(np.trace(adj @ m1)) > TANGENT_TOL * max(1.0, float(np.abs(m1).max())):
+            if abs(tangency_defect(m0, m1)) > TANGENT_TOL * max(1.0, float(np.abs(m1).max())):
                 raise InvalidCoords(f"eps part of {name} is not tangent to SL(2)")
         label = "tangent"
     elif d.kind == "path":
@@ -135,8 +128,8 @@ def attach_deformation(rep: HoledTorusRep, d: DeformationSpec) -> HoledTorusRep:
             raise InvalidCoords("path deformation needs a coordinate path")
         plus = build_rep(d.path(d.h))
         minus = build_rep(d.path(-d.h))
-        a1 = _project_tangent(a0, (plus.A.val - minus.A.val) / (2.0 * d.h))
-        b1 = _project_tangent(b0, (plus.B.val - minus.B.val) / (2.0 * d.h))
+        a1 = project_tangent(a0, (plus.A.val - minus.A.val) / (2.0 * d.h))
+        b1 = project_tangent(b0, (plus.B.val - minus.B.val) / (2.0 * d.h))
         label = "path"
     else:
         raise InvalidCoords(f"unknown deformation kind {d.kind!r}")
@@ -147,8 +140,8 @@ def attach_deformation(rep: HoledTorusRep, d: DeformationSpec) -> HoledTorusRep:
 def random_tangent(rep: HoledTorusRep, rng: np.random.Generator,
                    scale: float = 1.0) -> DeformationSpec:
     """A seeded random tangent-kind deformation of both generators."""
-    a1 = _project_tangent(rep.A.val, rng.standard_normal((2, 2)) * scale)
-    b1 = _project_tangent(rep.B.val, rng.standard_normal((2, 2)) * scale)
+    a1 = project_tangent(rep.A.val, rng.standard_normal((2, 2)) * scale)
+    b1 = project_tangent(rep.B.val, rng.standard_normal((2, 2)) * scale)
     return DeformationSpec(kind="tangent", a_eps=a1, b_eps=b1)
 
 

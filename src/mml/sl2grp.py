@@ -64,14 +64,22 @@ class DualMatrix2:
         remove the trace component of the eps part violating tangency)."""
         d = self.det()
         val = self.val / math.sqrt(d.re)
-        # d(det)/deps = tr(adj(val) @ eps) = tr(val^-1 eps) at det 1
-        c = float(np.trace(_adjugate(val) @ self.eps))
-        eps = (self.eps - 0.5 * c * val) / math.sqrt(d.re)
-        return DualMatrix2(val, eps)
+        return DualMatrix2(val, project_tangent(val, self.eps) / math.sqrt(d.re))
 
 
-def _adjugate(m: np.ndarray) -> np.ndarray:
+def adjugate(m: np.ndarray) -> np.ndarray:
+    """adj(m) = det(m) m^-1 of a 2x2 array; entrywise linear."""
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+
+def tangency_defect(m0: np.ndarray, m1: np.ndarray) -> float:
+    """tr(adj(m0) m1), the eps part of det(m0 + eps*m1); zero iff m1 is tangent."""
+    return float(np.trace(adjugate(m0) @ m1))
+
+
+def project_tangent(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """m1 with the component violating d(det)/deps = 0 at det(m0) = 1 removed."""
+    return m1 - 0.5 * tangency_defect(m0, m1) * m0
 
 
 def identity() -> DualMatrix2:
@@ -104,7 +112,7 @@ def compose(*ms: DualMatrix2) -> DualMatrix2:
 def inverse(m: DualMatrix2) -> DualMatrix2:
     """Inverse via the adjugate; exact at unit determinant, and the
     adjugate is entrywise linear for 2x2 so it passes to the eps part."""
-    return DualMatrix2(_adjugate(m.val), _adjugate(m.eps))
+    return DualMatrix2(adjugate(m.val), adjugate(m.eps))
 
 
 def dual_trace(m: DualMatrix2) -> DualScalar:

@@ -202,8 +202,7 @@ def make_tables(rep) -> tuple[TraceTable, TraceTable]:
 
 def slope_trace(rep, s: Slope) -> float:
     """Value-part trace of the slope word, with the recursion/word cross-check."""
-    table = TraceTable(rep.A, rep.B) if s.p >= 0 else TraceTable(inverse(rep.A), rep.B, mirror=True)
-    return table.trace(abs(s.p), s.q).re
+    return make_tables(rep)[s.p < 0].trace(abs(s.p), s.q).re
 
 
 def farey_enumerate(max_denominator_sum: int) -> list[Slope]:
@@ -233,33 +232,34 @@ def enumerate_up_to(rep, max_total_length: float,
                     tables: tuple[TraceTable, TraceTable] | None = None) -> list[CurveClass]:
     """Every curve class with 2*length < max_total_length, in Farey order.
 
-    Prunes a Stern-Brocot subtree once the curve at its root is past the
-    cutoff; length monotonicity along descending branches (each mediant
-    at least as long as the node it descends from) is asserted as it is
-    relied on.
+    Prunes the Stern-Brocot subtree of a node past the cutoff that is at
+    least as long as both Farey parents: for positive traces u, v <= c at
+    the parents and the node, a child has trace u*c - v > c, so the whole
+    subtree is longer still.  Nearer the root a node may be shorter than a
+    parent, and its subtree is searched.  Every visited node is the node or
+    a parent at some prune, so a check of the three traces there sees them
+    all; a negative one raises MMLError.
     """
     cutoff = max_total_length / 2.0
     pos, neg = tables if tables is not None else make_tables(rep)
-    curves: list[CurveClass] = []
-    for p, q in ((1, 0), (0, 1)):
-        c = pos.curve(p, q)
-        if c.length < cutoff:
-            curves.append(c)
+    a, b = pos.curve(1, 0), pos.curve(0, 1)
+    curves = [c for c in (a, b) if c.length < cutoff]
     for table in (pos, neg):
-        stack = [((0, 1), (1, 0), None)]
+        stack = [((0, 1), (1, 0), b, a)]
         while stack:
-            (pl, ql), (pr, qr), parent_len = stack.pop()
+            (pl, ql), (pr, qr), left, right = stack.pop()
             p, q = pl + pr, ql + qr
             c = table.curve(p, q)
-            if parent_len is not None and c.length < parent_len - 1e-9:
-                raise MMLError(
-                    f"length not monotone at slope {c.slope}: "
-                    f"{c.length} < parent {parent_len}")
-            if c.length >= cutoff:
+            if c.length < cutoff:
+                curves.append(c)
+            elif c.length >= left.length and c.length >= right.length:
+                if c.trace < 0 or left.trace < 0 or right.trace < 0:
+                    bad = min((c, left, right), key=lambda k: k.trace)
+                    raise MMLError(f"slope {bad.slope} has negative trace {bad.trace}; "
+                                   "length pruning needs positive traces")
                 continue
-            curves.append(c)
-            stack.append(((pl, ql), (p, q), c.length))
-            stack.append(((p, q), (pr, qr), c.length))
+            stack.append(((pl, ql), (p, q), left, c))
+            stack.append(((p, q), (pr, qr), c, right))
     return curves
 
 

@@ -66,6 +66,24 @@ def test_invalid_inputs():
     assert run(["verify-mcshane", "--coords", "4,4,4", "--tol", "-1"]) == 1
 
 
+@pytest.mark.parametrize("coords", ["10,3,3", "4,1.5,4", "2.5,2.5,2.5"])
+def test_verify_mcshane_rejects_coords_outside_the_domain(coords, capsys):
+    assert run(["verify-mcshane", "--coords", coords]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: coordinates") and "x, y, z > 2" in err
+    assert "boundary trace" in err and "<= -2" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("coords", ["2.6943989121171104,7.2604181522038616,4.259065393690246",
+                                    "2.2,150,100"])
+def test_verify_mcshane_where_a_mediant_is_shorter_than_its_parent(coords, tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify-mcshane", "--coords", coords, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["passed"]
+    assert abs(report["residual"]) <= max(report["tail_bound"], 1e-6)
+
+
 def test_nonconvergence_exit_code(tmp_path):
     assert run(["verify-mcshane", "--coords", "4,4,4", "--tol", "1e-12",
                 "--n-ceiling", "10"]) == 2

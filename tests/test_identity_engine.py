@@ -149,6 +149,14 @@ def test_mirzakhani_threshold():
         assert gap_D(lb, c.length, c.length) / lb < coeff_H(2 * c.length, lb)
 
 
+def test_mirzakhani_threshold_respects_low_ceiling():
+    rep = build_rep(TraceCoords(4, 4, 4))
+    running, threshold = mirzakhani_threshold(rep, n_ceiling=8)
+    assert len(running) == 9
+    assert running == sorted(running)
+    assert threshold is None or running[threshold] > 1.0
+
+
 def test_kappa_estimate():
     rep = attach_deformation(build_rep(TraceCoords(4, 4, 4)), DeformationSpec.zero())
     assert kappa_estimate(rep) == 0.0
@@ -201,6 +209,10 @@ def test_imported_terms_match_builtin_enumeration():
     assert ri.tail_bound == 0.0
     rm = mcshane_sum_imported(lb, terms, tolerance=1e-5)
     assert abs(rm.residual) <= 1e-5
+    # the H sum runs over the same bins, so the threshold carries over too
+    for imported in (ri, rm):
+        assert imported.h_threshold_n == r.h_threshold_n is not None
+        assert abs(imported.h_partial_sum - r.h_partial_sum) <= 1e-12
 
 
 def test_report_json_schema():

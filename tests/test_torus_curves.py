@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mml.dualnum import DualScalar
-from mml.errors import NotHyperbolic, RecursionMismatch
+from mml.errors import MMLError, NotHyperbolic, RecursionMismatch
 from mml.representation import (TraceCoords, attach_deformation, build_rep, random_tangent,
                                 validate_fuchsian)
 from mml.sl2grp import compose, dual_trace, identity
@@ -99,6 +99,27 @@ def test_enumeration_completeness_against_brute_force():
     for s in farey_enumerate(10):
         length = 2 * math.acosh(abs(slope_trace(rep, s)) / 2)
         assert ((s.p, s.q) in curves) == (2 * length < cutoff)
+
+
+@pytest.mark.parametrize("coords", [(4, 4, 4), (2.2, 150, 100),
+                                    (2.6943989121171104, 7.2604181522038616, 4.259065393690246)])
+def test_enumerated_slopes_equal_brute_force_filter(coords):
+    # near the root a mediant can be shorter than a parent (slope 2/1 at the
+    # last two triples), so pruning must not assume length grows down the tree
+    rep = build_rep(TraceCoords(*coords))
+    pos, neg = make_tables(rep)
+    cutoff = 30.0
+    got = {(c.slope.p, c.slope.q) for c in enumerate_up_to(rep, cutoff)}
+    want = {(s.p, s.q) for s in farey_enumerate(40)
+            if 2 * (neg if s.p < 0 else pos).curve(abs(s.p), s.q).length < cutoff}
+    assert got == want and len(got) >= 20
+
+
+def test_negative_trace_stops_enumeration():
+    # out of domain (boundary trace 32.3): slope 2/1 has trace -3.22
+    rep = build_rep(TraceCoords(2.1474282940828657, 7.798248901525441, 2.130131862561962))
+    with pytest.raises(MMLError, match="negative trace"):
+        enumerate_up_to(rep, 30.0)
 
 
 def test_bins_and_constant():
