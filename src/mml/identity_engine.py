@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import NonConvergence, NotHyperbolic
 from .sl2grp import dual_trace, margulis_from_trace, translation_length
@@ -112,7 +112,10 @@ class SeriesReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """dataclasses.asdict(self), without its recursive deep copy."""
+        d = dict(vars(self))
+        d["bins"] = tuple(dict(vars(b)) for b in self.bins)
+        return d
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -167,8 +170,12 @@ def _grow(rep, n_ceiling: int, done) -> tuple[int, list[CurveBin], float, bool]:
     per step, until done(n_max, bins, m_hat) holds or n_max reaches the ceiling."""
     tables = make_tables(rep)
     n_max = min(_GROW_START, n_ceiling)
+    bins: list[CurveBin] = []
     while True:
-        bins = bin_curves(enumerate_up_to(rep, n_max + 1, tables), n_max)
+        # Every step enumerates all curves below its cutoff, so the bins of
+        # earlier steps are complete: only the new ones need binning.
+        new = [c for c in enumerate_up_to(rep, n_max + 1, tables) if c.bin_index >= len(bins)]
+        bins = bins + bin_curves(new, n_max)[len(bins):]
         m_hat = fit_bin_constant(bins)
         ok = done(n_max, bins, m_hat)
         if ok or n_max >= n_ceiling:

@@ -86,6 +86,14 @@ def identity() -> DualMatrix2:
     return DualMatrix2(np.eye(2))
 
 
+def _unchecked(val: np.ndarray, eps: np.ndarray) -> DualMatrix2:
+    """A DualMatrix2 of read-only 2x2 float64 parts, built without re-validation."""
+    out = object.__new__(DualMatrix2)
+    object.__setattr__(out, "val", val)
+    object.__setattr__(out, "eps", eps)
+    return out
+
+
 def _product(m: DualMatrix2, n: DualMatrix2) -> DualMatrix2:
     """m*n without re-validation: products of validated 2x2 float parts
     are 2x2 float arrays, so only freezing them is left to do."""
@@ -93,10 +101,37 @@ def _product(m: DualMatrix2, n: DualMatrix2) -> DualMatrix2:
     eps = m.val @ n.eps + m.eps @ n.val
     val.setflags(write=False)
     eps.setflags(write=False)
-    out = object.__new__(DualMatrix2)
-    object.__setattr__(out, "val", val)
-    object.__setattr__(out, "eps", eps)
-    return out
+    return _unchecked(val, eps)
+
+
+#: The identity as laid out by flatten.
+FLAT_IDENTITY = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def flatten(m: DualMatrix2) -> tuple[float, ...]:
+    """m as 8 Python floats: the value part, then the eps part, row-major."""
+    return tuple(np.stack((m.val, m.eps)).ravel().tolist())
+
+
+def unflatten(t: tuple[float, ...]) -> DualMatrix2:
+    """The frozen DualMatrix2 of 8 floats laid out as by flatten."""
+    flat = np.array(t, dtype=float)
+    flat.setflags(write=False)
+    parts = flat.reshape(2, 2, 2)  # views of flat, read-only with it
+    return _unchecked(parts[0], parts[1])
+
+
+def flat_product(m: tuple[float, ...], n: tuple[float, ...]) -> tuple[float, ...]:
+    """m*n of flattened matrices in Python floats: value M0*N0, eps M0*N1 + M1*N0.
+
+    Its last bits can differ from _product's numpy matmul, so it may feed
+    only checks with a tolerance, never a value that reaches a report.
+    """
+    a, b, c, d, ea, eb, ec, ed = m
+    e, f, g, h, ee, ef, eg, eh = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
+            a * ee + b * eg + ea * e + eb * g, a * ef + b * eh + ea * f + eb * h,
+            c * ee + d * eg + ec * e + ed * g, c * ef + d * eh + ec * f + ed * h)
 
 
 def compose(*ms: DualMatrix2) -> DualMatrix2:
@@ -116,7 +151,10 @@ def inverse(m: DualMatrix2) -> DualMatrix2:
 
 
 def dual_trace(m: DualMatrix2) -> DualScalar:
-    return DualScalar(float(np.trace(m.val)), float(np.trace(m.eps)))
+    # Same bits as np.trace: a sum of two floats is one rounding either way.
+    (v00, _), (_, v11) = m.val.tolist()
+    (e00, _), (_, e11) = m.eps.tolist()
+    return DualScalar(v00 + v11, e00 + e11)
 
 
 def commutator(a: DualMatrix2, b: DualMatrix2) -> DualMatrix2:

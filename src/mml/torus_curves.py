@@ -19,8 +19,8 @@ from typing import Iterable
 
 from .dualnum import DualScalar
 from .errors import MMLError, RecursionMismatch
-from .sl2grp import (DualMatrix2, compose, dual_trace, identity, inverse, margulis_from_trace,
-                     translation_length)
+from .sl2grp import (FLAT_IDENTITY, DualMatrix2, compose, dual_trace, flat_product, flatten,
+                     inverse, margulis_from_trace, translation_length, unflatten)
 
 #: Direct evaluation vs recursion disagreement beyond this raises.
 RECURSION_TOL = 1e-6
@@ -110,8 +110,11 @@ class TraceTable:
     One table covers nonnegative slopes for its generators; the mirrored
     family (negative slopes) uses a second table built on the inverse of
     the first generator.  Build once, then treat as read-only.  Besides
-    the traces, a table memoizes the matrix of each Christoffel word and
-    the curve class of each slope it has met.
+    the traces, a table memoizes the matrix of each Christoffel word, as
+    8 floats (see sl2grp.flatten), and the curve class of each slope it
+    has met.  Word matrices only cross-check the trace recursion, so
+    they are multiplied in plain floats; the seed traces come from numpy
+    products.
     """
 
     def __init__(self, gen_a: DualMatrix2, gen_b: DualMatrix2, mirror: bool = False):
@@ -124,7 +127,8 @@ class TraceTable:
             (0, 1): dual_trace(gen_b),
             (1, 1): dual_trace(ab),
         }
-        self._words: dict[str, DualMatrix2] = {"a": gen_a, "b": gen_b, "ab": ab}
+        self._words: dict[str, tuple[float, ...]] = {
+            "": FLAT_IDENTITY, "a": flatten(gen_a), "b": flatten(gen_b), "ab": flatten(ab)}
         self._curves: dict[tuple[int, int], CurveClass] = {}
 
     def trace(self, p: int, q: int) -> DualScalar:
@@ -157,9 +161,9 @@ class TraceTable:
         The recursion runs in _word_product, so a wrapper around this
         method (perfbench's tracer) sees one call per requested word.
         """
-        return self._word_product(word)
+        return unflatten(self._word_product(word))
 
-    def _word_product(self, word: str) -> DualMatrix2:
+    def _word_product(self, word: str) -> tuple[float, ...]:
         # A Christoffel word is word(upper) + word(lower) of its Farey
         # parents, so splitting there makes both halves memo hits along a
         # descent and costs one matrix product per slope; any other word
@@ -170,11 +174,9 @@ class TraceTable:
         p, q = word.count("a"), word.count("b")
         if p + q != len(word):
             raise KeyError(f"word {word!r} has a letter outside {{a, b}}")
-        if not word:
-            return identity()
         christoffel = math.gcd(p, q) == 1 and christoffel_word(p, q) == word
         cut = sum(_farey_parents(p, q)[1]) if christoffel else len(word) // 2
-        m = compose(self._word_product(word[:cut]), self._word_product(word[cut:]))
+        m = flat_product(self._word_product(word[:cut]), self._word_product(word[cut:]))
         if christoffel:
             self._words[word] = m
         return m

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import mml
 from mml.cli import main
 
 
@@ -167,3 +172,27 @@ def test_far_from_cusp_never_certifies_an_empty_census(command, extra, tmp_path)
     assert sum(b["count"] for b in report["bins"]) > 0
     assert abs(report["residual"]) <= max(report["tail_bound"], 1e-6)
     assert report["partial_sum"] > 0.99 * report["target"]
+
+
+def test_commands_in_sequence_match_fresh_processes(tmp_path, capsys):
+    # main reuses one argument parser per process, a failed parse included
+    commands = [["verify-mcshane", "--coords", "4,4,4", "--tol", "1e-4"],
+                ["census", "--coords", "4,5,6", "--n-max", "16", "--out", "{dir}/census.csv"],
+                ["verify-margulis", "--coords", "4,4,4", "--deform", "tangent", "--seed", "7",
+                 "--tol", "1e-4"]]
+    with pytest.raises(SystemExit):
+        main(["verify-mcshane", "--tol", "not-a-number"])
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(mml.__file__).resolve().parents[1]))
+    for k, argv in enumerate(commands):
+        mine, fresh = tmp_path / f"in-{k}", tmp_path / f"fresh-{k}"
+        mine.mkdir()
+        fresh.mkdir()
+        assert main([a.format(dir=mine) for a in argv]) == 0
+        proc = subprocess.run([sys.executable, "-m", "mml.cli"]
+                              + [a.format(dir=fresh) for a in argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert capsys.readouterr().out == proc.stdout
+        assert [p.read_bytes() for p in sorted(mine.iterdir())] == \
+            [p.read_bytes() for p in sorted(fresh.iterdir())]

@@ -1,17 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mml.errors import NonConvergence, NotHyperbolic
-from mml.identity_engine import (KahanSum, bound_D, bound_HK, coeff_H, coeff_K,
+from mml.identity_engine import (KahanSum, _grow, bound_D, bound_HK, coeff_H, coeff_K,
                                  cusp_gap, gap_D, kappa_estimate,
                                  margulis_residual, margulis_residual_imported,
                                  mcshane_sum, mcshane_sum_imported,
                                  mirzakhani_threshold, term_derivative)
 from mml.representation import DeformationSpec, TraceCoords, attach_deformation, build_rep, random_tangent
 from mml.sl2grp import dual_trace, margulis_invariant_dual, translation_length
-from mml.torus_curves import ImportedTerm, enumerate_up_to
+from mml.torus_curves import ImportedTerm, bin_curves, enumerate_up_to
 
 
 def test_gap_values():
@@ -222,3 +223,30 @@ def test_report_json_schema():
                 "m_hat", "kappa_hat", "h_partial_sum", "h_threshold_n", "bins"):
         assert key in d
     assert all(set(b) == {"n", "count", "sum_d", "sum_deriv"} for b in d["bins"])
+
+
+@pytest.mark.parametrize("coords, n_ceiling", [((4, 4, 4), 64), ((3, 3, 3), 64),
+                                               ((200, 200, 200), 96)])
+def test_grown_bins_equal_binning_from_scratch(coords, n_ceiling):
+    rep = build_rep(TraceCoords(*coords))
+    steps = []
+    _grow(rep, n_ceiling, lambda n_max, bins, m_hat: steps.append((n_max, bins)) and False)
+    assert [n for n, _ in steps] == list(range(16, n_ceiling + 1, 8))
+    for n_max, bins in steps:
+        assert bins == bin_curves(enumerate_up_to(rep, n_max + 1), n_max)
+    assert sum(len(b.members) for b in steps[-1][1]) > 0
+
+
+def test_to_dict_equals_asdict():
+    rep = build_rep(TraceCoords(4, 4, 4))
+    repd = attach_deformation(rep, random_tangent(rep, np.random.default_rng(7)))
+    terms = [ImportedTerm(1.5, 2.5, 0.1, -0.2), ImportedTerm(3.0, 3.0), ImportedTerm(6.2, 0.4)]
+    lb = translation_length(dual_trace(rep.boundary).re)
+    for report in (mcshane_sum(rep, tail_tolerance=1e-4),
+                   mcshane_sum(build_rep(TraceCoords(3, 3, 3)), tail_tolerance=1e-4),
+                   margulis_residual(repd, tail_tolerance=1e-4),
+                   mcshane_sum_imported(lb, terms), margulis_residual_imported(lb, 0.3, terms)):
+        d, ref = report.to_dict(), dataclasses.asdict(report)
+        assert d == ref and list(d) == list(ref)
+        assert type(d["bins"]) is tuple
+        assert [list(b) for b in d["bins"]] == [list(b) for b in ref["bins"]]

@@ -75,6 +75,14 @@ def test_trace_symmetries(rng):
     assert math.isclose(t.re, tc.re, rel_tol=1e-9)
 
 
+def test_dual_trace_is_bitwise_np_trace(rng):
+    for _ in range(1000):
+        val, eps = rng.standard_normal((2, 2, 2)) * 10.0 ** rng.uniform(-8, 8, (2, 2, 2))
+        t = dual_trace(DualMatrix2(val, eps))
+        assert t.re.hex() == float(np.trace(val)).hex()
+        assert t.inf.hex() == float(np.trace(eps)).hex()
+
+
 def test_commutator_degenerate(rng):
     m = random_hyperbolic_dual(rng)
     assert np.allclose(commutator(m, m).val, np.eye(2), atol=1e-12)

@@ -7,7 +7,7 @@ from mml.dualnum import DualScalar
 from mml.errors import MMLError, NotHyperbolic, RecursionMismatch
 from mml.representation import (TraceCoords, attach_deformation, build_rep, random_tangent,
                                 validate_fuchsian)
-from mml.sl2grp import compose, dual_trace, identity
+from mml.sl2grp import compose, dual_trace, flat_product, identity
 from mml.torus_curves import (ImportedTerm, Slope, bin_curves, christoffel_word,
                               enumerate_family, enumerate_up_to, export_census,
                               farey_enumerate, fit_bin_constant, import_curve_list,
@@ -189,14 +189,30 @@ def test_word_matrix_matches_letter_by_letter_product():
 def test_word_matrix_costs_one_product_per_new_slope(monkeypatch):
     import mml.torus_curves as tc
 
-    factors = []
-    monkeypatch.setattr(tc, "compose", lambda *ms: factors.append(len(ms)) or compose(*ms))
+    factors, composed = [], []
+    monkeypatch.setattr(tc, "flat_product",
+                        lambda *ms: factors.append(len(ms)) or flat_product(*ms))
+    monkeypatch.setattr(tc, "compose", lambda *ms: composed.append(len(ms)) or compose(*ms))
     pos, _ = make_tables(_deformed_444())
+    seeds = len(composed)
     for p, q in [(2, 1), (3, 1), (3, 2), (5, 3), (8, 5)]:
         before = len(factors)
         pos.trace(p, q)
         assert len(factors) > before
         assert factors[before:] == [2] * (len(factors) - before)
+    assert len(composed) == seeds
+
+
+def test_word_matrix_returns_read_only_float64_parts():
+    pos, neg = make_tables(_deformed_444())
+    for table, word in [(pos, ""), (pos, "a"), (pos, "aab"), (neg, "ab"), (neg, "bab")]:
+        m = table.word_matrix(word)
+        for part in (m.val, m.eps):
+            assert part.shape == (2, 2) and part.dtype == np.float64
+            assert not part.flags.writeable
+            assert part.base is None or not part.base.flags.writeable
+            with pytest.raises(ValueError):
+                part[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("part", ["re", "inf"])
