@@ -137,7 +137,8 @@ def _cmd_verify_margulis(args) -> int:
     check = reprs.validate_fuchsian(rep)
     if not check.passed:
         raise InvalidCoords(check.reason)
-    report = engine.margulis_residual(rep, tail_tolerance=args.tol, n_ceiling=args.n_ceiling)
+    report = engine.margulis_residual(rep, tail_tolerance=args.tol, n_ceiling=args.n_ceiling,
+                                      tables=check.tables)
     _emit_report(report, args.out, args.format)
     return 0 if report.passed else 2
 

@@ -74,7 +74,13 @@ def term_derivative(ell1: float, ell2: float, ell_bdry: float,
                     alpha1: float, alpha2: float, alpha_bdry: float) -> float:
     """d/dt of one gap term, by the chain rule on (H, K)."""
     u = ell1 + ell2
-    return coeff_H(u, ell_bdry) * alpha_bdry + coeff_K(u, ell_bdry) * (alpha1 + alpha2)
+    return _term_derivative_from(coeff_H(u, ell_bdry), u, ell_bdry, alpha1 + alpha2, alpha_bdry)
+
+
+def _term_derivative_from(h_u: float, u: float, ell_bdry: float,
+                          alpha_sum: float, alpha_bdry: float) -> float:
+    """term_derivative given h_u = coeff_H(u, ell_bdry) and alpha_sum = alpha1 + alpha2."""
+    return h_u * alpha_bdry + coeff_K(u, ell_bdry) * alpha_sum
 
 
 def bound_D(x: float, y: float, z: float) -> float:
@@ -165,10 +171,18 @@ def _boundary_values(rep) -> tuple[float, float, bool]:
     return translation_length(t.re), margulis_from_trace(t), False
 
 
-def _grow(rep, n_ceiling: int, done) -> tuple[int, list[CurveBin], float, bool]:
+def _grow(rep, n_ceiling: int, done,
+          tables=None) -> tuple[int, list[CurveBin], float, bool]:
     """(n_max, bins, m_hat, done) at n_max = min(16, n_ceiling), then 8 deeper
-    per step, until done(n_max, bins, m_hat) holds or n_max reaches the ceiling."""
-    tables = make_tables(rep)
+    per step, until done(n_max, bins, m_hat) holds or n_max reaches the ceiling.
+
+    tables: the rep's make_tables pair, if the caller has one already.
+    """
+    if tables is None:
+        tables = make_tables(rep)
+    elif not (tables[0].gen_a is rep.A and tables[0].gen_b is rep.B
+              and tables[1].gen_b is rep.B):
+        raise ValueError("tables were not built from this rep's generators")
     n_max = min(_GROW_START, n_ceiling)
     bins: list[CurveBin] = []
     while True:
@@ -184,12 +198,12 @@ def _grow(rep, n_ceiling: int, done) -> tuple[int, list[CurveBin], float, bool]:
 
 
 def choose_truncation(rep, tail_tolerance: float, n_ceiling: int = 200,
-                      tail=None) -> tuple[int, list[CurveBin], float]:
+                      tail=None, tables=None) -> tuple[int, list[CurveBin], float]:
     """Smallest enumerated depth whose certified tail is below tolerance.
 
     tail(n_max, bins, m_hat) defaults to the identity tail; a depth with
-    no enumerated curve is never accepted.  Raises NonConvergence at the
-    bin ceiling.
+    no enumerated curve is never accepted.  tables, if given, is the rep's
+    make_tables pair.  Raises NonConvergence at the bin ceiling.
     """
     if tail_tolerance <= 0:
         raise ValueError("tail_tolerance must be positive")
@@ -200,7 +214,8 @@ def choose_truncation(rep, tail_tolerance: float, n_ceiling: int = 200,
     # without certifying anything.
     n_max, bins, m_hat, ok = _grow(
         rep, n_ceiling,
-        lambda n_max, bins, m_hat: m_hat > 0 and tail(n_max, bins, m_hat) <= tail_tolerance)
+        lambda n_max, bins, m_hat: m_hat > 0 and tail(n_max, bins, m_hat) <= tail_tolerance,
+        tables)
     if ok:
         return n_max, bins, m_hat
     if m_hat == 0:
@@ -237,12 +252,14 @@ def _series(bins, ell_bdry: float, alpha_bdry: float,
     for n, members in bins:
         sd, sv = KahanSum(), KahanSum()
         for l1, l2, a1, a2 in members:
+            u = l1 + l2
+            hu = coeff_H(u, ell_bdry)
             if cusp:
                 sd.add(cusp_gap(l1))
             else:
                 sd.add(gap_D(ell_bdry, l1, l2))
-                sv.add(term_derivative(l1, l2, ell_bdry, a1, a2, alpha_bdry))
-            h.add(coeff_H(l1 + l2, ell_bdry))
+                sv.add(_term_derivative_from(hu, u, ell_bdry, a1 + a2, alpha_bdry))
+            h.add(hu)
         stats.append(BinStat(n, len(members), sd.total, sv.total))
         h_running.append(h.total)
     return stats, h_running
@@ -293,26 +310,33 @@ def mcshane_sum(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200) -> Seri
                    kappa_from_bins(bins, ell_bdry, alpha_bdry), tail_tolerance)
 
 
-def margulis_residual(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200) -> SeriesReport:
+def margulis_residual(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200,
+                      tables=None) -> SeriesReport:
     """Verify the differentiated identity for a deformed representation.
 
     The summed series of per-term derivatives converges to alpha(bdry);
     the residual target - partial_sum equals the difference between
-    (1 - sum H) alpha(bdry) and sum K (alpha1 + alpha2).
+    (1 - sum H) alpha(bdry) and sum K (alpha1 + alpha2).  tables, if
+    given, is the rep's make_tables pair (e.g. FuchsianReport.tables).
     """
     ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
     if cusp:
         raise NotHyperbolic("differentiated identity needs a hyperbolic boundary")
+    # Bins only grow by appending, so kappa is a running max over the new
+    # ones; the last call is on the accepted step's bins.
+    scanned, kappa, tail_bound = 0, 0.0, 0.0
 
     def tail(n_max, bins, m_hat):
-        kappa = kappa_from_bins(bins, ell_bdry, alpha_bdry)
-        return tail_bound_derivative(n_max, m_hat, ell_bdry, kappa, alpha_bdry)
+        nonlocal scanned, kappa, tail_bound
+        kappa = max(kappa, kappa_from_bins(bins[scanned:], ell_bdry, alpha_bdry))
+        scanned = len(bins)
+        tail_bound = tail_bound_derivative(n_max, m_hat, ell_bdry, kappa, alpha_bdry)
+        return tail_bound
 
-    n_max, bins, m_hat = choose_truncation(rep, tail_tolerance, n_ceiling, tail)
+    n_max, bins, m_hat = choose_truncation(rep, tail_tolerance, n_ceiling, tail, tables)
     return _report(alpha_bdry,
                    _series(_curve_bins(bins), ell_bdry, alpha_bdry, cusp=False), "sum_deriv",
-                   tail(n_max, bins, m_hat), m_hat,
-                   kappa_from_bins(bins, ell_bdry, alpha_bdry), tail_tolerance)
+                   tail_bound, m_hat, kappa, tail_tolerance)
 
 
 def mirzakhani_threshold(rep, n_ceiling: int = 200) -> tuple[list[float], int | None]:

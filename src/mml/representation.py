@@ -147,9 +147,13 @@ def random_tangent(rep: HoledTorusRep, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class FuchsianReport:
+    """Verdict of validate_fuchsian; a passed one carries the rep's
+    make_tables pair, filled to the sampled depth, for reuse."""
+
     passed: bool
     reason: str = ""
     first_offender: str = ""
+    tables: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def validate_fuchsian(rep: HoledTorusRep, sample_depth: int = 6) -> FuchsianReport:
@@ -173,4 +177,4 @@ def validate_fuchsian(rep: HoledTorusRep, sample_depth: int = 6) -> FuchsianRepo
         t = (pos if s.p >= 0 else neg).trace(abs(s.p), s.q).re
         if abs(t) <= 2.0:
             return FuchsianReport(False, "non-hyperbolic simple curve", str(s))
-    return FuchsianReport(True)
+    return FuchsianReport(True, tables=(pos, neg))

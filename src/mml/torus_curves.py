@@ -76,6 +76,7 @@ class ImportedTerm:
     alpha_gamma2: float = 0.0
 
 
+@lru_cache(maxsize=None)
 def _farey_parents(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Stern-Brocot parents (lower, upper) of an interior slope p/q >= 1/1."""
     if q == 1:
@@ -110,11 +111,11 @@ class TraceTable:
     One table covers nonnegative slopes for its generators; the mirrored
     family (negative slopes) uses a second table built on the inverse of
     the first generator.  Build once, then treat as read-only.  Besides
-    the traces, a table memoizes the matrix of each Christoffel word, as
-    8 floats (see sl2grp.flatten), and the curve class of each slope it
-    has met.  Word matrices only cross-check the trace recursion, so
-    they are multiplied in plain floats; the seed traces come from numpy
-    products.
+    the traces, a table memoizes the matrix of each traced slope's
+    Christoffel word, as 8 floats (see sl2grp.flatten), filled from its
+    Farey parents' words, and the curve class of each slope it has met.
+    Word matrices only cross-check the trace recursion, so they are
+    multiplied in plain floats; the seed traces come from numpy products.
     """
 
     def __init__(self, gen_a: DualMatrix2, gen_b: DualMatrix2, mirror: bool = False):
@@ -132,7 +133,8 @@ class TraceTable:
         self._curves: dict[tuple[int, int], CurveClass] = {}
 
     def trace(self, p: int, q: int) -> DualScalar:
-        t = self._memo.get((p, q))
+        memo = self._memo
+        t = memo.get((p, q))
         if t is not None:
             return t
         lower, upper = _farey_parents(p, q)
@@ -141,13 +143,30 @@ class TraceTable:
             dp, dq = -dp, -dq
         if dp < 0:
             raise MMLError(f"unexpected mixed-sign third neighbor for {p}/{q}")
-        t = self.trace(*lower) * self.trace(*upper) - self.trace(dp, dq)
-        self._check_against_word(p, q, t)
-        self._memo[(p, q)] = t
+        # A neighbour not traced yet goes through self.trace, so a wrapper
+        # around it (perfbench's tracer) still sees every new slope.
+        lo = memo.get(lower)
+        if lo is None:
+            lo = self.trace(*lower)
+        up = memo.get(upper)
+        if up is None:
+            up = self.trace(*upper)
+        th = memo.get((dp, dq))
+        if th is None:
+            th = self.trace(dp, dq)
+        t = lo * up - th
+        # word(p/q) = word(upper) + word(lower), and both parents are traced,
+        # so their word matrices are in the memo: one product per new slope.
+        word = christoffel_word(p, q)
+        words = self._words
+        words[word] = flat_product(words[christoffel_word(*upper)],
+                                   words[christoffel_word(*lower)])
+        self._check_against_word(p, q, word, t)
+        memo[(p, q)] = t
         return t
 
-    def _check_against_word(self, p: int, q: int, t: DualScalar) -> None:
-        direct = dual_trace(self.word_matrix(christoffel_word(p, q)))
+    def _check_against_word(self, p: int, q: int, word: str, t: DualScalar) -> None:
+        direct = dual_trace(self.word_matrix(word))
         if abs(direct.re - t.re) > RECURSION_TOL * max(1.0, abs(direct.re)):
             raise RecursionMismatch(
                 f"slope {p}/{q}: recursion {t.re} vs direct {direct.re}")
@@ -164,22 +183,15 @@ class TraceTable:
         return unflatten(self._word_product(word))
 
     def _word_product(self, word: str) -> tuple[float, ...]:
-        # A Christoffel word is word(upper) + word(lower) of its Farey
-        # parents, so splitting there makes both halves memo hits along a
-        # descent and costs one matrix product per slope; any other word
-        # is split in half and not memoized.
+        # trace() memoizes the word of every slope it meets; any other
+        # word is split in half and not memoized.
         m = self._words.get(word)
         if m is not None:
             return m
-        p, q = word.count("a"), word.count("b")
-        if p + q != len(word):
+        if word.count("a") + word.count("b") != len(word):
             raise KeyError(f"word {word!r} has a letter outside {{a, b}}")
-        christoffel = math.gcd(p, q) == 1 and christoffel_word(p, q) == word
-        cut = sum(_farey_parents(p, q)[1]) if christoffel else len(word) // 2
-        m = flat_product(self._word_product(word[:cut]), self._word_product(word[cut:]))
-        if christoffel:
-            self._words[word] = m
-        return m
+        cut = len(word) // 2
+        return flat_product(self._word_product(word[:cut]), self._word_product(word[cut:]))
 
     def curve(self, p: int, q: int) -> CurveClass:
         c = self._curves.get((p, q))

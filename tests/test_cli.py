@@ -196,3 +196,20 @@ def test_commands_in_sequence_match_fresh_processes(tmp_path, capsys):
         assert capsys.readouterr().out == proc.stdout
         assert [p.read_bytes() for p in sorted(mine.iterdir())] == \
             [p.read_bytes() for p in sorted(fresh.iterdir())]
+
+
+def test_verify_margulis_reuses_the_validated_tables(monkeypatch, capsys):
+    import mml.torus_curves as tc
+
+    built = []
+    init = tc.TraceTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tc.TraceTable, "__init__", counting_init)
+    assert run(["verify-margulis", "--coords", "4,5,6", "--deform", "tangent",
+                "--tol", "1e-8"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert len(built) == 2

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mml.dualnum import DualScalar, dual_inv, dual_mul
 from mml.errors import ZeroDivisor
@@ -58,13 +58,38 @@ def test_commutative(x, y):
     assert math.isclose(a.inf, b.inf, rel_tol=1e-14, abs_tol=1e-300)
 
 
+def _associativity_bounds(x, y, z):
+    """1e-14 times the magnitude of the summands of each part of x*y*z.
+
+    Either grouping rounds each summand and each partial sum, so the two
+    differ by a few ulps of the largest summand, which the result itself
+    can be far below after cancellation; the 1e-300 floor covers products
+    that underflow to subnormals.
+    """
+    value = abs(x.re * y.re * z.re)
+    eps = abs(x.re * y.re * z.inf) + abs(x.re * y.inf * z.re) + abs(x.inf * y.re * z.re)
+    return 1e-14 * value + 1e-300, 1e-14 * eps + 1e-300
+
+
 @given(duals(), duals(), duals())
+@example(DualScalar(364660.498046875, 1.5390625), DualScalar(0.001953125, 376896.4921875),
+         DualScalar(0.001953125, -368528.0))
 def test_associative(x, y, z):
     a = dual_mul(dual_mul(x, y), z)
     b = dual_mul(x, dual_mul(y, z))
-    scale = max(abs(a.re), abs(a.inf), 1.0)
-    assert abs(a.re - b.re) <= 1e-14 * scale
-    assert abs(a.inf - b.inf) <= 1e-14 * scale
+    bound_re, bound_inf = _associativity_bounds(x, y, z)
+    assert abs(a.re - b.re) <= bound_re
+    assert abs(a.inf - b.inf) <= bound_inf
+
+
+def test_associativity_bound_catches_a_dropped_eps_term():
+    x, y, z = DualScalar(1.5, 0.25), DualScalar(-2.0, 0.75), DualScalar(3.0, -0.5)
+    good = dual_mul(dual_mul(x, y), z)
+    # x*y*z without the x.re*y.re*z.inf summand of the eps part
+    dropped = DualScalar(good.re, x.re * y.inf * z.re + x.inf * y.re * z.re)
+    bound_re, bound_inf = _associativity_bounds(x, y, z)
+    assert abs(good.re - dropped.re) <= bound_re
+    assert abs(good.inf - dropped.inf) > bound_inf
 
 
 @given(duals(), duals())

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from mml.errors import NonConvergence, NotHyperbolic
-from mml.identity_engine import (KahanSum, _grow, bound_D, bound_HK, coeff_H, coeff_K,
-                                 cusp_gap, gap_D, kappa_estimate,
+from mml.identity_engine import (KahanSum, _boundary_values, _grow, bound_D, bound_HK,
+                                 coeff_H, coeff_K, cusp_gap, gap_D,
+                                 kappa_estimate, kappa_from_bins,
                                  margulis_residual, margulis_residual_imported,
                                  mcshane_sum, mcshane_sum_imported,
-                                 mirzakhani_threshold, term_derivative)
+                                 mirzakhani_threshold, tail_bound_derivative,
+                                 term_derivative)
 from mml.representation import DeformationSpec, TraceCoords, attach_deformation, build_rep, random_tangent
 from mml.sl2grp import dual_trace, margulis_invariant_dual, translation_length
-from mml.torus_curves import ImportedTerm, bin_curves, enumerate_up_to
+from mml.torus_curves import (ImportedTerm, bin_curves, enumerate_up_to,
+                              fit_bin_constant)
 
 
 def test_gap_values():
@@ -250,3 +253,30 @@ def test_to_dict_equals_asdict():
         assert d == ref and list(d) == list(ref)
         assert type(d["bins"]) is tuple
         assert [list(b) for b in d["bins"]] == [list(b) for b in ref["bins"]]
+
+
+@pytest.mark.parametrize("coords, tol", [((4, 4, 4), 1e-6), ((4.5, 5.0, 5.5), 1e-10),
+                                         ((200, 200, 200), 1e-6)])
+def test_margulis_tail_and_kappa_equal_a_recount_from_the_final_bins(coords, tol):
+    rep = build_rep(TraceCoords(*coords))
+    rep = attach_deformation(rep, random_tangent(rep, np.random.default_rng(11)))
+    r = margulis_residual(rep, tail_tolerance=tol)
+    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
+    bins = bin_curves(enumerate_up_to(rep, r.n_max + 1), r.n_max)
+    m_hat = fit_bin_constant(bins)
+    kappa = kappa_from_bins(bins, ell_bdry, alpha_bdry)
+    assert r.m_hat == m_hat
+    assert r.kappa_hat == kappa
+    assert r.tail_bound == tail_bound_derivative(r.n_max, m_hat, ell_bdry, kappa, alpha_bdry)
+
+
+def test_margulis_residual_takes_only_its_own_reps_tables():
+    from mml.representation import validate_fuchsian
+
+    rep = build_rep(TraceCoords(4.0, 5.0, 6.0))
+    rep = attach_deformation(rep, random_tangent(rep, np.random.default_rng(3)))
+    own = validate_fuchsian(rep).tables
+    assert margulis_residual(rep, 1e-8, tables=own) == margulis_residual(rep, 1e-8)
+    other = build_rep(TraceCoords(4.0, 5.0, 6.0))
+    with pytest.raises(ValueError):
+        margulis_residual(rep, 1e-8, tables=validate_fuchsian(other).tables)

@@ -3,9 +3,10 @@
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from mml.identity_engine import margulis_residual, mcshane_sum
+from mml.identity_engine import (_boundary_values, _curve_bins, _grow, _report, _series,
+                                 margulis_residual, mcshane_sum)
 from mml.representation import TraceCoords, attach_deformation, build_rep, random_tangent
 
 TOL = 1e-6
@@ -40,3 +41,22 @@ def test_both_series_certify_in_domain(coords, seed):
     _check(mcshane_sum, rep)
     _check(margulis_residual,
            attach_deformation(rep, random_tangent(rep, np.random.default_rng(seed))))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(coords=in_domain_coords())
+@example(coords=TraceCoords(3.0, 3.0, 3.0))  # the cusp: target 1, cusp summand
+def test_mcshane_partial_sum_is_monotone_in_depth(coords):
+    rep = build_rep(coords)
+    ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
+    sums = []
+
+    def record(n_max, bins, m_hat):
+        series = _series(_curve_bins(bins), ell_bdry, alpha_bdry, cusp)
+        sums.append(_report(1.0 if cusp else ell_bdry, series, "sum_d",
+                            0.0, m_hat, 0.0, TOL).partial_sum)
+        return False
+
+    _grow(rep, 64, record)
+    assert len(sums) == 7 and sums[-1] > 0.0
+    assert all(a <= b for a, b in zip(sums, sums[1:])), sums
