@@ -102,6 +102,15 @@ def _build(args, need_deform: bool) -> reprs.HoledTorusRep:
     return rep
 
 
+def _write(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is not given."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit_report(report: engine.SeriesReport, out: str | None, fmt: str) -> None:
     if fmt == "json":
         text = report.to_json() + "\n"
@@ -114,11 +123,7 @@ def _emit_report(report: engine.SeriesReport, out: str | None, fmt: str) -> None
                           else str(d[k]).lower() if isinstance(d[k], bool) else str(d[k])
                           for k in keys)]
         text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, out)
 
 
 def _cmd_verify_mcshane(args) -> int:
@@ -137,8 +142,7 @@ def _cmd_verify_margulis(args) -> int:
     check = reprs.validate_fuchsian(rep)
     if not check.passed:
         raise InvalidCoords(check.reason)
-    report = engine.margulis_residual(rep, tail_tolerance=args.tol, n_ceiling=args.n_ceiling,
-                                      tables=check.tables)
+    report = engine.margulis_residual(rep, tail_tolerance=args.tol, n_ceiling=args.n_ceiling)
     _emit_report(report, args.out, args.format)
     return 0 if report.passed else 2
 
@@ -178,12 +182,7 @@ def _cmd_sweep(args) -> int:
     results = [_sweep_cell(*a) for a in jobs]
     n_pass = sum(r["passed"] for r in results)
     payload = {"cells": results, "pass_count": n_pass, "total": len(results)}
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(payload, indent=2) + "\n", args.out)
     return 0 if n_pass == len(results) else 2
 
 

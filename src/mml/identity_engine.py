@@ -14,9 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import NonConvergence, NotHyperbolic
 from .sl2grp import dual_trace, margulis_from_trace, translation_length
+# make_tables is unused here, but perfbench's tracer wraps identity_engine.make_tables.
 from .torus_curves import (CurveBin, ImportedTerm, bin_curves, enumerate_up_to,
                            fit_bin_constant, make_tables)
 
@@ -123,8 +125,8 @@ class SeriesReport:
         d["bins"] = tuple(dict(vars(b)) for b in self.bins)
         return d
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _tail_sum(n_max: int, term) -> float:
@@ -171,53 +173,40 @@ def _boundary_values(rep) -> tuple[float, float, bool]:
     return translation_length(t.re), margulis_from_trace(t), False
 
 
-def _grow(rep, n_ceiling: int, done,
-          tables=None) -> tuple[int, list[CurveBin], float, bool]:
-    """(n_max, bins, m_hat, done) at n_max = min(16, n_ceiling), then 8 deeper
-    per step, until done(n_max, bins, m_hat) holds or n_max reaches the ceiling.
-
-    tables: the rep's make_tables pair, if the caller has one already.
-    """
-    if tables is None:
-        tables = make_tables(rep)
-    elif not (tables[0].gen_a is rep.A and tables[0].gen_b is rep.B
-              and tables[1].gen_b is rep.B):
-        raise ValueError("tables were not built from this rep's generators")
+def _grow(rep, n_ceiling: int) -> Iterator[tuple[int, list[CurveBin], float]]:
+    """Yield (n_max, bins, m_hat) at n_max = min(16, n_ceiling), then 8 deeper
+    per step, up to the ceiling."""
     n_max = min(_GROW_START, n_ceiling)
     bins: list[CurveBin] = []
     while True:
         # Every step enumerates all curves below its cutoff, so the bins of
         # earlier steps are complete: only the new ones need binning.
-        new = [c for c in enumerate_up_to(rep, n_max + 1, tables) if c.bin_index >= len(bins)]
+        new = [c for c in enumerate_up_to(rep, n_max + 1) if c.bin_index >= len(bins)]
         bins = bins + bin_curves(new, n_max)[len(bins):]
-        m_hat = fit_bin_constant(bins)
-        ok = done(n_max, bins, m_hat)
-        if ok or n_max >= n_ceiling:
-            return n_max, bins, m_hat, ok
+        yield n_max, bins, fit_bin_constant(bins)
+        if n_max >= n_ceiling:
+            return
         n_max = min(n_max + _GROW_STEP, n_ceiling)
 
 
 def choose_truncation(rep, tail_tolerance: float, n_ceiling: int = 200,
-                      tail=None, tables=None) -> tuple[int, list[CurveBin], float]:
+                      tail=None) -> tuple[int, list[CurveBin], float]:
     """Smallest enumerated depth whose certified tail is below tolerance.
 
     tail(n_max, bins, m_hat) defaults to the identity tail; a depth with
-    no enumerated curve is never accepted.  tables, if given, is the rep's
-    make_tables pair.  Raises NonConvergence at the bin ceiling.
+    no enumerated curve is never accepted.  Raises NonConvergence at the
+    bin ceiling.
     """
     if tail_tolerance <= 0:
         raise ValueError("tail_tolerance must be positive")
     if tail is None:
         ell_bdry, _, _ = _boundary_values(rep)
         tail = lambda n_max, bins, m_hat: tail_bound_identity(n_max, m_hat, ell_bdry)
-    # m_hat == 0: no curve enumerated yet, so the fitted tail reads 0
-    # without certifying anything.
-    n_max, bins, m_hat, ok = _grow(
-        rep, n_ceiling,
-        lambda n_max, bins, m_hat: m_hat > 0 and tail(n_max, bins, m_hat) <= tail_tolerance,
-        tables)
-    if ok:
-        return n_max, bins, m_hat
+    for n_max, bins, m_hat in _grow(rep, n_ceiling):
+        # m_hat == 0: no curve enumerated yet, so the fitted tail reads 0
+        # without certifying anything.
+        if m_hat > 0 and tail(n_max, bins, m_hat) <= tail_tolerance:
+            return n_max, bins, m_hat
     if m_hat == 0:
         raise NonConvergence(f"no curve enumerated up to bin ceiling {n_ceiling}")
     raise NonConvergence(
@@ -310,14 +299,13 @@ def mcshane_sum(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200) -> Seri
                    kappa_from_bins(bins, ell_bdry, alpha_bdry), tail_tolerance)
 
 
-def margulis_residual(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200,
-                      tables=None) -> SeriesReport:
+def margulis_residual(rep, tail_tolerance: float = 1e-6,
+                      n_ceiling: int = 200) -> SeriesReport:
     """Verify the differentiated identity for a deformed representation.
 
     The summed series of per-term derivatives converges to alpha(bdry);
     the residual target - partial_sum equals the difference between
-    (1 - sum H) alpha(bdry) and sum K (alpha1 + alpha2).  tables, if
-    given, is the rep's make_tables pair (e.g. FuchsianReport.tables).
+    (1 - sum H) alpha(bdry) and sum K (alpha1 + alpha2).
     """
     ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
     if cusp:
@@ -333,7 +321,7 @@ def margulis_residual(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200,
         tail_bound = tail_bound_derivative(n_max, m_hat, ell_bdry, kappa, alpha_bdry)
         return tail_bound
 
-    n_max, bins, m_hat = choose_truncation(rep, tail_tolerance, n_ceiling, tail, tables)
+    n_max, bins, m_hat = choose_truncation(rep, tail_tolerance, n_ceiling, tail)
     return _report(alpha_bdry,
                    _series(_curve_bins(bins), ell_bdry, alpha_bdry, cusp=False), "sum_deriv",
                    tail_bound, m_hat, kappa, tail_tolerance)
@@ -344,10 +332,10 @@ def mirzakhani_threshold(rep, n_ceiling: int = 200) -> tuple[list[float], int | 
     ell_bdry, _, cusp = _boundary_values(rep)
     if cusp:
         raise NotHyperbolic("threshold needs a hyperbolic boundary")
-    running = lambda bins: _series(_curve_bins(bins), ell_bdry, 0.0, cusp=False)[1]
-    _, bins, _, _ = _grow(rep, n_ceiling,
-                          lambda n_max, bins, m_hat: _first_over_one(running(bins)) is not None)
-    h_running = running(bins)
+    for _, bins, _ in _grow(rep, n_ceiling):
+        h_running = _series(_curve_bins(bins), ell_bdry, 0.0, cusp=False)[1]
+        if _first_over_one(h_running) is not None:
+            break
     return h_running, _first_over_one(h_running)
 
 

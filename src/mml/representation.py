@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from . import torus_curves
 from .errors import InvalidCoords
 from .sl2grp import (DualMatrix2, commutator, compose, dual_trace, project_tangent,
                      tangency_defect)
@@ -77,11 +79,16 @@ class HoledTorusRep:
     A: DualMatrix2
     B: DualMatrix2
     coords: TraceCoords
-    deformation_label: str = "none"
     boundary: DualMatrix2 = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "boundary", commutator(self.A, self.B))
+
+    @cached_property
+    def tables(self) -> tuple[torus_curves.TraceTable, torus_curves.TraceTable]:
+        """The rep's one make_tables pair, built on first use and shared by
+        every reader; dataclasses.replace gives the copy a pair of its own."""
+        return torus_curves.make_tables(self)
 
     @property
     def is_deformed(self) -> bool:
@@ -122,7 +129,6 @@ def attach_deformation(rep: HoledTorusRep, d: DeformationSpec) -> HoledTorusRep:
         for m0, m1, name in ((a0, a1, "A"), (b0, b1, "B")):
             if abs(tangency_defect(m0, m1)) > TANGENT_TOL * max(1.0, float(np.abs(m1).max())):
                 raise InvalidCoords(f"eps part of {name} is not tangent to SL(2)")
-        label = "tangent"
     elif d.kind == "path":
         if d.path is None:
             raise InvalidCoords("path deformation needs a coordinate path")
@@ -130,11 +136,9 @@ def attach_deformation(rep: HoledTorusRep, d: DeformationSpec) -> HoledTorusRep:
         minus = build_rep(d.path(-d.h))
         a1 = project_tangent(a0, (plus.A.val - minus.A.val) / (2.0 * d.h))
         b1 = project_tangent(b0, (plus.B.val - minus.B.val) / (2.0 * d.h))
-        label = "path"
     else:
         raise InvalidCoords(f"unknown deformation kind {d.kind!r}")
-    return replace(rep, A=DualMatrix2(a0, a1), B=DualMatrix2(b0, b1),
-                   deformation_label=label)
+    return replace(rep, A=DualMatrix2(a0, a1), B=DualMatrix2(b0, b1))
 
 
 def random_tangent(rep: HoledTorusRep, rng: np.random.Generator,
@@ -147,13 +151,10 @@ def random_tangent(rep: HoledTorusRep, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class FuchsianReport:
-    """Verdict of validate_fuchsian; a passed one carries the rep's
-    make_tables pair, filled to the sampled depth, for reuse."""
+    """Verdict of validate_fuchsian."""
 
     passed: bool
     reason: str = ""
-    first_offender: str = ""
-    tables: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def validate_fuchsian(rep: HoledTorusRep, sample_depth: int = 6) -> FuchsianReport:
@@ -162,8 +163,6 @@ def validate_fuchsian(rep: HoledTorusRep, sample_depth: int = 6) -> FuchsianRepo
     Not a discreteness certificate: it verifies x, y, z > 2, boundary
     trace < -2, and |trace| > 2 for every slope with |p| + q <= depth.
     """
-    from .torus_curves import farey_enumerate, make_tables
-
     c = rep.coords
     if not (c.x > 2.0 and c.y > 2.0 and c.z > 2.0):
         return FuchsianReport(False, "generator trace not > 2")
@@ -172,9 +171,9 @@ def validate_fuchsian(rep: HoledTorusRep, sample_depth: int = 6) -> FuchsianRepo
         return FuchsianReport(False, "boundary-parabolic")
     if kappa >= -2.0:
         return FuchsianReport(False, f"boundary trace {kappa} not < -2")
-    pos, neg = make_tables(rep)
-    for s in farey_enumerate(sample_depth):
+    pos, neg = rep.tables
+    for s in torus_curves.farey_enumerate(sample_depth):
         t = (pos if s.p >= 0 else neg).trace(abs(s.p), s.q).re
         if abs(t) <= 2.0:
-            return FuchsianReport(False, "non-hyperbolic simple curve", str(s))
-    return FuchsianReport(True, tables=(pos, neg))
+            return FuchsianReport(False, f"non-hyperbolic simple curve of slope {s}")
+    return FuchsianReport(True)

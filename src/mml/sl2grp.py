@@ -41,12 +41,6 @@ class DualMatrix2:
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "eps", eps)
 
-    @property
-    def entries(self) -> list[list[DualScalar]]:
-        """The matrix as a 2x2 nested list of dual scalars."""
-        return [[DualScalar(self.val[i, j], self.eps[i, j]) for j in range(2)]
-                for i in range(2)]
-
     def det(self) -> DualScalar:
         v = self.val
         e = self.eps

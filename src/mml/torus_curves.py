@@ -216,7 +216,7 @@ def make_tables(rep) -> tuple[TraceTable, TraceTable]:
 
 def slope_trace(rep, s: Slope) -> float:
     """Value-part trace of the slope word, with the recursion/word cross-check."""
-    return make_tables(rep)[s.p < 0].trace(abs(s.p), s.q).re
+    return rep.tables[s.p < 0].trace(abs(s.p), s.q).re
 
 
 def farey_enumerate(max_denominator_sum: int) -> list[Slope]:
@@ -242,8 +242,7 @@ def farey_enumerate(max_denominator_sum: int) -> list[Slope]:
     return out
 
 
-def enumerate_up_to(rep, max_total_length: float,
-                    tables: tuple[TraceTable, TraceTable] | None = None) -> list[CurveClass]:
+def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     """Every curve class with 2*length < max_total_length, in Farey order.
 
     Prunes the Stern-Brocot subtree of a node past the cutoff that is at
@@ -255,7 +254,7 @@ def enumerate_up_to(rep, max_total_length: float,
     all; a negative one raises MMLError.
     """
     cutoff = max_total_length / 2.0
-    pos, neg = tables if tables is not None else make_tables(rep)
+    pos, neg = rep.tables
     a, b = pos.curve(1, 0), pos.curve(0, 1)
     curves = [c for c in (a, b) if c.length < cutoff]
     for table in (pos, neg):

@@ -18,6 +18,11 @@ from mml.torus_curves import (ImportedTerm, bin_curves, enumerate_up_to,
                               fit_bin_constant)
 
 
+def _tangent_rep(coords, seed):
+    rep = build_rep(TraceCoords(*coords))
+    return attach_deformation(rep, random_tangent(rep, np.random.default_rng(seed)))
+
+
 def test_gap_values():
     assert gap_D(0.0, 1.0, 2.0) == 0.0
     expected = 2 * math.log(2 * math.e / (math.e + 1 / math.e))
@@ -232,11 +237,12 @@ def test_report_json_schema():
                                                ((200, 200, 200), 96)])
 def test_grown_bins_equal_binning_from_scratch(coords, n_ceiling):
     rep = build_rep(TraceCoords(*coords))
-    steps = []
-    _grow(rep, n_ceiling, lambda n_max, bins, m_hat: steps.append((n_max, bins)) and False)
+    steps = [(n_max, bins) for n_max, bins, _ in _grow(rep, n_ceiling)]
     assert [n for n, _ in steps] == list(range(16, n_ceiling + 1, 8))
     for n_max, bins in steps:
-        assert bins == bin_curves(enumerate_up_to(rep, n_max + 1), n_max)
+        # a fresh rep has fresh trace tables, so nothing filled by _grow is reused
+        fresh = build_rep(TraceCoords(*coords))
+        assert bins == bin_curves(enumerate_up_to(fresh, n_max + 1), n_max)
     assert sum(len(b.members) for b in steps[-1][1]) > 0
 
 
@@ -258,11 +264,11 @@ def test_to_dict_equals_asdict():
 @pytest.mark.parametrize("coords, tol", [((4, 4, 4), 1e-6), ((4.5, 5.0, 5.5), 1e-10),
                                          ((200, 200, 200), 1e-6)])
 def test_margulis_tail_and_kappa_equal_a_recount_from_the_final_bins(coords, tol):
-    rep = build_rep(TraceCoords(*coords))
-    rep = attach_deformation(rep, random_tangent(rep, np.random.default_rng(11)))
+    rep = _tangent_rep(coords, 11)
     r = margulis_residual(rep, tail_tolerance=tol)
     ell_bdry, alpha_bdry, _ = _boundary_values(rep)
-    bins = bin_curves(enumerate_up_to(rep, r.n_max + 1), r.n_max)
+    # recounted on a second rep, whose trace tables margulis_residual never filled
+    bins = bin_curves(enumerate_up_to(_tangent_rep(coords, 11), r.n_max + 1), r.n_max)
     m_hat = fit_bin_constant(bins)
     kappa = kappa_from_bins(bins, ell_bdry, alpha_bdry)
     assert r.m_hat == m_hat
@@ -270,13 +276,9 @@ def test_margulis_tail_and_kappa_equal_a_recount_from_the_final_bins(coords, tol
     assert r.tail_bound == tail_bound_derivative(r.n_max, m_hat, ell_bdry, kappa, alpha_bdry)
 
 
-def test_margulis_residual_takes_only_its_own_reps_tables():
+def test_margulis_residual_after_validation_equals_it_alone():
     from mml.representation import validate_fuchsian
 
-    rep = build_rep(TraceCoords(4.0, 5.0, 6.0))
-    rep = attach_deformation(rep, random_tangent(rep, np.random.default_rng(3)))
-    own = validate_fuchsian(rep).tables
-    assert margulis_residual(rep, 1e-8, tables=own) == margulis_residual(rep, 1e-8)
-    other = build_rep(TraceCoords(4.0, 5.0, 6.0))
-    with pytest.raises(ValueError):
-        margulis_residual(rep, 1e-8, tables=validate_fuchsian(other).tables)
+    validated, alone = _tangent_rep((4.0, 5.0, 6.0), 3), _tangent_rep((4.0, 5.0, 6.0), 3)
+    assert validate_fuchsian(validated).passed
+    assert margulis_residual(validated, 1e-8) == margulis_residual(alone, 1e-8)

@@ -50,13 +50,9 @@ def test_mcshane_partial_sum_is_monotone_in_depth(coords):
     rep = build_rep(coords)
     ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
     sums = []
-
-    def record(n_max, bins, m_hat):
+    for _, bins, m_hat in _grow(rep, 64):
         series = _series(_curve_bins(bins), ell_bdry, alpha_bdry, cusp)
         sums.append(_report(1.0 if cusp else ell_bdry, series, "sum_d",
                             0.0, m_hat, 0.0, TOL).partial_sum)
-        return False
-
-    _grow(rep, 64, record)
     assert len(sums) == 7 and sums[-1] > 0.0
     assert all(a <= b for a, b in zip(sums, sums[1:])), sums

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mml.dualnum import DualScalar
 from mml.errors import InvalidCoords
 from mml.representation import (DeformationSpec, HoledTorusRep, TraceCoords,
                                 attach_deformation, build_rep, random_tangent,
@@ -47,6 +48,13 @@ def test_validate_fuchsian():
     assert not r.passed and r.reason == "boundary-parabolic"
     assert TraceCoords(2.1, 2.1, 2.1).boundary_trace() > -2
     assert not validate_fuchsian(build_rep(TraceCoords(2.1, 2.1, 2.1))).passed
+
+
+def test_validate_fuchsian_names_the_offending_slope():
+    rep = build_rep(TraceCoords(4, 5, 6))
+    rep.tables[0]._memo[(2, 1)] = DualScalar(1.0, 0.0)
+    r = validate_fuchsian(rep)
+    assert not r.passed and "2/1" in r.reason
 
 
 def test_zero_deformation():

@@ -5,8 +5,9 @@ import pytest
 
 from mml.dualnum import DualScalar
 from mml.errors import MMLError, NotHyperbolic, RecursionMismatch
-from mml.representation import (TraceCoords, attach_deformation, build_rep, random_tangent,
-                                validate_fuchsian)
+from mml.identity_engine import margulis_residual
+from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
+                                random_tangent, validate_fuchsian)
 from mml.sl2grp import compose, dual_trace, flat_product, identity
 from mml.torus_curves import (ImportedTerm, Slope, bin_curves, christoffel_word,
                               enumerate_family, enumerate_up_to, export_census,
@@ -227,12 +228,12 @@ def test_corrupted_recursion_is_caught(part):
 
 def test_curve_memo_reuses_classes_across_growth():
     rep = _deformed_444()
-    tables = make_tables(rep)
-    short = enumerate_up_to(rep, 20.0, tables)
-    deep = enumerate_up_to(rep, 30.0, tables)
-    assert all(c is tables[0].curve(c.slope.p, c.slope.q) for c in short if c.slope.p >= 0)
+    short = enumerate_up_to(rep, 20.0)
+    deep = enumerate_up_to(rep, 30.0)
+    assert all(c is rep.tables[0].curve(c.slope.p, c.slope.q) for c in short if c.slope.p >= 0)
     assert [c for c in deep if c.length < 10.0] == short
-    assert enumerate_up_to(rep, 30.0) == deep
+    # from scratch: a second rep with the same seeded tangent has tables of its own
+    assert enumerate_up_to(_deformed_444(), 30.0) == deep
 
 
 def test_validate_fuchsian_builds_one_table_pair(monkeypatch):
@@ -248,3 +249,25 @@ def test_validate_fuchsian_builds_one_table_pair(monkeypatch):
     monkeypatch.setattr(tc.TraceTable, "__init__", counting_init)
     assert validate_fuchsian(build_rep(TraceCoords(4, 5, 6))).passed
     assert len(built) == 2
+
+
+def test_every_reader_shares_the_reps_one_table_pair(monkeypatch):
+    import mml.torus_curves as tc
+
+    built = []
+    init = tc.TraceTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tc.TraceTable, "__init__", counting_init)
+    rep = _deformed_444()
+    assert validate_fuchsian(rep).passed
+    pair = rep.tables
+    enumerate_up_to(rep, 20.0)
+    slope_trace(rep, Slope(-3, 5))
+    margulis_residual(rep, 1e-6)
+    assert rep.tables is pair and built == list(pair)
+    moved = attach_deformation(rep, DeformationSpec.zero())
+    assert moved.tables is not pair and built[2:] == list(moved.tables)
