@@ -28,7 +28,7 @@ def _finite_floats(values, what: str) -> list[float]:
     """values as finite floats; InvalidCoords names `what` otherwise."""
     try:
         out = [float(v) for v in values]
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise InvalidCoords(f"{what}: not a number ({e})") from e
     if not all(math.isfinite(v) for v in out):
         raise InvalidCoords(f"{what}: values must be finite, got {out}")
@@ -42,7 +42,8 @@ def _parse_coords(text: str) -> reprs.TraceCoords:
     return reprs.TraceCoords(*parts)
 
 
-def _load_spec(path: str) -> tuple[reprs.TraceCoords, reprs.DeformationSpec | None]:
+def _load_spec(path: str) -> tuple[reprs.TraceCoords, object]:
+    """The spec's coordinates and its deformation object, None when it has none."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -53,52 +54,44 @@ def _load_spec(path: str) -> tuple[reprs.TraceCoords, reprs.DeformationSpec | No
     except (KeyError, TypeError) as e:
         raise InvalidCoords(f"spec {path}: bad coordinates ({e})") from e
     coords = reprs.TraceCoords(*_finite_floats(xyz, f"spec {path} coordinates"))
-    deform = None
-    d = data.get("deformation")
-    if d is not None:
-        kind = d.get("kind", "zero")
-        h = float(d.get("h", reprs.DEFAULT_PATH_STEP))
-        if kind == "zero":
-            deform = reprs.DeformationSpec.zero()
-        elif kind == "path":
-            coeffs = d.get("path_coeffs", [1.0, 1.0, 1.0])
-            if len(coeffs) != 3:
-                raise InvalidCoords(f"spec {path}: path_coeffs wants 3 entries")
-            deform = reprs.DeformationSpec.linear_path(coords, tuple(coeffs), h=h)
-        elif kind == "tangent":
-            mats = d.get("tangent_matrices", {})
-            deform = reprs.DeformationSpec(
-                kind="tangent",
-                a_eps=np.asarray(mats.get("A1", np.zeros((2, 2))), dtype=float),
-                b_eps=np.asarray(mats.get("B1", np.zeros((2, 2))), dtype=float))
-        else:
-            raise InvalidCoords(f"spec {path}: unknown deformation kind {kind!r}")
-    return coords, deform
+    return coords, data.get("deformation")
+
+
+def _deformation(rep: reprs.HoledTorusRep, d, seed: int, name) -> reprs.DeformationSpec:
+    """The deformation of rep that d, a spec's or the flags' deformation object, asks
+    for; name(field) labels its fields in errors.  No tangent_matrices: random from seed."""
+    kind = d.get("kind", "zero") if isinstance(d, dict) else None
+    if kind == "zero":
+        return reprs.DeformationSpec()
+    if kind == "path":
+        coeffs = _finite_floats(d.get("path_coeffs", [1.0, 1.0, 1.0]), name("path_coeffs"))
+        if len(coeffs) != 3:
+            raise InvalidCoords(f"{name('path_coeffs')}: wants 3 entries, got {len(coeffs)}")
+        [h] = _finite_floats([d.get("h", reprs.DEFAULT_PATH_STEP)], name("h"))
+        return reprs.DeformationSpec.linear_path(rep.coords, tuple(coeffs), h)
+    if kind == "tangent":
+        mats = d.get("tangent_matrices")
+        if mats is None:
+            return reprs.random_tangent(rep, np.random.default_rng(seed))
+        if isinstance(mats, dict):
+            return reprs.DeformationSpec(mats.get("A1"), mats.get("B1"))
+    raise InvalidCoords(f"{name('deformation')}: not a zero, path or tangent deformation: {d!r}")
 
 
 def _build(args, need_deform: bool) -> reprs.HoledTorusRep:
     if args.spec:
-        coords, deform = _load_spec(args.spec)
+        coords, d = _load_spec(args.spec)
+        name = lambda field: f"spec {args.spec} {field}"
     elif args.coords:
-        coords = _parse_coords(args.coords)
-        deform = None
+        coords, d = _parse_coords(args.coords), None
     else:
         raise InvalidCoords("either --coords or --spec is required")
     rep = reprs.build_rep(coords)
-    if deform is None and need_deform:
-        kind = getattr(args, "deform", "zero")
-        if kind == "zero":
-            deform = reprs.DeformationSpec.zero()
-        elif kind == "path":
-            direction = tuple(_finite_floats(args.path_dir.split(","), "--path-dir"))
-            deform = reprs.DeformationSpec.linear_path(coords, direction, h=args.h)
-        elif kind == "tangent":
-            rng = np.random.default_rng(args.seed)
-            deform = reprs.random_tangent(rep, rng)
-        else:
-            raise InvalidCoords(f"unknown --deform {kind!r}")
-    if deform is not None:
-        rep = reprs.attach_deformation(rep, deform)
+    if d is None and need_deform:
+        d = {"kind": args.deform, "path_coeffs": args.path_dir.split(","), "h": args.h}
+        name = {"deformation": "--deform", "path_coeffs": "--path-dir", "h": "--h"}.get
+    if d is not None:
+        rep = reprs.attach_deformation(rep, _deformation(rep, d, args.seed, name))
     return rep
 
 
@@ -161,8 +154,7 @@ def _cmd_census(args) -> int:
 
 def _sweep_cell(coords: reprs.TraceCoords, seed: int, tol: float, n_ceiling: int) -> dict:
     rep = reprs.build_rep(coords)
-    rng = np.random.default_rng(seed)
-    rep = reprs.attach_deformation(rep, reprs.random_tangent(rep, rng))
+    rep = reprs.attach_deformation(rep, reprs.random_tangent(rep, np.random.default_rng(seed)))
     report = engine.margulis_residual(rep, tail_tolerance=tol, n_ceiling=n_ceiling)
     return {"coords": [coords.x, coords.y, coords.z], "seed": seed,
             "residual": report.residual, "tail_bound": report.tail_bound,
@@ -171,15 +163,21 @@ def _sweep_cell(coords: reprs.TraceCoords, seed: int, tol: float, n_ceiling: int
 
 
 def _cmd_sweep(args) -> int:
+    if args.cells < 1 or args.deforms_per_cell < 1:
+        raise InvalidCoords("--cells and --deforms-per-cell must be >= 1")
+    lo, hi = args.coord_min, args.coord_max
+    # x, y, z <= 3 gives x^2 + y^2 + z^2 >= 3 (xyz)^(2/3) >= xyz (AM-GM), so a
+    # boundary trace >= -2: the box [lo, hi]^3, lo <= hi, meets the domain iff hi > 3.
+    if not (lo <= hi and hi > 3.0 and math.isfinite(hi - lo)):
+        raise InvalidCoords(f"--coord-min {lo}, --coord-max {hi}: want finite min <= max, max > 3")
     rng = np.random.default_rng(args.seed)
     cells = []
     while len(cells) < args.cells:
-        c = reprs.TraceCoords(*(rng.uniform(args.coord_min, args.coord_max, 3)))
+        c = reprs.TraceCoords(*(rng.uniform(lo, hi, 3)))
         if c.in_domain():
             cells.append(c)
-    jobs = [(c, args.seed + 1000 * i + j, args.tol, args.n_ceiling)
-            for i, c in enumerate(cells) for j in range(args.deforms_per_cell)]
-    results = [_sweep_cell(*a) for a in jobs]
+    results = [_sweep_cell(c, args.seed + 1000 * i + j, args.tol, args.n_ceiling)
+               for i, c in enumerate(cells) for j in range(args.deforms_per_cell)]
     n_pass = sum(r["passed"] for r in results)
     payload = {"cells": results, "pass_count": n_pass, "total": len(results)}
     _write(json.dumps(payload, indent=2) + "\n", args.out)
@@ -237,10 +235,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.tol <= 0 or args.n_ceiling < 1:
-        print("error: --tol must be > 0 and --n-ceiling >= 1", file=sys.stderr)
-        return 1
     try:
+        if not args.tol > 0 or args.n_ceiling < 1:
+            raise InvalidCoords("--tol must be > 0 and --n-ceiling >= 1")
         return args.fn(args)
     except NonConvergence as e:
         print(f"error: {e}", file=sys.stderr)

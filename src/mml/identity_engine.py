@@ -190,8 +190,8 @@ def _grow(rep, n_ceiling: int) -> Iterator[tuple[int, list[CurveBin], float]]:
 
 
 def choose_truncation(rep, tail_tolerance: float, n_ceiling: int = 200,
-                      tail=None) -> tuple[int, list[CurveBin], float]:
-    """Smallest enumerated depth whose certified tail is below tolerance.
+                      tail=None) -> tuple[int, list[CurveBin], float, float]:
+    """(n_max, bins, m_hat, tail) at the least depth whose certified tail is below tolerance.
 
     tail(n_max, bins, m_hat) defaults to the identity tail; a depth with
     no enumerated curve is never accepted.  Raises NonConvergence at the
@@ -205,12 +205,11 @@ def choose_truncation(rep, tail_tolerance: float, n_ceiling: int = 200,
     for n_max, bins, m_hat in _grow(rep, n_ceiling):
         # m_hat == 0: no curve enumerated yet, so the fitted tail reads 0
         # without certifying anything.
-        if m_hat > 0 and tail(n_max, bins, m_hat) <= tail_tolerance:
-            return n_max, bins, m_hat
+        if m_hat > 0 and (bound := tail(n_max, bins, m_hat)) <= tail_tolerance:
+            return n_max, bins, m_hat, bound
     if m_hat == 0:
         raise NonConvergence(f"no curve enumerated up to bin ceiling {n_ceiling}")
-    raise NonConvergence(
-        f"tail {tail(n_max, bins, m_hat)} > {tail_tolerance} at bin ceiling {n_ceiling}")
+    raise NonConvergence(f"tail {bound} > {tail_tolerance} at bin ceiling {n_ceiling}")
 
 
 def _curve_bins(bins: list[CurveBin]) -> list[tuple[int, list[tuple]]]:
@@ -292,11 +291,10 @@ def mcshane_sum(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200) -> Seri
     2/(1+e^l) with target 1.
     """
     ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
-    n_max, bins, m_hat = choose_truncation(rep, tail_tolerance, n_ceiling)
+    _, bins, m_hat, tail_bound = choose_truncation(rep, tail_tolerance, n_ceiling)
     return _report(1.0 if cusp else ell_bdry,
-                   _series(_curve_bins(bins), ell_bdry, alpha_bdry, cusp), "sum_d",
-                   tail_bound_identity(n_max, m_hat, ell_bdry), m_hat,
-                   kappa_from_bins(bins, ell_bdry, alpha_bdry), tail_tolerance)
+                   _series(_curve_bins(bins), ell_bdry, alpha_bdry, cusp), "sum_d", tail_bound,
+                   m_hat, kappa_from_bins(bins, ell_bdry, alpha_bdry), tail_tolerance)
 
 
 def margulis_residual(rep, tail_tolerance: float = 1e-6,
@@ -312,16 +310,15 @@ def margulis_residual(rep, tail_tolerance: float = 1e-6,
         raise NotHyperbolic("differentiated identity needs a hyperbolic boundary")
     # Bins only grow by appending, so kappa is a running max over the new
     # ones; the last call is on the accepted step's bins.
-    scanned, kappa, tail_bound = 0, 0.0, 0.0
+    scanned, kappa = 0, 0.0
 
     def tail(n_max, bins, m_hat):
-        nonlocal scanned, kappa, tail_bound
+        nonlocal scanned, kappa
         kappa = max(kappa, kappa_from_bins(bins[scanned:], ell_bdry, alpha_bdry))
         scanned = len(bins)
-        tail_bound = tail_bound_derivative(n_max, m_hat, ell_bdry, kappa, alpha_bdry)
-        return tail_bound
+        return tail_bound_derivative(n_max, m_hat, ell_bdry, kappa, alpha_bdry)
 
-    n_max, bins, m_hat = choose_truncation(rep, tail_tolerance, n_ceiling, tail)
+    _, bins, m_hat, tail_bound = choose_truncation(rep, tail_tolerance, n_ceiling, tail)
     return _report(alpha_bdry,
                    _series(_curve_bins(bins), ell_bdry, alpha_bdry, cusp=False), "sum_deriv",
                    tail_bound, m_hat, kappa, tail_tolerance)

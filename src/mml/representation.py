@@ -2,9 +2,9 @@
 
 The generators are normalized so A is diagonal; B's diagonal is solved
 linearly from the remaining two trace coordinates and its off-diagonal
-entries force unit determinant.  Affine deformations attach eps parts to
-the generators, either explicitly (tangent kind) or by differencing the
-construction along a path of coordinates (path kind).
+entries force unit determinant.  An affine deformation is the pair of
+eps parts of the generators; linear_path computes one by differencing
+the construction along a line of coordinates.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -45,31 +44,25 @@ class TraceCoords:
 
 @dataclass(frozen=True)
 class DeformationSpec:
-    """An infinitesimal deformation: explicit eps parts, or a coordinate path.
+    """An infinitesimal deformation: the eps parts of the two generators,
+    each tangent to SL(2) at its generator; None is the zero part."""
 
-    path: a map t -> TraceCoords with c(0) equal to the rep's coords,
-    differenced centrally with step h.  tangent: eps-part matrices for
-    the two generators, each satisfying tr(A0^-1 A1) = 0.
-    """
-
-    kind: str  # "path" | "tangent"
-    path: Callable[[float], "TraceCoords"] | None = None
-    h: float = DEFAULT_PATH_STEP
     a_eps: np.ndarray | None = None
     b_eps: np.ndarray | None = None
 
     @staticmethod
-    def zero() -> "DeformationSpec":
-        return DeformationSpec(kind="tangent",
-                               a_eps=np.zeros((2, 2)), b_eps=np.zeros((2, 2)))
-
-    @staticmethod
     def linear_path(base: TraceCoords, direction: tuple[float, float, float],
                     h: float = DEFAULT_PATH_STEP) -> "DeformationSpec":
+        """The tangent along base + t * direction at t = 0: build_rep
+        differenced centrally with step h, projected tangent at base."""
+        if h == 0 or not math.isfinite(h):
+            raise InvalidCoords(f"path step h must be finite and nonzero, got {h}")
         dx, dy, dz = direction
+        at = lambda t: build_rep(TraceCoords(base.x + t * dx, base.y + t * dy, base.z + t * dz))
+        rep, plus, minus = build_rep(base), at(h), at(-h)
         return DeformationSpec(
-            kind="path", h=h,
-            path=lambda t: TraceCoords(base.x + t * dx, base.y + t * dy, base.z + t * dz))
+            project_tangent(rep.A.val, (plus.A.val - minus.A.val) / (2.0 * h)),
+            project_tangent(rep.B.val, (plus.B.val - minus.B.val) / (2.0 * h)))
 
 
 @dataclass(frozen=True)
@@ -121,32 +114,28 @@ def build_rep(c: TraceCoords) -> HoledTorusRep:
 
 
 def attach_deformation(rep: HoledTorusRep, d: DeformationSpec) -> HoledTorusRep:
-    """Return a copy of rep with eps parts set from the deformation spec."""
-    a0, b0 = rep.A.val, rep.B.val
-    if d.kind == "tangent":
-        a1 = np.zeros((2, 2)) if d.a_eps is None else np.asarray(d.a_eps, dtype=float)
-        b1 = np.zeros((2, 2)) if d.b_eps is None else np.asarray(d.b_eps, dtype=float)
-        for m0, m1, name in ((a0, a1, "A"), (b0, b1, "B")):
-            if abs(tangency_defect(m0, m1)) > TANGENT_TOL * max(1.0, float(np.abs(m1).max())):
-                raise InvalidCoords(f"eps part of {name} is not tangent to SL(2)")
-    elif d.kind == "path":
-        if d.path is None:
-            raise InvalidCoords("path deformation needs a coordinate path")
-        plus = build_rep(d.path(d.h))
-        minus = build_rep(d.path(-d.h))
-        a1 = project_tangent(a0, (plus.A.val - minus.A.val) / (2.0 * d.h))
-        b1 = project_tangent(b0, (plus.B.val - minus.B.val) / (2.0 * d.h))
-    else:
-        raise InvalidCoords(f"unknown deformation kind {d.kind!r}")
-    return replace(rep, A=DualMatrix2(a0, a1), B=DualMatrix2(b0, b1))
+    """A copy of rep whose generators carry the eps parts of d; InvalidCoords
+    unless each is a finite 2x2 matrix tangent to SL(2) at its generator."""
+    eps = []
+    for m0, m1, name in ((rep.A.val, d.a_eps, "A"), (rep.B.val, d.b_eps, "B")):
+        try:
+            m1 = np.zeros((2, 2)) if m1 is None else np.asarray(m1, dtype=float)
+        except (TypeError, ValueError) as e:
+            raise InvalidCoords(f"eps part of {name} is not a matrix of numbers ({e})") from e
+        if m1.shape != (2, 2) or not np.isfinite(m1).all():
+            raise InvalidCoords(f"eps part of {name} is not a finite 2x2 matrix")
+        if abs(tangency_defect(m0, m1)) > TANGENT_TOL * max(1.0, float(np.abs(m1).max())):
+            raise InvalidCoords(f"eps part of {name} is not tangent to SL(2)")
+        eps.append(m1)
+    return replace(rep, A=DualMatrix2(rep.A.val, eps[0]), B=DualMatrix2(rep.B.val, eps[1]))
 
 
 def random_tangent(rep: HoledTorusRep, rng: np.random.Generator,
                    scale: float = 1.0) -> DeformationSpec:
-    """A seeded random tangent-kind deformation of both generators."""
+    """A seeded random tangent deformation of both generators."""
     a1 = project_tangent(rep.A.val, rng.standard_normal((2, 2)) * scale)
     b1 = project_tangent(rep.B.val, rng.standard_normal((2, 2)) * scale)
-    return DeformationSpec(kind="tangent", a_eps=a1, b_eps=b1)
+    return DeformationSpec(a1, b1)
 
 
 @dataclass(frozen=True)

@@ -297,8 +297,7 @@ def enumerate_family(rep, tail_tolerance: float, n_ceiling: int = 200) -> list[C
     """Bins deep enough that the certified identity tail is below tolerance."""
     from .identity_engine import choose_truncation
 
-    n_max, bins, _ = choose_truncation(rep, tail_tolerance, n_ceiling)
-    return bins
+    return choose_truncation(rep, tail_tolerance, n_ceiling)[1]
 
 
 def export_census(bins: Iterable[CurveBin], path) -> None:

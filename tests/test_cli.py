@@ -6,10 +6,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mml
+from mml import identity_engine as engine
 from mml.cli import main
+from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
+                                random_tangent)
 
 
 def run(args):
@@ -69,6 +73,7 @@ def test_invalid_inputs():
     assert run(["verify-mcshane", "--coords", "1.5,4,4"]) == 1
     assert run(["verify-mcshane", "--spec", "/nonexistent.json"]) == 1
     assert run(["verify-mcshane", "--coords", "4,4,4", "--tol", "-1"]) == 1
+    assert run(["verify-mcshane", "--coords", "4,4,4", "--tol", "nan"]) == 1
 
 
 @pytest.mark.parametrize("coords", ["10,3,3", "4,1.5,4", "2.5,2.5,2.5"])
@@ -140,7 +145,8 @@ def test_unparsable_or_nonfinite_coords_fail_cleanly(coords, capsys):
     assert err.startswith("error: --coords") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("x", ["abc", "NaN", "Infinity", None, [4]])
+@pytest.mark.parametrize("x", ["abc", "NaN", "Infinity", None, [4],
+                               pytest.param(10 ** 400, id="huge-int")])
 def test_bad_spec_coordinates_fail_cleanly(x, tmp_path, capsys):
     spec = tmp_path / "rep.json"
     spec.write_text(json.dumps({"y": 4, "z": 4}) if x is None
@@ -213,3 +219,115 @@ def test_verify_margulis_reuses_the_validated_tables(monkeypatch, capsys):
                 "--tol", "1e-8"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"]
     assert len(built) == 2
+
+
+def _spec_file(tmp_path, deformation, coords=(4, 4, 4)):
+    """A spec file at coords with the given deformation object; "NaN" becomes NaN."""
+    spec = tmp_path / "rep.json"
+    x, y, z = coords
+    spec.write_text(json.dumps({"x": x, "y": y, "z": z, "deformation": deformation})
+                    .replace('"NaN"', "NaN"))
+    return str(spec)
+
+
+_PATH = ["verify-margulis", "--coords", "4,4,4", "--deform", "path"]
+
+
+@pytest.mark.parametrize("flags, deformation, names", [
+    (["--h", "0"], None, "step h"),
+    (["--h", "nan"], None, "--h:"),
+    (["--h", "inf"], None, "--h:"),
+    (["--path-dir", "1,1"], None, "--path-dir:"),
+    (None, {"kind": "path", "h": 0}, "step h"),
+    (None, "tangent", "deformation:"),
+    (None, {"kind": "path", "h": "x"}, "h: not a number"),
+    (None, {"kind": "path", "path_coeffs": [1, "a", 1]}, "path_coeffs: not a number"),
+    (None, {"kind": "tangent", "tangent_matrices": {"A1": [[1, 2, 3]]}}, "eps part of A"),
+    (None, {"kind": "tangent", "tangent_matrices": {"A1": [["NaN", 0], [0, 0]]}},
+     "eps part of A"),
+    (None, {"kind": "tangent", "tangent_matrices": {"A1": [[1, "a"], [0, 0]]}},
+     "eps part of A"),
+    (None, {"kind": "tangent", "tangent_matrices": {"A1": [[1, 0], [0, 1]]}}, "not tangent"),
+    (None, {"kind": "tangent", "tangent_matrices": [[1, 0], [0, 1]]}, "deformation:"),
+    (None, {"kind": "curve"}, "deformation:"),
+])
+def test_bad_deformation_input_fails_cleanly(flags, deformation, names, tmp_path, capsys):
+    argv = _PATH + flags if flags else ["verify-margulis", "--spec",
+                                        _spec_file(tmp_path, deformation)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+
+
+def test_spec_zero_deformation_equals_deform_zero(tmp_path, capsys):
+    assert run(["verify-margulis", "--coords", "4,5,6", "--deform", "zero"]) == 0
+    flags = capsys.readouterr().out
+    assert run(["verify-margulis", "--spec",
+                _spec_file(tmp_path, {"kind": "zero"}, (4, 5, 6))]) == 0
+    assert capsys.readouterr().out == flags
+
+
+def test_spec_tangent_matrices_equal_the_library_deformation(tmp_path, capsys):
+    rep = build_rep(TraceCoords(4, 5, 6))
+    t = random_tangent(rep, np.random.default_rng(3))
+    spec = _spec_file(tmp_path, {"kind": "tangent", "tangent_matrices":
+                                 {"A1": t.a_eps.tolist(), "B1": t.b_eps.tolist()}}, (4, 5, 6))
+    assert run(["verify-margulis", "--spec", spec]) == 0
+    want = engine.margulis_residual(attach_deformation(rep, DeformationSpec(t.a_eps, t.b_eps)))
+    assert capsys.readouterr().out == want.to_json() + "\n"
+
+
+def test_spec_tangent_without_matrices_is_seeded_random(tmp_path, capsys):
+    assert run(["verify-margulis", "--coords", "4,5,6", "--deform", "tangent",
+                "--seed", "7"]) == 0
+    flags = capsys.readouterr().out
+    assert json.loads(flags)["kappa_hat"] > 0
+    assert run(["verify-margulis", "--spec", _spec_file(tmp_path, {"kind": "tangent"}, (4, 5, 6)),
+                "--seed", "7"]) == 0
+    assert capsys.readouterr().out == flags
+
+
+@pytest.mark.parametrize("flags", [["--coord-min", "2.1", "--coord-max", "2.9"],
+                                   ["--coord-min", "1", "--coord-max", "2"],
+                                   ["--coord-min", "nan"],
+                                   ["--coord-max", "inf"],
+                                   ["--coord-min", "6", "--coord-max", "3.5"],
+                                   ["--cells", "0"],
+                                   ["--deforms-per-cell", "0"]])
+def test_sweep_rejects_an_empty_or_out_of_domain_grid(flags, tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert run(["sweep", "--tol", "1e-4", "--out", str(out)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _readme_examples() -> tuple[list[list[str]], list[str]]:
+    """The `mml ...` lines of README's CLI shell block, and its JSON spec examples."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli = text[text.index("## CLI"):]
+    cli = cli[:cli.index("\n## ", 1)]
+    shell = cli[cli.index("```sh\n") + 6:]
+    shell = shell[:shell.index("```")]
+    commands = [line.split()[1:] for line in shell.splitlines() if line.startswith("mml ")]
+    specs = [block.split("```")[0] for block in cli.split("```json\n")[1:]]
+    return commands, specs
+
+
+def test_readme_cli_examples_run(tmp_path):
+    commands, specs = _readme_examples()
+    assert len(commands) >= 5 and len(specs) >= 1
+    for k, argv in enumerate(commands):
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        else:
+            argv += ["--out", str(tmp_path / f"out-{k}")]
+        assert main(argv) == 0, argv
+    for k, text in enumerate(specs):
+        spec = tmp_path / f"spec-{k}.json"
+        spec.write_text(text)
+        assert main(["verify-margulis", "--spec", str(spec),
+                     "--out", str(tmp_path / f"spec-{k}.out")]) == 0, text

@@ -118,7 +118,7 @@ def test_partial_sums_monotone_in_depth():
 
 
 def test_margulis_residual_zero_deformation():
-    rep = attach_deformation(build_rep(TraceCoords(4, 4, 4)), DeformationSpec.zero())
+    rep = attach_deformation(build_rep(TraceCoords(4, 4, 4)), DeformationSpec())
     r = margulis_residual(rep, tail_tolerance=1e-6)
     assert r.target == 0.0 and r.partial_sum == 0.0 and r.residual == 0.0
     assert r.passed
@@ -167,11 +167,11 @@ def test_mirzakhani_threshold_respects_low_ceiling():
 
 
 def test_kappa_estimate():
-    rep = attach_deformation(build_rep(TraceCoords(4, 4, 4)), DeformationSpec.zero())
+    rep = attach_deformation(build_rep(TraceCoords(4, 4, 4)), DeformationSpec())
     assert kappa_estimate(rep) == 0.0
     s = 0.8
     a1 = 0.5 * s * rep.A.val @ np.diag([1.0, -1.0])
-    repd = attach_deformation(rep, DeformationSpec(kind="tangent", a_eps=a1))
+    repd = attach_deformation(rep, DeformationSpec(a_eps=a1))
     ell_a = translation_length(dual_trace(rep.A).re)
     assert kappa_estimate(repd) >= s / ell_a - 1e-12
 

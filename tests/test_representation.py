@@ -58,7 +58,7 @@ def test_validate_fuchsian_names_the_offending_slope():
 
 
 def test_zero_deformation():
-    rep = attach_deformation(build_rep(TraceCoords(4, 4, 4)), DeformationSpec.zero())
+    rep = attach_deformation(build_rep(TraceCoords(4, 4, 4)), DeformationSpec())
     assert margulis_invariant_dual(rep.A) == 0.0
     assert margulis_invariant_dual(rep.boundary) == 0.0
     assert not rep.is_deformed
@@ -94,7 +94,7 @@ def test_tangent_calibration_diagonal_rate():
     rep = build_rep(TraceCoords(4, 4, 4))
     s = 0.37
     a1 = 0.5 * s * rep.A.val @ np.diag([1.0, -1.0])
-    repd = attach_deformation(rep, DeformationSpec(kind="tangent", a_eps=a1))
+    repd = attach_deformation(rep, DeformationSpec(a_eps=a1))
     assert math.isclose(margulis_invariant_dual(repd.A), s, rel_tol=1e-12)
     assert margulis_invariant_dual(repd.boundary) is not None
 
@@ -102,7 +102,7 @@ def test_tangent_calibration_diagonal_rate():
 def test_tangent_rejects_nontangent_eps():
     rep = build_rep(TraceCoords(4, 4, 4))
     with pytest.raises(InvalidCoords):
-        attach_deformation(rep, DeformationSpec(kind="tangent", a_eps=np.eye(2)))
+        attach_deformation(rep, DeformationSpec(a_eps=np.eye(2)))
 
 
 def test_conjugation_leaves_invariants(rng):

@@ -269,5 +269,5 @@ def test_every_reader_shares_the_reps_one_table_pair(monkeypatch):
     slope_trace(rep, Slope(-3, 5))
     margulis_residual(rep, 1e-6)
     assert rep.tables is pair and built == list(pair)
-    moved = attach_deformation(rep, DeformationSpec.zero())
+    moved = attach_deformation(rep, DeformationSpec())
     assert moved.tables is not pair and built[2:] == list(moved.tables)
