@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -22,21 +23,25 @@ from . import torus_curves
 from .errors import InvalidCoords, MMLError, NonConvergence, NotHyperbolic
 
 DEFAULT_SEED = 20150831
+SWEEP_DRAWS_PER_CELL = 10_000  # sweep gives up after this many coordinate draws per cell
 
 
 def _finite_floats(values, what: str) -> list[float]:
-    """values as finite floats; InvalidCoords names `what` otherwise."""
+    """values, JSON numbers, as finite floats; InvalidCoords names `what` otherwise."""
     try:
+        values = list(values)
         out = [float(v) for v in values]
     except (TypeError, ValueError, OverflowError) as e:
         raise InvalidCoords(f"{what}: not a number ({e})") from e
+    if any(type(v) not in (int, float) for v in values):  # a str, or a bool (an int subclass)
+        raise InvalidCoords(f"{what}: not a number: {values}")
     if not all(math.isfinite(v) for v in out):
         raise InvalidCoords(f"{what}: values must be finite, got {out}")
     return out
 
 
 def _parse_coords(text: str) -> reprs.TraceCoords:
-    parts = _finite_floats(text.split(","), "--coords")
+    parts = _finite_floats(map(float, text.split(",")), "--coords")
     if len(parts) != 3:
         raise InvalidCoords("--coords wants x,y,z")
     return reprs.TraceCoords(*parts)
@@ -88,7 +93,7 @@ def _build(args, need_deform: bool) -> reprs.HoledTorusRep:
         raise InvalidCoords("either --coords or --spec is required")
     rep = reprs.build_rep(coords)
     if d is None and need_deform:
-        d = {"kind": args.deform, "path_coeffs": args.path_dir.split(","), "h": args.h}
+        d = {"kind": args.deform, "path_coeffs": map(float, args.path_dir.split(",")), "h": args.h}
         name = {"deformation": "--deform", "path_coeffs": "--path-dir", "h": "--h"}.get
     if d is not None:
         rep = reprs.attach_deformation(rep, _deformation(rep, d, args.seed, name))
@@ -171,11 +176,13 @@ def _cmd_sweep(args) -> int:
     if not (lo <= hi and hi > 3.0 and math.isfinite(hi - lo)):
         raise InvalidCoords(f"--coord-min {lo}, --coord-max {hi}: want finite min <= max, max > 3")
     rng = np.random.default_rng(args.seed)
-    cells = []
-    while len(cells) < args.cells:
-        c = reprs.TraceCoords(*(rng.uniform(lo, hi, 3)))
-        if c.in_domain():
-            cells.append(c)
+    draws = SWEEP_DRAWS_PER_CELL * args.cells
+    boxed = (reprs.TraceCoords(*(rng.uniform(lo, hi, 3))) for _ in range(draws))
+    with np.errstate(over="ignore", invalid="ignore"):  # x*x overflows in a huge box: no cell
+        cells = list(itertools.islice((c for c in boxed if c.in_domain()), args.cells))
+    if len(cells) < args.cells:
+        raise InvalidCoords(f"--coord-min {lo}, --coord-max {hi}: {len(cells)} of "
+                            f"{args.cells} cells in the domain after {draws} draws")
     results = [_sweep_cell(c, args.seed + 1000 * i + j, args.tol, args.n_ceiling)
                for i, c in enumerate(cells) for j in range(args.deforms_per_cell)]
     n_pass = sum(r["passed"] for r in results)

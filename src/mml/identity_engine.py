@@ -129,19 +129,19 @@ class SeriesReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _tail_sum(n_max: int, term) -> float:
-    """Sum term(N) for N > n_max until increments vanish."""
+def _tail_sum(n_max: int, term, bound: float = math.inf) -> float:
+    """Sum term(N) >= 0 for N > n_max until increments vanish or the sum passes bound:
+    adding terms >= 0 never lowers a float sum, so one that ends <= bound keeps its bits."""
     acc = 0.0
-    n = n_max + 1
-    while True:
-        t = term(n)
-        acc += t
-        n += 1
-        if t <= 1e-22 * max(acc, 1e-300) or n > n_max + 4000:
-            return acc
+    for n in range(n_max + 1, n_max + 4001):
+        acc += (t := term(n))
+        if acc > bound or t <= 1e-22 * max(acc, 1e-300):
+            break
+    return acc
 
 
-def tail_bound_identity(n_max: int, m_hat: float, ell_bdry: float) -> float:
+def tail_bound_identity(n_max: int, m_hat: float, ell_bdry: float,
+                        bound: float = math.inf) -> float:
     """Certified remainder of the length sum beyond bin n_max.
 
     Uses the fitted (and inflated) bin constant; 2/(1+e^l) <= 2 e^{-N/2}
@@ -149,18 +149,17 @@ def tail_bound_identity(n_max: int, m_hat: float, ell_bdry: float) -> float:
     """
     m = SAFETY_FACTOR * m_hat
     coef = 4.0 * math.sinh(ell_bdry / 2.0) if ell_bdry > 0 else 2.0
-    return _tail_sum(n_max, lambda n: m * coef * (n + 1) ** 2 * math.exp(-n / 2.0))
+    return _tail_sum(n_max, lambda n: m * coef * (n + 1) ** 2 * math.exp(-n / 2.0), bound)
 
 
-def tail_bound_derivative(n_max: int, m_hat: float, ell_bdry: float,
-                          kappa_hat: float, alpha_bdry: float) -> float:
+def tail_bound_derivative(n_max: int, m_hat: float, ell_bdry: float, kappa_hat: float,
+                          alpha_bdry: float, bound: float = math.inf) -> float:
     """Certified remainder of the differentiated sum beyond bin n_max."""
     m = SAFETY_FACTOR * m_hat
     k = SAFETY_FACTOR * kappa_hat
     c = 4.0 * math.cosh(ell_bdry / 2.0)
-    return _tail_sum(
-        n_max,
-        lambda n: m * c * (2.0 * k * n + abs(alpha_bdry)) * (n + 1) ** 2 * math.exp(-n / 2.0))
+    return _tail_sum(n_max, lambda n: m * c * (2.0 * k * n + abs(alpha_bdry))
+                     * (n + 1) ** 2 * math.exp(-n / 2.0), bound)
 
 
 def _boundary_values(rep) -> tuple[float, float, bool]:
@@ -177,13 +176,13 @@ def _grow(rep, n_ceiling: int) -> Iterator[tuple[int, list[CurveBin], float]]:
     """Yield (n_max, bins, m_hat) at n_max = min(16, n_ceiling), then 8 deeper
     per step, up to the ceiling."""
     n_max = min(_GROW_START, n_ceiling)
-    bins: list[CurveBin] = []
+    bins, m_hat = [], 0.0
     while True:
         # Every step enumerates all curves below its cutoff, so the bins of
-        # earlier steps are complete: only the new ones need binning.
-        new = [c for c in enumerate_up_to(rep, n_max + 1) if c.bin_index >= len(bins)]
-        bins = bins + bin_curves(new, n_max)[len(bins):]
-        yield n_max, bins, fit_bin_constant(bins)
+        # earlier steps are complete: only the new ones need binning and fitting.
+        new = bin_curves(enumerate_up_to(rep, n_max + 1), n_max, len(bins))
+        bins, m_hat = bins + new, max(m_hat, fit_bin_constant(new))
+        yield n_max, bins, m_hat
         if n_max >= n_ceiling:
             return
         n_max = min(n_max + _GROW_STEP, n_ceiling)
@@ -193,19 +192,20 @@ def choose_truncation(rep, tail_tolerance: float, n_ceiling: int = 200,
                       tail=None) -> tuple[int, list[CurveBin], float, float]:
     """(n_max, bins, m_hat, tail) at the least depth whose certified tail is below tolerance.
 
-    tail(n_max, bins, m_hat) defaults to the identity tail; a depth with
-    no enumerated curve is never accepted.  Raises NonConvergence at the
-    bin ceiling.
+    tail(n_max, bins, m_hat, stop) defaults to the identity tail and may stop once
+    past stop (inf at the ceiling, so NonConvergence gives the full tail); a depth
+    with no enumerated curve is never accepted.
     """
     if tail_tolerance <= 0:
         raise ValueError("tail_tolerance must be positive")
     if tail is None:
         ell_bdry, _, _ = _boundary_values(rep)
-        tail = lambda n_max, bins, m_hat: tail_bound_identity(n_max, m_hat, ell_bdry)
+        tail = lambda n_max, bins, m_hat, stop: tail_bound_identity(n_max, m_hat, ell_bdry, stop)
     for n_max, bins, m_hat in _grow(rep, n_ceiling):
+        stop = tail_tolerance if n_max < n_ceiling else math.inf
         # m_hat == 0: no curve enumerated yet, so the fitted tail reads 0
         # without certifying anything.
-        if m_hat > 0 and (bound := tail(n_max, bins, m_hat)) <= tail_tolerance:
+        if m_hat > 0 and (bound := tail(n_max, bins, m_hat, stop)) <= tail_tolerance:
             return n_max, bins, m_hat, bound
     if m_hat == 0:
         raise NonConvergence(f"no curve enumerated up to bin ceiling {n_ceiling}")
@@ -312,11 +312,11 @@ def margulis_residual(rep, tail_tolerance: float = 1e-6,
     # ones; the last call is on the accepted step's bins.
     scanned, kappa = 0, 0.0
 
-    def tail(n_max, bins, m_hat):
+    def tail(n_max, bins, m_hat, stop):
         nonlocal scanned, kappa
         kappa = max(kappa, kappa_from_bins(bins[scanned:], ell_bdry, alpha_bdry))
         scanned = len(bins)
-        return tail_bound_derivative(n_max, m_hat, ell_bdry, kappa, alpha_bdry)
+        return tail_bound_derivative(n_max, m_hat, ell_bdry, kappa, alpha_bdry, stop)
 
     _, bins, m_hat, tail_bound = choose_truncation(rep, tail_tolerance, n_ceiling, tail)
     return _report(alpha_bdry,

@@ -276,16 +276,16 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     return curves
 
 
-def bin_curves(curves: Iterable[CurveClass], n_max: int) -> list[CurveBin]:
-    """Bins C_0 .. C_{n_max} by total pair length 2*length in [N, N+1)."""
+def bin_curves(curves: Iterable[CurveClass], n_max: int, n_min: int = 0) -> list[CurveBin]:
+    """Bins C_{n_min} .. C_{n_max} by total pair length 2*length in [N, N+1)."""
     buckets: dict[int, list[CurveClass]] = {}
+    shortest = n_min / 2.0  # bin_index >= n_min exactly when length >= n_min / 2
     for c in curves:
-        n = c.bin_index
-        if n <= n_max:
+        if c.length >= shortest and (n := c.bin_index) <= n_max:
             buckets.setdefault(n, []).append(c)
     return [CurveBin(n, tuple(sorted(buckets.get(n, []),
                                      key=lambda c: (c.length, c.slope.p, c.slope.q))))
-            for n in range(n_max + 1)]
+            for n in range(n_min, n_max + 1)]
 
 
 def fit_bin_constant(bins: Iterable[CurveBin]) -> float:

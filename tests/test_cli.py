@@ -11,7 +11,7 @@ import pytest
 
 import mml
 from mml import identity_engine as engine
-from mml.cli import main
+from mml.cli import SWEEP_DRAWS_PER_CELL, main
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent)
 
@@ -146,7 +146,8 @@ def test_unparsable_or_nonfinite_coords_fail_cleanly(coords, capsys):
 
 
 @pytest.mark.parametrize("x", ["abc", "NaN", "Infinity", None, [4],
-                               pytest.param(10 ** 400, id="huge-int")])
+                               pytest.param(10 ** 400, id="huge-int"),
+                               pytest.param("4", id="numeric-string"), True])
 def test_bad_spec_coordinates_fail_cleanly(x, tmp_path, capsys):
     spec = tmp_path / "rep.json"
     spec.write_text(json.dumps({"y": 4, "z": 4}) if x is None
@@ -250,6 +251,10 @@ _PATH = ["verify-margulis", "--coords", "4,4,4", "--deform", "path"]
     (None, {"kind": "tangent", "tangent_matrices": {"A1": [[1, 0], [0, 1]]}}, "not tangent"),
     (None, {"kind": "tangent", "tangent_matrices": [[1, 0], [0, 1]]}, "deformation:"),
     (None, {"kind": "curve"}, "deformation:"),
+    (None, {"kind": "path", "h": True}, "h: not a number"),
+    (None, {"kind": "path", "h": "0.001"}, "h: not a number"),
+    (None, {"kind": "path", "path_coeffs": "111"}, "path_coeffs: not a number"),
+    (None, {"kind": "path", "path_coeffs": [1, False, 1]}, "path_coeffs: not a number"),
 ])
 def test_bad_deformation_input_fails_cleanly(flags, deformation, names, tmp_path, capsys):
     argv = _PATH + flags if flags else ["verify-margulis", "--spec",
@@ -301,6 +306,20 @@ def test_sweep_rejects_an_empty_or_out_of_domain_grid(flags, tmp_path, capsys):
     assert run(["sweep", "--tol", "1e-4", "--out", str(out)] + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lo, hi", [("3.5", "1e300"),   # x*x overflows: no draw is in the domain
+                                    ("2.5", "3.001")])  # the domain is a sliver of the box
+def test_sweep_that_cannot_fill_its_box_stops(lo, hi, tmp_path):
+    out = tmp_path / "sweep.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(mml.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mml.cli", "sweep", "--coord-min", lo,
+                           "--coord-max", hi, "--cells", "1", "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: --coord-min") and proc.stderr.count("\n") == 1
+    assert f"0 of 1 cells in the domain after {SWEEP_DRAWS_PER_CELL} draws" in proc.stderr
     assert not out.exists()
 
 

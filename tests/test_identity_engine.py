@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mml.errors import NonConvergence, NotHyperbolic
 from mml.identity_engine import (KahanSum, _boundary_values, _grow, bound_D, bound_HK,
@@ -11,7 +12,7 @@ from mml.identity_engine import (KahanSum, _boundary_values, _grow, bound_D, bou
                                  margulis_residual, margulis_residual_imported,
                                  mcshane_sum, mcshane_sum_imported,
                                  mirzakhani_threshold, tail_bound_derivative,
-                                 term_derivative)
+                                 tail_bound_identity, term_derivative)
 from mml.representation import DeformationSpec, TraceCoords, attach_deformation, build_rep, random_tangent
 from mml.sl2grp import dual_trace, margulis_invariant_dual, translation_length
 from mml.torus_curves import (ImportedTerm, bin_curves, enumerate_up_to,
@@ -205,6 +206,39 @@ def test_nonconvergence_at_low_ceiling():
         mcshane_sum(rep, tail_tolerance=1e-12, n_ceiling=10)
 
 
+def test_nonconvergence_reports_the_full_ceiling_tail():
+    rep = _tangent_rep((4, 4, 4), 11)
+    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
+    *_, (_, bins, m_hat) = _grow(_tangent_rep((4, 4, 4), 11), 24)
+    kappa = kappa_from_bins(bins, ell_bdry, alpha_bdry)
+    tails = {mcshane_sum: lambda b: tail_bound_identity(24, m_hat, ell_bdry, b),
+             margulis_residual: lambda b: tail_bound_derivative(24, m_hat, ell_bdry, kappa,
+                                                                alpha_bdry, b)}
+    for series, tail in tails.items():
+        full = tail(math.inf)
+        assert 1e-12 < tail(1e-12) < full  # so a tail stopped at the tolerance would show
+        with pytest.raises(NonConvergence) as err:
+            series(rep, 1e-12, 24)
+        assert str(err.value) == f"tail {full} > 1e-12 at bin ceiling 24"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(n_max=st.integers(0, 200), m_hat=st.floats(1e-6, 10.0), ell_bdry=st.floats(0.0, 40.0),
+       kappa=st.floats(0.0, 5.0), alpha=st.floats(-50.0, 50.0), frac=st.floats(0.0, 2.0))
+@example(n_max=16, m_hat=0.1, ell_bdry=5.0, kappa=1.0, alpha=1.0, frac=1.0)
+def test_a_bounded_tail_is_the_full_tail_or_past_the_bound(n_max, m_hat, ell_bdry, kappa,
+                                                           alpha, frac):
+    for tail in (lambda b: tail_bound_identity(n_max, m_hat, ell_bdry, b),
+                 lambda b: tail_bound_derivative(n_max, m_hat, ell_bdry, kappa, alpha, b)):
+        full = tail(math.inf)
+        bound = frac * full
+        stopped = tail(bound)
+        if full <= bound:
+            assert stopped.hex() == full.hex()
+        else:
+            assert stopped > bound
+
+
 def test_imported_terms_match_builtin_enumeration():
     rep = build_rep(TraceCoords(4, 4, 4))
     repd = attach_deformation(rep, DeformationSpec.linear_path(rep.coords, (1, 1, 1)))
@@ -237,12 +271,13 @@ def test_report_json_schema():
                                                ((200, 200, 200), 96)])
 def test_grown_bins_equal_binning_from_scratch(coords, n_ceiling):
     rep = build_rep(TraceCoords(*coords))
-    steps = [(n_max, bins) for n_max, bins, _ in _grow(rep, n_ceiling)]
-    assert [n for n, _ in steps] == list(range(16, n_ceiling + 1, 8))
-    for n_max, bins in steps:
+    steps = list(_grow(rep, n_ceiling))
+    assert [n for n, _, _ in steps] == list(range(16, n_ceiling + 1, 8))
+    for n_max, bins, m_hat in steps:
         # a fresh rep has fresh trace tables, so nothing filled by _grow is reused
         fresh = build_rep(TraceCoords(*coords))
         assert bins == bin_curves(enumerate_up_to(fresh, n_max + 1), n_max)
+        assert m_hat == fit_bin_constant(bins)
     assert sum(len(b.members) for b in steps[-1][1]) > 0
 
 

@@ -1,10 +1,12 @@
 """Hypothesis properties of both series over in-domain trace coordinates."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
+from mml import identity_engine
 from mml.identity_engine import (_boundary_values, _curve_bins, _grow, _report, _series,
                                  margulis_residual, mcshane_sum)
 from mml.representation import TraceCoords, attach_deformation, build_rep, random_tangent
@@ -56,3 +58,27 @@ def test_mcshane_partial_sum_is_monotone_in_depth(coords):
                             0.0, m_hat, 0.0, TOL).partial_sum)
     assert len(sums) == 7 and sums[-1] > 0.0
     assert all(a <= b for a, b in zip(sums, sums[1:])), sums
+
+
+def _unbounded_tails():
+    """Patch _tail_sum to ignore its bound: every tail, rejected ones too, is summed in full."""
+    full = identity_engine._tail_sum
+    return mock.patch.object(identity_engine, "_tail_sum",
+                             lambda n_max, term, bound=math.inf: full(n_max, term))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(coords=in_domain_coords())
+@example(coords=TraceCoords(3.0, 3.0, 3.0))
+@example(coords=TraceCoords(200.0, 200.0, 200.0))
+def test_reports_equal_a_run_whose_tails_are_unbounded(coords):
+    rep = build_rep(coords)
+    runs = [(mcshane_sum, rep)]
+    if not _boundary_values(rep)[2]:  # the cusp has no differentiated series
+        runs.append((margulis_residual,
+                     attach_deformation(rep, random_tangent(rep, np.random.default_rng(5)))))
+    for series, r in runs:
+        for tol in (1e-6, 1e-10):
+            report = series(r, tol).to_dict()
+            with _unbounded_tails():
+                assert series(r, tol).to_dict() == report

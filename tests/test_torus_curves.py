@@ -9,7 +9,7 @@ from mml.identity_engine import margulis_residual
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent, validate_fuchsian)
 from mml.sl2grp import compose, dual_trace, flat_product, identity
-from mml.torus_curves import (ImportedTerm, Slope, bin_curves, christoffel_word,
+from mml.torus_curves import (CurveClass, ImportedTerm, Slope, bin_curves, christoffel_word,
                               enumerate_family, enumerate_up_to, export_census,
                               farey_enumerate, fit_bin_constant, import_curve_list,
                               make_tables, slope_trace, slope_word)
@@ -134,6 +134,15 @@ def test_bins_and_constant():
     for b in bins:
         for c in b.members:
             assert b.index <= 2 * c.length < b.index + 1
+
+
+def test_a_bin_range_equals_those_bins_of_a_full_binning():
+    # lengths on and just below each bin edge N/2, where the length test must agree with floor
+    lengths = [x for k in range(1, 12) for x in (k / 2, math.nextafter(k / 2, 0.0), k / 2 + 0.25)]
+    curves = [CurveClass(Slope(i, 1), "", 2.0, length) for i, length in enumerate(lengths)]
+    full = bin_curves(curves, 10)
+    for n_min in range(12):
+        assert bin_curves(curves, 10, n_min) == full[n_min:]
 
 
 def test_enumerate_family_tail_policy():
