@@ -1,14 +1,14 @@
 """Command-line front end for the identity verifier.
 
 Subcommands: verify-mcshane, verify-margulis, census, sweep.  Exit code
-0 means every requested check passed, 1 invalid input, 2 the certified
-tail could not be brought below tolerance.
+0 means every requested check passed, 1 invalid input (usage errors and
+coordinates outside the domain included), 2 the certified tail could not
+be brought below tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
@@ -83,21 +83,30 @@ def _deformation(rep: reprs.HoledTorusRep, d, seed: int, name) -> reprs.Deformat
     raise InvalidCoords(f"{name('deformation')}: not a zero, path or tangent deformation: {d!r}")
 
 
-def _build(args, need_deform: bool) -> reprs.HoledTorusRep:
+def _rep(coords: reprs.TraceCoords, d, seed: int, name=None) -> reprs.HoledTorusRep:
+    """The rep at coords, deformed as the deformation object d asks (None: not
+    deformed), through the domain gate; name(field) labels d's fields in errors."""
+    rep = reprs.build_rep(coords)
+    if d is not None:
+        rep = reprs.attach_deformation(rep, _deformation(rep, d, seed, name))
+    reprs.validate_fuchsian(rep)
+    return rep
+
+
+def _build(args) -> reprs.HoledTorusRep:
+    """The rep of --spec or --coords; without a spec deformation, a command that
+    has --deform takes the flags' one."""
     if args.spec:
         coords, d = _load_spec(args.spec)
         name = lambda field: f"spec {args.spec} {field}"
     elif args.coords:
-        coords, d = _parse_coords(args.coords), None
+        coords, d, name = _parse_coords(args.coords), None, None
     else:
         raise InvalidCoords("either --coords or --spec is required")
-    rep = reprs.build_rep(coords)
-    if d is None and need_deform:
+    if d is None and "deform" in args:
         d = {"kind": args.deform, "path_coeffs": map(float, args.path_dir.split(",")), "h": args.h}
         name = {"deformation": "--deform", "path_coeffs": "--path-dir", "h": "--h"}.get
-    if d is not None:
-        rep = reprs.attach_deformation(rep, _deformation(rep, d, args.seed, name))
-    return rep
+    return _rep(coords, d, args.seed, name)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -109,8 +118,10 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_report(report: engine.SeriesReport, out: str | None, fmt: str) -> None:
-    if fmt == "json":
+def _verify(args, series) -> int:
+    """Run series, mcshane_sum or margulis_residual, on the command's rep; write its report."""
+    report = series(_build(args), tail_tolerance=args.tol, n_ceiling=args.n_ceiling)
+    if args.format == "json":
         text = report.to_json() + "\n"
     else:
         d = report.to_dict()
@@ -121,46 +132,21 @@ def _emit_report(report: engine.SeriesReport, out: str | None, fmt: str) -> None
                           else str(d[k]).lower() if isinstance(d[k], bool) else str(d[k])
                           for k in keys)]
         text = "\n".join(lines) + "\n"
-    _write(text, out)
-
-
-def _cmd_verify_mcshane(args) -> int:
-    rep = _build(args, need_deform=False)
-    c = rep.coords
-    if not (min(c.x, c.y, c.z) > 2.0 and c.boundary_trace() <= -2.0 + engine.PARABOLIC_TOL):
-        raise InvalidCoords(f"coordinates ({c.x}, {c.y}, {c.z}) need x, y, z > 2 and "
-                            f"boundary trace {c.boundary_trace()} <= -2")
-    report = engine.mcshane_sum(rep, tail_tolerance=args.tol, n_ceiling=args.n_ceiling)
-    _emit_report(report, args.out, args.format)
-    return 0 if report.passed else 2
-
-
-def _cmd_verify_margulis(args) -> int:
-    rep = _build(args, need_deform=True)
-    check = reprs.validate_fuchsian(rep)
-    if not check.passed:
-        raise InvalidCoords(check.reason)
-    report = engine.margulis_residual(rep, tail_tolerance=args.tol, n_ceiling=args.n_ceiling)
-    _emit_report(report, args.out, args.format)
+    _write(text, args.out)
     return 0 if report.passed else 2
 
 
 def _cmd_census(args) -> int:
-    rep = _build(args, need_deform=False)
-    curves = torus_curves.enumerate_up_to(rep, args.n_max + 1)
-    bins = torus_curves.bin_curves(curves, args.n_max)
-    m_hat = torus_curves.fit_bin_constant(bins)
-    out = args.out or "census.csv"
-    torus_curves.export_census(bins, out)
-    with open(out, "a", newline="") as fh:
-        csv.writer(fh).writerow(["m_hat", f"{m_hat:.12g}", "", "", "", ""])
+    if args.n_max < 0:
+        raise InvalidCoords(f"--n-max must be >= 0, got {args.n_max}")
+    curves = torus_curves.enumerate_up_to(_build(args), args.n_max + 1)
+    torus_curves.export_census(torus_curves.bin_curves(curves, args.n_max), args.out)
     return 0
 
 
 def _sweep_cell(coords: reprs.TraceCoords, seed: int, tol: float, n_ceiling: int) -> dict:
-    rep = reprs.build_rep(coords)
-    rep = reprs.attach_deformation(rep, reprs.random_tangent(rep, np.random.default_rng(seed)))
-    report = engine.margulis_residual(rep, tail_tolerance=tol, n_ceiling=n_ceiling)
+    report = engine.margulis_residual(_rep(coords, {"kind": "tangent"}, seed),
+                                      tail_tolerance=tol, n_ceiling=n_ceiling)
     return {"coords": [coords.x, coords.y, coords.z], "seed": seed,
             "residual": report.residual, "tail_bound": report.tail_bound,
             "kappa_hat": report.kappa_hat, "h_threshold_n": report.h_threshold_n,
@@ -191,41 +177,56 @@ def _cmd_sweep(args) -> int:
     return 0 if n_pass == len(results) else 2
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_rep(p: argparse.ArgumentParser) -> None:
     p.add_argument("--coords", help="trace coordinates x,y,z")
     p.add_argument("--spec", help="JSON representation spec file")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of a random tangent")
+
+
+def _add_series(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-6, help="tail tolerance")
     p.add_argument("--n-ceiling", type=int, default=200, help="bin ceiling")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """argparse's usage error, with exit 1 for invalid input: 2 is an uncertified tail."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mml",
-                                 description="Verify length and Margulis-invariant "
-                                             "identities on the one-holed torus.")
+    ap = _Parser(prog="mml", description="Verify length and Margulis-invariant "
+                                         "identities on the one-holed torus.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-mcshane", help="check the boundary-length series")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_verify_mcshane)
+    _add_rep(p)
+    _add_series(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.set_defaults(fn=lambda args: _verify(args, engine.mcshane_sum))
 
     p = sub.add_parser("verify-margulis", help="check the differentiated series")
-    _add_common(p)
+    _add_rep(p)
+    _add_series(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--deform", choices=["path", "tangent", "zero"], default="zero")
     p.add_argument("--path-dir", default="1,1,1", help="coordinate direction for --deform path")
     p.add_argument("--h", type=float, default=reprs.DEFAULT_PATH_STEP,
                    help="finite-difference step for --deform path")
-    p.set_defaults(fn=_cmd_verify_margulis)
+    p.set_defaults(fn=lambda args: _verify(args, engine.margulis_residual))
 
     p = sub.add_parser("census", help="export the curve census as CSV")
-    _add_common(p)
+    _add_rep(p)
     p.add_argument("--n-max", type=int, default=20, help="deepest bin to export")
+    p.add_argument("--out", default="census.csv", help="CSV path (default: census.csv)")
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("sweep", help="random-deformation grid of verify-margulis runs")
-    _add_common(p)
+    _add_series(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed of the cell coordinates and their tangents")
     p.add_argument("--cells", type=int, default=5)
     p.add_argument("--deforms-per-cell", type=int, default=20)
     p.add_argument("--coord-min", type=float, default=3.5)
@@ -243,7 +244,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if not args.tol > 0 or args.n_ceiling < 1:
+        if "tol" in args and (not args.tol > 0 or args.n_ceiling < 1):
             raise InvalidCoords("--tol must be > 0 and --n-ceiling >= 1")
         return args.fn(args)
     except NonConvergence as e:

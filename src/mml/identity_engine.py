@@ -307,7 +307,7 @@ def margulis_residual(rep, tail_tolerance: float = 1e-6,
     """
     ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
     if cusp:
-        raise NotHyperbolic("differentiated identity needs a hyperbolic boundary")
+        raise NotHyperbolic("boundary-parabolic: no differentiated identity at a cusp")
     # Bins only grow by appending, so kappa is a running max over the new
     # ones; the last call is on the accepted step's bins.
     scanned, kappa = 0, 0.0

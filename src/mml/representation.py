@@ -17,6 +17,7 @@ import numpy as np
 
 from . import torus_curves
 from .errors import InvalidCoords
+from .identity_engine import PARABOLIC_TOL
 from .sl2grp import (DualMatrix2, commutator, compose, dual_trace, project_tangent,
                      tangency_defect)
 
@@ -91,9 +92,8 @@ class HoledTorusRep:
 def build_rep(c: TraceCoords) -> HoledTorusRep:
     """Realize trace coordinates by explicit matrices (A diagonal).
 
-    Accepts any coordinates with x, y, z > 2; the full Fuchsian domain
-    (boundary trace < -2) is checked separately by validate_fuchsian, so
-    cusp-limit coordinates like (3,3,3) still build.
+    Accepts any coordinates with x > 2; the domain is checked separately
+    by validate_fuchsian.
     """
     x, y, z = c.x, c.y, c.z
     if x <= 2.0:
@@ -138,31 +138,20 @@ def random_tangent(rep: HoledTorusRep, rng: np.random.Generator,
     return DeformationSpec(a1, b1)
 
 
-@dataclass(frozen=True)
-class FuchsianReport:
-    """Verdict of validate_fuchsian."""
+def validate_fuchsian(rep: HoledTorusRep, sample_depth: int = 6) -> None:
+    """Admit rep to the identities' domain, or raise InvalidCoords.
 
-    passed: bool
-    reason: str = ""
-
-
-def validate_fuchsian(rep: HoledTorusRep, sample_depth: int = 6) -> FuchsianReport:
-    """Check the acceptance domain and sample curve traces up to a depth.
-
-    Not a discreteness certificate: it verifies x, y, z > 2, boundary
-    trace < -2, and |trace| > 2 for every slope with |p| + q <= depth.
+    The domain is x, y, z > 2 with boundary trace < -2, plus its cusp limit:
+    the trace is read and classified as identity_engine does, so a trace
+    within PARABOLIC_TOL of -2 passes and runs the cusp form.  Not a
+    discreteness certificate: it then checks |trace| > 2 for every slope
+    with |p| + q <= sample_depth.
     """
-    c = rep.coords
-    if not (c.x > 2.0 and c.y > 2.0 and c.z > 2.0):
-        return FuchsianReport(False, "generator trace not > 2")
-    kappa = dual_trace(rep.boundary).re
-    if abs(kappa + 2.0) <= 1e-9:
-        return FuchsianReport(False, "boundary-parabolic")
-    if kappa >= -2.0:
-        return FuchsianReport(False, f"boundary trace {kappa} not < -2")
+    c, kappa = rep.coords, dual_trace(rep.boundary).re
+    if not (min(c.x, c.y, c.z) > 2.0 and kappa <= -2.0 + PARABOLIC_TOL):
+        raise InvalidCoords(f"coordinates ({c.x}, {c.y}, {c.z}) need x, y, z > 2 and "
+                            f"boundary trace {kappa} <= -2")
     pos, neg = rep.tables
     for s in torus_curves.farey_enumerate(sample_depth):
-        t = (pos if s.p >= 0 else neg).trace(abs(s.p), s.q).re
-        if abs(t) <= 2.0:
-            return FuchsianReport(False, f"non-hyperbolic simple curve of slope {s}")
-    return FuchsianReport(True)
+        if abs((pos if s.p >= 0 else neg).trace(abs(s.p), s.q).re) <= 2.0:
+            raise InvalidCoords(f"non-hyperbolic simple curve of slope {s}")

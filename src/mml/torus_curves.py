@@ -300,8 +300,9 @@ def enumerate_family(rep, tail_tolerance: float, n_ceiling: int = 200) -> list[C
     return choose_truncation(rep, tail_tolerance, n_ceiling)[1]
 
 
-def export_census(bins: Iterable[CurveBin], path) -> None:
-    """CSV census: slope_p, slope_q, word, trace, length, bin."""
+def export_census(bins: list[CurveBin], path) -> None:
+    """CSV census: slope_p, slope_q, word, trace, length, bin; then the row m_hat,
+    fit_bin_constant(bins)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["slope_p", "slope_q", "word", "trace", "length", "bin"])
@@ -309,6 +310,7 @@ def export_census(bins: Iterable[CurveBin], path) -> None:
             for c in b.members:
                 w.writerow([c.slope.p, c.slope.q, c.word,
                             f"{c.trace:.12g}", f"{c.length:.12g}", b.index])
+        w.writerow(["m_hat", f"{fit_bin_constant(bins):.12g}", "", "", "", ""])
 
 
 def import_curve_list(path) -> list[ImportedTerm]:

@@ -76,9 +76,17 @@ def test_invalid_inputs():
     assert run(["verify-mcshane", "--coords", "4,4,4", "--tol", "nan"]) == 1
 
 
-@pytest.mark.parametrize("coords", ["10,3,3", "4,1.5,4", "2.5,2.5,2.5"])
-def test_verify_mcshane_rejects_coords_outside_the_domain(coords, capsys):
-    assert run(["verify-mcshane", "--coords", coords]) == 1
+_OUTSIDE = ["10,3,3", "4,1.5,4", "2.5,2.5,2.5"]
+
+
+@pytest.mark.parametrize("command, coords",
+                         [pytest.param("verify-mcshane", c, id=c) for c in _OUTSIDE]
+                         + [pytest.param(cmd, c, id=f"{cmd}-{c}")
+                            for cmd in ("verify-margulis", "census") for c in _OUTSIDE])
+def test_verify_mcshane_rejects_coords_outside_the_domain(command, coords, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([command, "--coords", coords, "--out", str(out)]) == 1
+    assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: coordinates") and "x, y, z > 2" in err
     assert "boundary trace" in err and "<= -2" in err and err.count("\n") == 1
@@ -117,6 +125,47 @@ def test_census_deterministic(tmp_path):
     assert rows[-1][0] == "m_hat"
     for row in rows[1:-1]:
         assert abs(float(row[3])) > 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--coords", "4,4,4", "--tol", "1e-6"],
+    ["census", "--coords", "4,4,4", "--n-ceiling", "10"],
+    ["census", "--coords", "4,4,4", "--format", "json"],
+    ["sweep", "--coords", "1,1,1"],
+    ["sweep", "--spec", "rep.json"],
+    ["sweep", "--format", "json"],
+    ["verify-mcshane", "--coords", "4,4,4", "--tol", "abc"],
+    ["verify-margulis", "--coords", "4,4,4", "--n-max", "5"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
+    # argparse's own exit code, 2, is the one for an uncertified tail
+    monkeypatch.chdir(tmp_path)  # where census would write its default census.csv
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mml") and "error: " in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["verify-mcshane", "verify-margulis", "census", "sweep"])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as e:
+        main([command, "--help"])
+    assert e.value.code == 0 and capsys.readouterr().out.startswith(f"usage: mml {command}")
+
+
+def test_census_n_max(tmp_path, capsys):
+    out = tmp_path / "census.csv"
+    assert run(["census", "--coords", "4,4,4", "--n-max", "-3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n-max") and err.count("\n") == 1
+    assert not out.exists()
+    # no curve at (4,4,4) is that short: the header and m_hat rows alone
+    assert run(["census", "--coords", "4,4,4", "--n-max", "0", "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == ["slope_p,slope_q,word,trace,length,bin", "m_hat,0,,,,"]
 
 
 def test_sweep_small(tmp_path):

@@ -315,5 +315,5 @@ def test_margulis_residual_after_validation_equals_it_alone():
     from mml.representation import validate_fuchsian
 
     validated, alone = _tangent_rep((4.0, 5.0, 6.0), 3), _tangent_rep((4.0, 5.0, 6.0), 3)
-    assert validate_fuchsian(validated).passed
+    assert validate_fuchsian(validated) is None
     assert margulis_residual(validated, 1e-8) == margulis_residual(alone, 1e-8)

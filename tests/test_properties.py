@@ -1,12 +1,16 @@
 """Hypothesis properties of both series over in-domain trace coordinates."""
 
+import contextlib
+import io
+import json
 import math
+import os
 from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mml import identity_engine
+from mml import cli, identity_engine
 from mml.identity_engine import (_boundary_values, _curve_bins, _grow, _report, _series,
                                  margulis_residual, mcshane_sum)
 from mml.representation import TraceCoords, attach_deformation, build_rep, random_tangent
@@ -82,3 +86,39 @@ def test_reports_equal_a_run_whose_tails_are_unbounded(coords):
             report = series(r, tol).to_dict()
             with _unbounded_tails():
                 assert series(r, tol).to_dict() == report
+
+
+def _cli(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process mml command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=24, derandomize=True, deadline=None)
+@given(x=st.floats(3.0, 5.0), y=st.floats(3.0, 5.0), k=st.sampled_from([-3.0, -0.5, 0.5, 3.0]))
+@example(x=3.0, y=3.0, k=-3.0)
+@example(x=3.3, y=4.1, k=-0.5)
+@example(x=4.7, y=3.2, k=0.5)
+@example(x=3.0, y=3.0, k=3.0)
+def test_reports_agree_across_the_cusp_switch(x, y, k):
+    """Boundary trace -2 + k PARABOLIC_TOL: k = 3 is outside the domain, |k| = 0.5
+    runs the cusp form (target 1), k = -3 the hyperbolic form (target the tiny
+    boundary length); both partial sums meet their targets."""
+    # larger root of z^2 - xyz + x^2 + y^2 - k PARABOLIC_TOL = 0
+    c = x * x + y * y - k * identity_engine.PARABOLIC_TOL
+    z = (x * y + math.sqrt(x * x * y * y - 4.0 * c)) / 2.0
+    coords = f"{x!r},{y!r},{z!r}"
+    if k > 1.0:
+        for argv in (["verify-mcshane", "--coords", coords],
+                     ["census", "--coords", coords, "--out", os.devnull]):
+            rc, _, err = _cli(argv)
+            assert rc == 1 and err.startswith("error: coordinates") and "<= -2" in err
+            assert err.count("\n") == 1
+        return
+    rc, out, _ = _cli(["verify-mcshane", "--coords", coords, "--tol", "1e-10"])
+    report = json.loads(out)
+    assert rc == 0 and report["passed"]
+    assert (report["target"] == 1.0) == (abs(k) < 1.0)
+    assert abs(report["partial_sum"] / report["target"] - 1.0) <= 1e-6

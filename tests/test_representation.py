@@ -43,18 +43,20 @@ def test_build_rep_rejects_small_x():
 
 
 def test_validate_fuchsian():
-    assert validate_fuchsian(build_rep(TraceCoords(4, 4, 4)), 6).passed
-    r = validate_fuchsian(build_rep(TraceCoords(3, 3, 3)))
-    assert not r.passed and r.reason == "boundary-parabolic"
+    assert validate_fuchsian(build_rep(TraceCoords(4, 4, 4)), 6) is None
+    # the cusp is in the domain of the length series; the differentiated
+    # series rejects it (see test_verify_margulis_rejects_parabolic_boundary)
+    assert validate_fuchsian(build_rep(TraceCoords(3, 3, 3))) is None
     assert TraceCoords(2.1, 2.1, 2.1).boundary_trace() > -2
-    assert not validate_fuchsian(build_rep(TraceCoords(2.1, 2.1, 2.1))).passed
+    with pytest.raises(InvalidCoords, match="boundary trace"):
+        validate_fuchsian(build_rep(TraceCoords(2.1, 2.1, 2.1)))
 
 
 def test_validate_fuchsian_names_the_offending_slope():
     rep = build_rep(TraceCoords(4, 5, 6))
     rep.tables[0]._memo[(2, 1)] = DualScalar(1.0, 0.0)
-    r = validate_fuchsian(rep)
-    assert not r.passed and "2/1" in r.reason
+    with pytest.raises(InvalidCoords, match="2/1"):
+        validate_fuchsian(rep)
 
 
 def test_zero_deformation():

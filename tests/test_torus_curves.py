@@ -165,8 +165,9 @@ def test_census_roundtrip(tmp_path):
     export_census(bins, p1)
     export_census(bins, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    header = p1.read_text().splitlines()[0]
-    assert header == "slope_p,slope_q,word,trace,length,bin"
+    rows = p1.read_text().splitlines()
+    assert rows[0] == "slope_p,slope_q,word,trace,length,bin"
+    assert rows[-1] == f"m_hat,{fit_bin_constant(bins):.12g},,,,"
 
 
 def test_import_curve_list(tmp_path):
@@ -256,7 +257,7 @@ def test_validate_fuchsian_builds_one_table_pair(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(tc.TraceTable, "__init__", counting_init)
-    assert validate_fuchsian(build_rep(TraceCoords(4, 5, 6))).passed
+    assert validate_fuchsian(build_rep(TraceCoords(4, 5, 6))) is None
     assert len(built) == 2
 
 
@@ -272,7 +273,7 @@ def test_every_reader_shares_the_reps_one_table_pair(monkeypatch):
 
     monkeypatch.setattr(tc.TraceTable, "__init__", counting_init)
     rep = _deformed_444()
-    assert validate_fuchsian(rep).passed
+    assert validate_fuchsian(rep) is None
     pair = rep.tables
     enumerate_up_to(rep, 20.0)
     slope_trace(rep, Slope(-3, 5))
