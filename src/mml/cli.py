@@ -94,8 +94,8 @@ def _rep(coords: reprs.TraceCoords, d, seed: int, name=None) -> reprs.HoledTorus
 
 
 def _build(args) -> reprs.HoledTorusRep:
-    """The rep of --spec or --coords; without a spec deformation, a command that
-    has --deform takes the flags' one."""
+    """The rep of --spec or --coords.  census (no --seed) builds it undeformed; elsewhere,
+    without a spec deformation, a command that has --deform takes the flags' one."""
     if args.spec:
         coords, d = _load_spec(args.spec)
         name = lambda field: f"spec {args.spec} {field}"
@@ -103,6 +103,8 @@ def _build(args) -> reprs.HoledTorusRep:
         coords, d, name = _parse_coords(args.coords), None, None
     else:
         raise InvalidCoords("either --coords or --spec is required")
+    if "seed" not in args:  # census writes traces and lengths only
+        return _rep(coords, None, 0)
     if d is None and "deform" in args:
         d = {"kind": args.deform, "path_coeffs": map(float, args.path_dir.split(",")), "h": args.h}
         name = {"deformation": "--deform", "path_coeffs": "--path-dir", "h": "--h"}.get
@@ -177,10 +179,11 @@ def _cmd_sweep(args) -> int:
     return 0 if n_pass == len(results) else 2
 
 
-def _add_rep(p: argparse.ArgumentParser) -> None:
+def _add_rep(p: argparse.ArgumentParser, seed: bool = True) -> None:
     p.add_argument("--coords", help="trace coordinates x,y,z")
     p.add_argument("--spec", help="JSON representation spec file")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of a random tangent")
+    if seed:
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of a random tangent")
 
 
 def _add_series(p: argparse.ArgumentParser) -> None:
@@ -218,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=lambda args: _verify(args, engine.margulis_residual))
 
     p = sub.add_parser("census", help="export the curve census as CSV")
-    _add_rep(p)
+    _add_rep(p, seed=False)
     p.add_argument("--n-max", type=int, default=20, help="deepest bin to export")
     p.add_argument("--out", default="census.csv", help="CSV path (default: census.csv)")
     p.set_defaults(fn=_cmd_census)

@@ -15,7 +15,7 @@ from .errors import ZeroDivisor
 ZERO_DIVISOR_TOL = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualScalar:
     """One element a + b*eps of R[eps]/(eps^2)."""
 

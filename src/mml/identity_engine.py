@@ -30,6 +30,8 @@ PARABOLIC_TOL = 1e-9
 
 _GROW_START = 16
 _GROW_STEP = 8
+_BIN_JSON = ('    {\n      "n": %s,\n      "count": %s,\n      "sum_d": %s,\n'
+             '      "sum_deriv": %s\n    }')  # one BinStat in SeriesReport.to_json
 
 
 class KahanSum:
@@ -126,7 +128,18 @@ class SeriesReport:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """json.dumps(self.to_dict(), indent=2), byte for byte: indent selects json's Python
+        encoder, so its C one writes the values (repr, null, true, NaN...) in one flat list."""
+        keys = [k for k in vars(self) if k != "bins"]
+        flat = [getattr(self, k) for k in keys]
+        for b in self.bins:
+            flat += (b.n, b.count, b.sum_d, b.sum_deriv)
+        vals = json.dumps(flat)[1:-1].split(", ")  # numbers, null, true, false: no ", "
+        lines = [f'  "{k}": {v}' for k, v in zip(keys, vals)]
+        bins = ",\n".join(_BIN_JSON % tuple(vals[i:i + 4]) for i in range(len(keys), len(vals), 4))
+        lines.insert(list(vars(self)).index("bins"),
+                     f'  "bins": [\n{bins}\n  ]' if bins else '  "bins": []')
+        return "{\n" + ",\n".join(lines) + "\n}"
 
 
 def _tail_sum(n_max: int, term, bound: float = math.inf) -> float:

@@ -146,9 +146,7 @@ def inverse(m: DualMatrix2) -> DualMatrix2:
 
 def dual_trace(m: DualMatrix2) -> DualScalar:
     # Same bits as np.trace: a sum of two floats is one rounding either way.
-    (v00, _), (_, v11) = m.val.tolist()
-    (e00, _), (_, e11) = m.eps.tolist()
-    return DualScalar(v00 + v11, e00 + e11)
+    return DualScalar(m.val.item(0) + m.val.item(3), m.eps.item(0) + m.eps.item(3))
 
 
 def commutator(a: DualMatrix2, b: DualMatrix2) -> DualMatrix2:

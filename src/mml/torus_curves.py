@@ -26,7 +26,7 @@ from .sl2grp import (FLAT_IDENTITY, DualMatrix2, compose, dual_trace, flat_produ
 RECURSION_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slope:
     """Coprime slope p/q, canonical with q > 0, or (1, 0)."""
 
@@ -44,7 +44,7 @@ class Slope:
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveClass:
     """One isotopy class: slope, word, and values under the active representation."""
 

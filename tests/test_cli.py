@@ -138,6 +138,7 @@ def test_census_deterministic(tmp_path):
     ["verify-margulis", "--coords", "4,4,4", "--n-max", "5"],
     ["frobnicate"],
     [],
+    ["census", "--coords", "4,4,4", "--seed", "1"],
 ])
 def test_usage_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
     # argparse's own exit code, 2, is the one for an uncertified tail
@@ -313,6 +314,16 @@ def test_bad_deformation_input_fails_cleanly(flags, deformation, names, tmp_path
         assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+
+
+@pytest.mark.parametrize("deformation", [{"kind": "tangent"}, {"kind": "curve"}],
+                         ids=["tangent", "unknown-kind"])
+def test_census_does_not_read_the_spec_deformation(deformation, tmp_path):
+    # census writes traces and lengths, value parts a deformation never moves
+    plain, deformed = tmp_path / "plain.csv", tmp_path / "deformed.csv"
+    assert run(["census", "--spec", _spec_file(tmp_path, None), "--out", str(plain)]) == 0
+    assert run(["census", "--spec", _spec_file(tmp_path, deformation), "--out", str(deformed)]) == 0
+    assert deformed.read_bytes() == plain.read_bytes()
 
 
 def test_spec_zero_deformation_equals_deform_zero(tmp_path, capsys):

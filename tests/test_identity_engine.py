@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import json
 import math
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mml.errors import NonConvergence, NotHyperbolic
-from mml.identity_engine import (KahanSum, _boundary_values, _grow, bound_D, bound_HK,
+from mml.identity_engine import (BinStat, KahanSum, _boundary_values, _grow, bound_D, bound_HK,
                                  coeff_H, coeff_K, cusp_gap, gap_D,
                                  kappa_estimate, kappa_from_bins,
                                  margulis_residual, margulis_residual_imported,
@@ -294,6 +296,39 @@ def test_to_dict_equals_asdict():
         assert d == ref and list(d) == list(ref)
         assert type(d["bins"]) is tuple
         assert [list(b) for b in d["bins"]] == [list(b) for b in ref["bins"]]
+
+
+@functools.cache
+def _reports():
+    """Built-in reports (a generic cell, the cusp, a deformed cell) and imported ones."""
+    rep = build_rep(TraceCoords(4, 4, 4))
+    terms = [ImportedTerm(1.5, 2.5, 0.1, -0.2), ImportedTerm(3.0, 3.0), ImportedTerm(6.2, 0.4)]
+    lb = translation_length(dual_trace(rep.boundary).re)
+    return (mcshane_sum(rep, tail_tolerance=1e-4),
+            mcshane_sum(build_rep(TraceCoords(3, 3, 3)), tail_tolerance=1e-4),
+            margulis_residual(_tangent_rep((4, 4, 4), 7), tail_tolerance=1e-10),
+            mcshane_sum_imported(lb, terms), margulis_residual_imported(lb, 0.3, terms))
+
+
+_REPORT_FIELDS = {k: st.floats() for k in ("target", "partial_sum", "residual", "tail_bound",
+                                           "m_hat", "kappa_hat", "h_partial_sum")}
+_REPORT_FIELDS.update(
+    n_max=st.integers(), h_threshold_n=st.none() | st.integers(), passed=st.booleans(),
+    bins=st.lists(st.builds(BinStat, st.integers(), st.integers(), st.floats(), st.floats()),
+                  max_size=4).map(tuple))
+
+
+@pytest.mark.parametrize("which", range(5))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(changes=st.fixed_dictionaries({}, optional=_REPORT_FIELDS))
+@example(changes={})
+@example(changes={"bins": (), "h_threshold_n": None})
+@example(changes={"tail_bound": math.inf, "residual": math.nan, "target": -0.0})
+@example(changes={"n_max": 10**40, "h_threshold_n": -10**40, "m_hat": -math.inf})
+@example(changes={"bins": (BinStat(2**70, 0, math.nan, -0.0), BinStat(-1, 3, math.inf, 1e308))})
+def test_to_json_is_json_dumps_indent_2(which, changes):
+    report = dataclasses.replace(_reports()[which], **changes)
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
 
 
 @pytest.mark.parametrize("coords, tol", [((4, 4, 4), 1e-6), ((4.5, 5.0, 5.5), 1e-10),

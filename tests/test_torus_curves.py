@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,22 @@ def test_slope_canonicalization():
     assert Slope(-1, 0) == Slope(1, 0)
     with pytest.raises(ValueError):
         Slope(2, 4)
+
+
+@pytest.mark.parametrize("value, field, other", [
+    (DualScalar(1.5, -2.0), "inf", 2.0),
+    (Slope(-2, 3), "p", 1),
+    (CurveClass(Slope(1, 2), "bab", 3.5, 1.9248473002384139, 0.25), "alpha", 0.5),
+], ids=["DualScalar", "Slope", "CurveClass"])
+def test_value_types_are_slotted_frozen_and_hash_by_fields(value, field, other):
+    # at least four are built per newly traced slope: no per-instance dict
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, other)
+    fields = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    twin = type(value)(*fields)
+    assert twin == value and hash(twin) == hash(value) == hash(fields)
+    assert dataclasses.replace(value, **{field: other}) != value
 
 
 def test_farey_enumerate_small():
