@@ -1,19 +1,17 @@
 """Numerical verification of length and Margulis-invariant identities
 on one-holed-torus hyperbolic surfaces and their affine deformations."""
 
-from .dualnum import DualScalar, dual_inv, dual_mul
+from .dualnum import DualScalar, dual_mul
 from .errors import (InvalidCoords, MMLError, NonConvergence, NotHyperbolic,
-                     RecursionMismatch, ZeroDivisor)
-from .identity_engine import (SeriesReport, coeff_H, coeff_K, gap_D,
-                              kappa_estimate, margulis_residual, mcshane_sum,
-                              mirzakhani_threshold, term_derivative)
+                     RecursionMismatch)
+from .identity_engine import (SeriesReport, coeff_H, coeff_K, gap_D, margulis_residual,
+                              mcshane_sum, mirzakhani_threshold, term_derivative)
 from .lorentz import LorentzIsometry, adjoint_of, margulis_invariant_lorentz, neutral_vector
 from .representation import (DeformationSpec, HoledTorusRep, TraceCoords,
                              attach_deformation, build_rep, validate_fuchsian)
 from .sl2grp import (DualMatrix2, commutator, compose, dual_trace, inverse,
                      margulis_invariant_dual, translation_length)
-from .torus_curves import (CurveBin, CurveClass, Slope, enumerate_family,
-                           export_census, farey_enumerate, import_curve_list,
+from .torus_curves import (CurveBin, CurveClass, Slope, export_census, farey_enumerate,
                            slope_trace, slope_word)
 
 __version__ = "0.1.0"

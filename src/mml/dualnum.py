@@ -9,12 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ZeroDivisor
-
-#: |re| below this counts as a zero divisor when inverting (underflow guard).
-ZERO_DIVISOR_TOL = 1e-300
-
-
 @dataclass(frozen=True, slots=True)
 class DualScalar:
     """One element a + b*eps of R[eps]/(eps^2)."""
@@ -45,12 +39,6 @@ class DualScalar:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self * dual_inv(_coerce(other))
-
-    def __rtruediv__(self, other):
-        return _coerce(other) * dual_inv(self)
-
     def __repr__(self):
         return f"({self.re} + {self.inf}e)"
 
@@ -65,15 +53,3 @@ def dual_mul(x: DualScalar, y: DualScalar) -> DualScalar:
     """(a+be)(c+de) = ac + (ad+bc)e."""
     return _coerce(x) * _coerce(y)
 
-
-def dual_inv(x: DualScalar, tol: float = ZERO_DIVISOR_TOL) -> DualScalar:
-    """Multiplicative inverse (1/a, -b/a^2); requires a nonzero value part.
-
-    Raises ZeroDivisor when |re| <= tol: elements of the form b*eps are
-    zero divisors and have no inverse.
-    """
-    x = _coerce(x)
-    if abs(x.re) <= tol:
-        raise ZeroDivisor(f"value part {x.re} is numerically zero")
-    r = 1.0 / x.re
-    return DualScalar(r, -x.inf * r * r)

@@ -5,10 +5,6 @@ class MMLError(Exception):
     """Base class for all package errors."""
 
 
-class ZeroDivisor(MMLError, ZeroDivisionError):
-    """Attempt to invert a dual scalar whose value part is (numerically) zero."""
-
-
 class NotHyperbolic(MMLError):
     """An element expected to be hyperbolic (|trace| > 2, or eigenvalues
     lambda > 1 > 1/lambda) is elliptic or parabolic."""

@@ -19,8 +19,7 @@ from typing import Iterator
 from .errors import NonConvergence, NotHyperbolic
 from .sl2grp import dual_trace, margulis_from_trace, translation_length
 # make_tables is unused here, but perfbench's tracer wraps identity_engine.make_tables.
-from .torus_curves import (CurveBin, ImportedTerm, bin_curves, enumerate_up_to,
-                           fit_bin_constant, make_tables)
+from .torus_curves import CurveBin, bin_curves, enumerate_up_to, fit_bin_constant, make_tables
 
 #: Safety inflation applied to the fitted bin constant and kappa estimate.
 SAFETY_FACTOR = 2.0
@@ -225,24 +224,9 @@ def choose_truncation(rep, tail_tolerance: float, n_ceiling: int = 200,
     raise NonConvergence(f"tail {bound} > {tail_tolerance} at bin ceiling {n_ceiling}")
 
 
-def _curve_bins(bins: list[CurveBin]) -> list[tuple[int, list[tuple]]]:
-    """Enumerated bins as (index, members), each curve as the pair (l, l, alpha, alpha)."""
-    return [(b.index, [(c.length, c.length, c.alpha, c.alpha) for c in b.members])
-            for b in bins]
-
-
-def _imported_bins(terms: list[ImportedTerm]) -> list[tuple[int, list[tuple]]]:
-    """Imported pairs binned by int(l1 + l2), bins 0 .. the top one, input order within."""
-    by_bin: dict[int, list[tuple]] = {}
-    for t in terms:
-        by_bin.setdefault(int(t.ell_gamma1 + t.ell_gamma2), []).append(
-            (t.ell_gamma1, t.ell_gamma2, t.alpha_gamma1, t.alpha_gamma2))
-    return [(n, by_bin.get(n, [])) for n in range(max(by_bin, default=0) + 1)]
-
-
-def _series(bins, ell_bdry: float, alpha_bdry: float,
+def _series(bins: list[CurveBin], ell_bdry: float, alpha_bdry: float,
             cusp: bool) -> tuple[list[BinStat], list[float]]:
-    """One pass over (index, members) bins of (l1, l2, alpha1, alpha2) pairs.
+    """One pass over the bins, each curve entering as the pair (l, l, alpha, alpha).
 
     Returns the per-bin Kahan sums of the gap terms D (the cusp summand
     when cusp) and of their derivatives, and the running sum of the H
@@ -250,18 +234,19 @@ def _series(bins, ell_bdry: float, alpha_bdry: float,
     """
     stats, h_running = [], []
     h = KahanSum()
-    for n, members in bins:
+    for b in bins:
         sd, sv = KahanSum(), KahanSum()
-        for l1, l2, a1, a2 in members:
-            u = l1 + l2
+        for c in b.members:
+            l, a = c.length, c.alpha
+            u = l + l
             hu = coeff_H(u, ell_bdry)
             if cusp:
-                sd.add(cusp_gap(l1))
+                sd.add(cusp_gap(l))
             else:
-                sd.add(gap_D(ell_bdry, l1, l2))
-                sv.add(_term_derivative_from(hu, u, ell_bdry, a1 + a2, alpha_bdry))
+                sd.add(gap_D(ell_bdry, l, l))
+                sv.add(_term_derivative_from(hu, u, ell_bdry, a + a, alpha_bdry))
             h.add(hu)
-        stats.append(BinStat(n, len(members), sd.total, sv.total))
+        stats.append(BinStat(b.index, len(b.members), sd.total, sv.total))
         h_running.append(h.total)
     return stats, h_running
 
@@ -306,7 +291,7 @@ def mcshane_sum(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200) -> Seri
     ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
     _, bins, m_hat, tail_bound = choose_truncation(rep, tail_tolerance, n_ceiling)
     return _report(1.0 if cusp else ell_bdry,
-                   _series(_curve_bins(bins), ell_bdry, alpha_bdry, cusp), "sum_d", tail_bound,
+                   _series(bins, ell_bdry, alpha_bdry, cusp), "sum_d", tail_bound,
                    m_hat, kappa_from_bins(bins, ell_bdry, alpha_bdry), tail_tolerance)
 
 
@@ -333,7 +318,7 @@ def margulis_residual(rep, tail_tolerance: float = 1e-6,
 
     _, bins, m_hat, tail_bound = choose_truncation(rep, tail_tolerance, n_ceiling, tail)
     return _report(alpha_bdry,
-                   _series(_curve_bins(bins), ell_bdry, alpha_bdry, cusp=False), "sum_deriv",
+                   _series(bins, ell_bdry, alpha_bdry, cusp=False), "sum_deriv",
                    tail_bound, m_hat, kappa, tail_tolerance)
 
 
@@ -343,35 +328,8 @@ def mirzakhani_threshold(rep, n_ceiling: int = 200) -> tuple[list[float], int | 
     if cusp:
         raise NotHyperbolic("threshold needs a hyperbolic boundary")
     for _, bins, _ in _grow(rep, n_ceiling):
-        h_running = _series(_curve_bins(bins), ell_bdry, 0.0, cusp=False)[1]
+        h_running = _series(bins, ell_bdry, 0.0, cusp=False)[1]
         if _first_over_one(h_running) is not None:
             break
     return h_running, _first_over_one(h_running)
 
-
-def kappa_estimate(rep, max_total_length: float = 40.0) -> float:
-    """Empirical bound max |alpha(gamma)| / l(gamma) over enumerated curves."""
-    ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
-    curves = enumerate_up_to(rep, max_total_length)
-    bins = bin_curves(curves, int(max_total_length))
-    return kappa_from_bins(bins, 0.0 if cusp else ell_bdry, alpha_bdry)
-
-
-def mcshane_sum_imported(ell_bdry: float, terms: list[ImportedTerm],
-                         tolerance: float = 1e-6) -> SeriesReport:
-    """Length identity over an externally supplied pair list (genus >= 2).
-
-    No tail certification: coverage is the caller's contract, so the
-    report passes purely on the tolerance.
-    """
-    return _report(ell_bdry, _series(_imported_bins(terms), ell_bdry, 0.0, cusp=False),
-                   "sum_d", 0.0, 0.0, 0.0, tolerance)
-
-
-def margulis_residual_imported(ell_bdry: float, alpha_bdry: float,
-                               terms: list[ImportedTerm],
-                               tolerance: float = 1e-6) -> SeriesReport:
-    """Differentiated identity over an externally supplied pair list."""
-    return _report(alpha_bdry,
-                   _series(_imported_bins(terms), ell_bdry, alpha_bdry, cusp=False),
-                   "sum_deriv", 0.0, 0.0, 0.0, tolerance)

@@ -84,10 +84,6 @@ class HoledTorusRep:
         every reader; dataclasses.replace gives the copy a pair of its own."""
         return torus_curves.make_tables(self)
 
-    @property
-    def is_deformed(self) -> bool:
-        return bool(np.any(self.A.eps) or np.any(self.B.eps))
-
 
 def build_rep(c: TraceCoords) -> HoledTorusRep:
     """Realize trace coordinates by explicit matrices (A diagonal).
@@ -151,7 +147,6 @@ def validate_fuchsian(rep: HoledTorusRep, sample_depth: int = 6) -> None:
     if not (min(c.x, c.y, c.z) > 2.0 and kappa <= -2.0 + PARABOLIC_TOL):
         raise InvalidCoords(f"coordinates ({c.x}, {c.y}, {c.z}) need x, y, z > 2 and "
                             f"boundary trace {kappa} <= -2")
-    pos, neg = rep.tables
     for s in torus_curves.farey_enumerate(sample_depth):
-        if abs((pos if s.p >= 0 else neg).trace(abs(s.p), s.q).re) <= 2.0:
+        if abs(torus_curves.slope_trace(rep, s)) <= 2.0:
             raise InvalidCoords(f"non-hyperbolic simple curve of slope {s}")

@@ -66,16 +66,6 @@ class CurveBin:
     members: tuple[CurveClass, ...]
 
 
-@dataclass(frozen=True)
-class ImportedTerm:
-    """One externally supplied curve pair for the genus >= 2 interface."""
-
-    ell_gamma1: float
-    ell_gamma2: float
-    alpha_gamma1: float = 0.0
-    alpha_gamma2: float = 0.0
-
-
 @lru_cache(maxsize=None)
 def _farey_parents(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Stern-Brocot parents (lower, upper) of an interior slope p/q >= 1/1."""
@@ -293,13 +283,6 @@ def fit_bin_constant(bins: Iterable[CurveBin]) -> float:
     return max((len(b.members) / (b.index + 1) ** 2 for b in bins), default=0.0)
 
 
-def enumerate_family(rep, tail_tolerance: float, n_ceiling: int = 200) -> list[CurveBin]:
-    """Bins deep enough that the certified identity tail is below tolerance."""
-    from .identity_engine import choose_truncation
-
-    return choose_truncation(rep, tail_tolerance, n_ceiling)[1]
-
-
 def export_census(bins: list[CurveBin], path) -> None:
     """CSV census: slope_p, slope_q, word, trace, length, bin; then the row m_hat,
     fit_bin_constant(bins)."""
@@ -312,20 +295,3 @@ def export_census(bins: list[CurveBin], path) -> None:
                             f"{c.trace:.12g}", f"{c.length:.12g}", b.index])
         w.writerow(["m_hat", f"{fit_bin_constant(bins):.12g}", "", "", "", ""])
 
-
-def import_curve_list(path) -> list[ImportedTerm]:
-    """Read an external pair list (genus >= 2 interface).
-
-    Columns: ell_gamma1, ell_gamma2, alpha_gamma1, alpha_gamma2.  Whether
-    the list is complete, and whether symmetric pairs are listed once, is
-    the caller's contract.
-    """
-    terms = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            terms.append(ImportedTerm(
-                ell_gamma1=float(row["ell_gamma1"]),
-                ell_gamma2=float(row["ell_gamma2"]),
-                alpha_gamma1=float(row.get("alpha_gamma1", 0.0) or 0.0),
-                alpha_gamma2=float(row.get("alpha_gamma2", 0.0) or 0.0)))
-    return terms

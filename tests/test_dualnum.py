@@ -1,17 +1,14 @@
 import math
 
-import pytest
 from hypothesis import example, given, strategies as st
 
-from mml.dualnum import DualScalar, dual_inv, dual_mul
-from mml.errors import ZeroDivisor
+from mml.dualnum import DualScalar, dual_mul
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-nonzero = finite.filter(lambda v: abs(v) > 1e-3)
 
 
-def duals(re=finite):
-    return st.builds(DualScalar, re, finite)
+def duals():
+    return st.builds(DualScalar, finite, finite)
 
 
 def test_product_ring_law():
@@ -26,29 +23,6 @@ def test_product_identity():
 def test_eps_squared_is_zero():
     eps = DualScalar(0, 1)
     assert dual_mul(eps, eps) == DualScalar(0, 0)
-
-
-def test_inverse_example():
-    assert dual_inv(DualScalar(2, 3)) == DualScalar(0.5, -0.75)
-    assert dual_inv(DualScalar(1, 0)) == DualScalar(1, 0)
-
-
-def test_inverse_of_zero_divisor():
-    with pytest.raises(ZeroDivisor):
-        dual_inv(DualScalar(0, 5))
-
-
-def test_division_operator():
-    x = DualScalar(3, 1) / DualScalar(2, 3)
-    y = dual_mul(DualScalar(3, 1), dual_inv(DualScalar(2, 3)))
-    assert x == y
-
-
-@given(duals(nonzero))
-def test_inverse_roundtrip(x):
-    one = dual_mul(x, dual_inv(x))
-    assert math.isclose(one.re, 1.0, rel_tol=1e-14)
-    assert abs(one.inf) <= 1e-14 * max(1.0, abs(x.inf / x.re))
 
 
 @given(duals(), duals())

@@ -8,17 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mml.errors import NonConvergence, NotHyperbolic
-from mml.identity_engine import (BinStat, KahanSum, _boundary_values, _grow, bound_D, bound_HK,
-                                 coeff_H, coeff_K, cusp_gap, gap_D,
-                                 kappa_estimate, kappa_from_bins,
-                                 margulis_residual, margulis_residual_imported,
-                                 mcshane_sum, mcshane_sum_imported,
-                                 mirzakhani_threshold, tail_bound_derivative,
-                                 tail_bound_identity, term_derivative)
+from mml.identity_engine import (BinStat, KahanSum, _boundary_values, _grow, _series, bound_D,
+                                 bound_HK, coeff_H, coeff_K, cusp_gap, gap_D, kappa_from_bins,
+                                 margulis_residual, mcshane_sum, mirzakhani_threshold,
+                                 tail_bound_derivative, tail_bound_identity, term_derivative)
 from mml.representation import DeformationSpec, TraceCoords, attach_deformation, build_rep, random_tangent
-from mml.sl2grp import dual_trace, margulis_invariant_dual, translation_length
-from mml.torus_curves import (ImportedTerm, bin_curves, enumerate_up_to,
-                              fit_bin_constant)
+from mml.sl2grp import dual_trace, translation_length
+from mml.torus_curves import bin_curves, enumerate_up_to, fit_bin_constant
 
 
 def _tangent_rep(coords, seed):
@@ -169,21 +165,28 @@ def test_mirzakhani_threshold_respects_low_ceiling():
     assert threshold is None or running[threshold] > 1.0
 
 
-def test_kappa_estimate():
+def _kappa(rep, max_total_length=40.0):
+    """kappa over the curves with 2 * length < max_total_length and the boundary."""
+    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
+    bins = bin_curves(enumerate_up_to(rep, max_total_length), int(max_total_length))
+    return kappa_from_bins(bins, ell_bdry, alpha_bdry)
+
+
+def test_kappa_from_bins():
     rep = attach_deformation(build_rep(TraceCoords(4, 4, 4)), DeformationSpec())
-    assert kappa_estimate(rep) == 0.0
+    assert _kappa(rep) == 0.0
     s = 0.8
     a1 = 0.5 * s * rep.A.val @ np.diag([1.0, -1.0])
     repd = attach_deformation(rep, DeformationSpec(a_eps=a1))
     ell_a = translation_length(dual_trace(rep.A).re)
-    assert kappa_estimate(repd) >= s / ell_a - 1e-12
+    assert _kappa(repd) >= s / ell_a - 1e-12
 
 
 def test_kappa_stabilizes_with_depth(rng):
     rep = build_rep(TraceCoords(4, 4, 4))
     repd = attach_deformation(rep, random_tangent(rep, rng))
-    k1 = kappa_estimate(repd, max_total_length=25.0)
-    k2 = kappa_estimate(repd, max_total_length=40.0)
+    k1 = _kappa(repd, max_total_length=25.0)
+    k2 = _kappa(repd, max_total_length=40.0)
     assert k2 >= k1 - 1e-12
     assert k2 <= 1.5 * k1 + 1e-12
 
@@ -200,6 +203,31 @@ def test_rearrangement_invariance():
     for c in sorted(curves, key=lambda c: (c.bin_index, c.length, c.slope.p, c.slope.q)):
         bin_order.add(gap_D(lb, c.length, c.length))
     assert abs(farey_order.total - bin_order.total) < 1e-10
+
+
+@pytest.mark.parametrize("rep, cusp", [(_tangent_rep((4.5, 5.0, 5.5), 3), False),
+                                       (build_rep(TraceCoords(3, 3, 3)), True)],
+                         ids=["tangent", "cusp"])
+def test_series_bins_are_kahan_sums_of_the_public_terms(rep, cusp):
+    # each curve is the pair (l, l, alpha, alpha); the sums must match bit for bit
+    ell_bdry, alpha_bdry, is_cusp = _boundary_values(rep)
+    assert is_cusp == cusp
+    *_, (_, bins, _) = _grow(rep, 40)
+    stats, h_running = _series(bins, ell_bdry, alpha_bdry, cusp)
+    assert [s.n for s in stats] == [b.index for b in bins] == list(range(41))
+    h = KahanSum()
+    for s, b, h_total in zip(stats, bins, h_running):
+        sd, sv = KahanSum(), KahanSum()
+        for c in b.members:
+            l, a = c.length, c.alpha
+            sd.add(cusp_gap(l) if cusp else gap_D(ell_bdry, l, l))
+            if not cusp:
+                sv.add(term_derivative(l, l, ell_bdry, a, a, alpha_bdry))
+            h.add(coeff_H(l + l, ell_bdry))
+        assert (s.count, s.sum_d, s.sum_deriv) == (len(b.members), sd.total, sv.total)
+        assert h_total == h.total
+    assert sum(s.count for s in stats) > 0 and h_running[-1] > 0.0
+    assert cusp or any(s.sum_deriv != 0.0 for s in stats)
 
 
 def test_nonconvergence_at_low_ceiling():
@@ -241,25 +269,6 @@ def test_a_bounded_tail_is_the_full_tail_or_past_the_bound(n_max, m_hat, ell_bdr
             assert stopped > bound
 
 
-def test_imported_terms_match_builtin_enumeration():
-    rep = build_rep(TraceCoords(4, 4, 4))
-    repd = attach_deformation(rep, DeformationSpec.linear_path(rep.coords, (1, 1, 1)))
-    r = margulis_residual(repd, tail_tolerance=1e-6)
-    lb = translation_length(dual_trace(repd.boundary).re)
-    ab = margulis_invariant_dual(repd.boundary)
-    terms = [ImportedTerm(c.length, c.length, c.alpha, c.alpha)
-             for c in enumerate_up_to(repd, r.n_max + 1)]
-    ri = margulis_residual_imported(lb, ab, terms, tolerance=1e-5)
-    assert math.isclose(ri.partial_sum, r.partial_sum, rel_tol=1e-10)
-    assert ri.tail_bound == 0.0
-    rm = mcshane_sum_imported(lb, terms, tolerance=1e-5)
-    assert abs(rm.residual) <= 1e-5
-    # the H sum runs over the same bins, so the threshold carries over too
-    for imported in (ri, rm):
-        assert imported.h_threshold_n == r.h_threshold_n is not None
-        assert abs(imported.h_partial_sum - r.h_partial_sum) <= 1e-12
-
-
 def test_report_json_schema():
     rep = build_rep(TraceCoords(4, 4, 4))
     d = mcshane_sum(rep, tail_tolerance=1e-4).to_dict()
@@ -286,12 +295,9 @@ def test_grown_bins_equal_binning_from_scratch(coords, n_ceiling):
 def test_to_dict_equals_asdict():
     rep = build_rep(TraceCoords(4, 4, 4))
     repd = attach_deformation(rep, random_tangent(rep, np.random.default_rng(7)))
-    terms = [ImportedTerm(1.5, 2.5, 0.1, -0.2), ImportedTerm(3.0, 3.0), ImportedTerm(6.2, 0.4)]
-    lb = translation_length(dual_trace(rep.boundary).re)
     for report in (mcshane_sum(rep, tail_tolerance=1e-4),
                    mcshane_sum(build_rep(TraceCoords(3, 3, 3)), tail_tolerance=1e-4),
-                   margulis_residual(repd, tail_tolerance=1e-4),
-                   mcshane_sum_imported(lb, terms), margulis_residual_imported(lb, 0.3, terms)):
+                   margulis_residual(repd, tail_tolerance=1e-4)):
         d, ref = report.to_dict(), dataclasses.asdict(report)
         assert d == ref and list(d) == list(ref)
         assert type(d["bins"]) is tuple
@@ -300,14 +306,10 @@ def test_to_dict_equals_asdict():
 
 @functools.cache
 def _reports():
-    """Built-in reports (a generic cell, the cusp, a deformed cell) and imported ones."""
-    rep = build_rep(TraceCoords(4, 4, 4))
-    terms = [ImportedTerm(1.5, 2.5, 0.1, -0.2), ImportedTerm(3.0, 3.0), ImportedTerm(6.2, 0.4)]
-    lb = translation_length(dual_trace(rep.boundary).re)
-    return (mcshane_sum(rep, tail_tolerance=1e-4),
+    """Reports of a generic cell, the cusp and a deformed cell."""
+    return (mcshane_sum(build_rep(TraceCoords(4, 4, 4)), tail_tolerance=1e-4),
             mcshane_sum(build_rep(TraceCoords(3, 3, 3)), tail_tolerance=1e-4),
-            margulis_residual(_tangent_rep((4, 4, 4), 7), tail_tolerance=1e-10),
-            mcshane_sum_imported(lb, terms), margulis_residual_imported(lb, 0.3, terms))
+            margulis_residual(_tangent_rep((4, 4, 4), 7), tail_tolerance=1e-10))
 
 
 _REPORT_FIELDS = {k: st.floats() for k in ("target", "partial_sum", "residual", "tail_bound",
@@ -318,7 +320,7 @@ _REPORT_FIELDS.update(
                   max_size=4).map(tuple))
 
 
-@pytest.mark.parametrize("which", range(5))
+@pytest.mark.parametrize("which", range(3))
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(changes=st.fixed_dictionaries({}, optional=_REPORT_FIELDS))
 @example(changes={})

@@ -11,8 +11,8 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mml import cli, identity_engine
-from mml.identity_engine import (_boundary_values, _curve_bins, _grow, _report, _series,
-                                 margulis_residual, mcshane_sum)
+from mml.identity_engine import (_boundary_values, _grow, _report, _series, margulis_residual,
+                                 mcshane_sum)
 from mml.representation import TraceCoords, attach_deformation, build_rep, random_tangent
 
 TOL = 1e-6
@@ -57,7 +57,7 @@ def test_mcshane_partial_sum_is_monotone_in_depth(coords):
     ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
     sums = []
     for _, bins, m_hat in _grow(rep, 64):
-        series = _series(_curve_bins(bins), ell_bdry, alpha_bdry, cusp)
+        series = _series(bins, ell_bdry, alpha_bdry, cusp)
         sums.append(_report(1.0 if cusp else ell_bdry, series, "sum_d",
                             0.0, m_hat, 0.0, TOL).partial_sum)
     assert len(sums) == 7 and sums[-1] > 0.0

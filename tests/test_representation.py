@@ -63,7 +63,7 @@ def test_zero_deformation():
     rep = attach_deformation(build_rep(TraceCoords(4, 4, 4)), DeformationSpec())
     assert margulis_invariant_dual(rep.A) == 0.0
     assert margulis_invariant_dual(rep.boundary) == 0.0
-    assert not rep.is_deformed
+    assert not (np.any(rep.A.eps) or np.any(rep.B.eps))
 
 
 def test_path_deformation_boundary_invariant():

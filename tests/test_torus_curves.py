@@ -6,14 +6,14 @@ import pytest
 
 from mml.dualnum import DualScalar
 from mml.errors import MMLError, NotHyperbolic, RecursionMismatch
-from mml.identity_engine import margulis_residual
+from mml.identity_engine import (_boundary_values, _grow, choose_truncation, margulis_residual,
+                                 tail_bound_identity)
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent, validate_fuchsian)
 from mml.sl2grp import compose, dual_trace, flat_product, identity
-from mml.torus_curves import (CurveClass, ImportedTerm, Slope, bin_curves, christoffel_word,
-                              enumerate_family, enumerate_up_to, export_census,
-                              farey_enumerate, fit_bin_constant, import_curve_list,
-                              make_tables, slope_trace, slope_word)
+from mml.torus_curves import (CurveClass, Slope, bin_curves, christoffel_word, enumerate_up_to,
+                              export_census, farey_enumerate, fit_bin_constant, make_tables,
+                              slope_trace, slope_word)
 
 
 def _deformed_444():
@@ -162,10 +162,20 @@ def test_a_bin_range_equals_those_bins_of_a_full_binning():
         assert bin_curves(curves, 10, n_min) == full[n_min:]
 
 
-def test_enumerate_family_tail_policy():
-    rep = build_rep(TraceCoords(4, 4, 4))
-    bins = enumerate_family(rep, tail_tolerance=1e-4)
-    assert bins and all(len(b.members) >= 0 for b in bins)
+def test_choose_truncation_tail_policy():
+    tol = 1e-4
+    for coords in ((4, 4, 4), (3, 3, 3)):
+        rep = build_rep(TraceCoords(*coords))
+        ell_bdry, _, _ = _boundary_values(rep)
+        n_max, bins, m_hat, tail = choose_truncation(rep, tol)
+        assert tail <= tol
+        assert [b.index for b in bins] == list(range(n_max + 1))
+        assert n_max >= 16 and (n_max - 16) % 8 == 0
+        # the grid step before it, grown on a fresh rep, is the one the tail rejected
+        steps = {n: m for n, _, m in _grow(build_rep(TraceCoords(*coords)), n_max)}
+        assert steps[n_max] == m_hat
+        if n_max > 16:
+            assert tail_bound_identity(n_max - 8, steps[n_max - 8], ell_bdry) > tol
 
 
 def test_nonhyperbolic_rep_raises():
@@ -185,15 +195,6 @@ def test_census_roundtrip(tmp_path):
     rows = p1.read_text().splitlines()
     assert rows[0] == "slope_p,slope_q,word,trace,length,bin"
     assert rows[-1] == f"m_hat,{fit_bin_constant(bins):.12g},,,,"
-
-
-def test_import_curve_list(tmp_path):
-    path = tmp_path / "terms.csv"
-    path.write_text("ell_gamma1,ell_gamma2,alpha_gamma1,alpha_gamma2\n"
-                    "1.5,2.5,0.1,-0.2\n"
-                    "3.0,3.0,0.0,0.0\n")
-    terms = import_curve_list(path)
-    assert terms == [ImportedTerm(1.5, 2.5, 0.1, -0.2), ImportedTerm(3.0, 3.0, 0.0, 0.0)]
 
 
 def _assert_same_matrix(m, ref):
