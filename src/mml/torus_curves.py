@@ -44,6 +44,14 @@ class Slope:
         return f"{self.p}/{self.q}"
 
 
+def _mediant_slope(p: int, q: int) -> Slope:
+    """Slope(p, q) for a mediant or its mirror, coprime with q > 0 by construction."""
+    s = object.__new__(Slope)
+    object.__setattr__(s, "p", p)
+    object.__setattr__(s, "q", q)
+    return s
+
+
 @dataclass(frozen=True, slots=True)
 class CurveClass:
     """One isotopy class: slope, word, and values under the active representation."""
@@ -103,9 +111,11 @@ class TraceTable:
     the first generator.  Build once, then treat as read-only.  Besides
     the traces, a table memoizes the matrix of each traced slope's
     Christoffel word, as 8 floats (see sl2grp.flatten), filled from its
-    Farey parents' words, and the curve class of each slope it has met.
-    Word matrices only cross-check the trace recursion, so they are
-    multiplied in plain floats; the seed traces come from numpy products.
+    Farey parents' words, the (trace, length) pair of each traced slope,
+    and the curve class of each slope it was asked for (by enumerate_up_to,
+    only the emitted ones).  Word matrices only cross-check the trace
+    recursion, so they are multiplied in plain floats; the seed traces
+    come from numpy products.
     """
 
     def __init__(self, gen_a: DualMatrix2, gen_b: DualMatrix2, mirror: bool = False):
@@ -120,6 +130,7 @@ class TraceTable:
         }
         self._words: dict[str, tuple[float, ...]] = {
             "": FLAT_IDENTITY, "a": flatten(gen_a), "b": flatten(gen_b), "ab": flatten(ab)}
+        self._nodes: dict[tuple[int, int], tuple[float, float]] = {}
         self._curves: dict[tuple[int, int], CurveClass] = {}
 
     def trace(self, p: int, q: int) -> DualScalar:
@@ -183,17 +194,26 @@ class TraceTable:
         cut = len(word) // 2
         return flat_product(self._word_product(word[:cut]), self._word_product(word[cut:]))
 
+    def node(self, p: int, q: int) -> tuple[float, float]:
+        """(trace, length) of slope p/q: its trace's value part and translation_length."""
+        n = self._nodes.get((p, q))
+        if n is None:
+            t = self.trace(p, q).re
+            n = self._nodes[(p, q)] = (t, translation_length(t))
+        return n
+
     def curve(self, p: int, q: int) -> CurveClass:
         c = self._curves.get((p, q))
         if c is not None:
             return c
-        t = self.trace(p, q)
-        slope = Slope(-p, q) if self.mirror else Slope(p, q)
+        t, length = self.node(p, q)
+        # the seeds 1/0 and 0/1 are their own mirrors
+        slope = _mediant_slope(-p if self.mirror else p, q) if p and q else Slope(p, q)
         c = CurveClass(slope=slope,
                        word=slope_word(slope),
-                       trace=t.re,
-                       length=translation_length(t.re),
-                       alpha=margulis_from_trace(t))
+                       trace=t,
+                       length=length,
+                       alpha=margulis_from_trace(self._memo[(p, q)]))
         self._curves[(p, q)] = c
         return c
 
@@ -224,8 +244,8 @@ def farey_enumerate(max_denominator_sum: int) -> list[Slope]:
         p, q = pl + pr, ql + qr
         if p + q > max_denominator_sum:
             continue
-        out.append(Slope(p, q))
-        out.append(Slope(-p, q))
+        out.append(_mediant_slope(p, q))
+        out.append(_mediant_slope(-p, q))
         # push right child last so it is visited first (preorder, a-side first)
         stack.append(((pl, ql), (p, q)))
         stack.append(((p, q), (pr, qr)))
@@ -241,28 +261,34 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     subtree is longer still.  Nearer the root a node may be shorter than a
     parent, and its subtree is searched.  Every visited node is the node or
     a parent at some prune, so a check of the three traces there sees them
-    all; a negative one raises MMLError.
+    all; a negative one raises MMLError.  Nodes are judged by their
+    memoized TraceTable.node (trace, length), so each is traced and
+    cross-checked, but a curve class is built only for a slope that is
+    emitted or named by that error.
     """
     cutoff = max_total_length / 2.0
     pos, neg = rep.tables
-    a, b = pos.curve(1, 0), pos.curve(0, 1)
-    curves = [c for c in (a, b) if c.length < cutoff]
+    a, b = pos.node(1, 0), pos.node(0, 1)
+    curves = [pos.curve(*s) for s in ((1, 0), (0, 1)) if pos.node(*s)[1] < cutoff]
     for table in (pos, neg):
-        stack = [((0, 1), (1, 0), b, a)]
+        nodes = table._nodes
+        stack = [(0, 1, 1, 0, b, a)]
         while stack:
-            (pl, ql), (pr, qr), left, right = stack.pop()
+            pl, ql, pr, qr, left, right = stack.pop()
             p, q = pl + pr, ql + qr
-            c = table.curve(p, q)
-            if c.length < cutoff:
-                curves.append(c)
-            elif c.length >= left.length and c.length >= right.length:
-                if c.trace < 0 or left.trace < 0 or right.trace < 0:
-                    bad = min((c, left, right), key=lambda k: k.trace)
+            t, length = c = nodes.get((p, q)) or table.node(p, q)
+            if length < cutoff:
+                curves.append(table.curve(p, q))
+            elif length >= left[1] and length >= right[1]:
+                if t < 0 or left[0] < 0 or right[0] < 0:
+                    _, bp, bq = min((t, p, q), (left[0], pl, ql), (right[0], pr, qr),
+                                    key=lambda k: k[0])
+                    bad = (table if bp and bq else pos).curve(bp, bq)  # seed floats: pos's
                     raise MMLError(f"slope {bad.slope} has negative trace {bad.trace}; "
                                    "length pruning needs positive traces")
                 continue
-            stack.append(((pl, ql), (p, q), left, c))
-            stack.append(((p, q), (pr, qr), c, right))
+            stack.append((pl, ql, p, q, left, c))
+            stack.append((p, q, pr, qr, c, right))
     return curves
 
 

@@ -28,6 +28,19 @@ def test_slope_canonicalization():
         Slope(2, 4)
 
 
+def test_mediant_built_slopes_equal_and_hash_like_public_slopes():
+    pos, neg = make_tables(build_rep(TraceCoords(4, 4, 4)))
+    for s in farey_enumerate(30):
+        for built in (s, (neg if s.p < 0 else pos).curve(abs(s.p), s.q).slope):
+            public = Slope(built.p, built.q)
+            assert type(built) is Slope and built == public and hash(built) == hash(public)
+            assert (built.p, built.q) == (public.p, public.q) and public.q >= 0
+    # the seeds keep the public canonical form in the mirrored table too
+    assert [(c.slope.p, c.slope.q) for c in (neg.curve(1, 0), neg.curve(0, 1))] == [(1, 0), (0, 1)]
+    with pytest.raises(ValueError):
+        Slope(2, 4)
+
+
 @pytest.mark.parametrize("value, field, other", [
     (DualScalar(1.5, -2.0), "inf", 2.0),
     (Slope(-2, 3), "p", 1),
@@ -133,10 +146,22 @@ def test_enumerated_slopes_equal_brute_force_filter(coords):
     assert got == want and len(got) >= 20
 
 
+NEGATIVE_TRACE_COORDS = (2.1474282940828657, 7.798248901525441, 2.130131862561962)
+
+
 def test_negative_trace_stops_enumeration():
-    # out of domain (boundary trace 32.3): slope 2/1 has trace -3.22
-    rep = build_rep(TraceCoords(2.1474282940828657, 7.798248901525441, 2.130131862561962))
-    with pytest.raises(MMLError, match="negative trace"):
+    # out of domain (boundary trace 32.3): slopes 2/1 (trace -3.22) to 16/1 are
+    # negative; the first prune is at 16/1, the most negative of its three traces
+    rep = build_rep(TraceCoords(*NEGATIVE_TRACE_COORDS))
+    with pytest.raises(MMLError, match="^slope 16/1 has negative trace -1832.6"):
+        enumerate_up_to(rep, 30.0)
+
+
+def test_negative_trace_in_the_mirrored_table_names_the_signed_slope():
+    # z -> xy - z swaps tr(ab) and tr(a^-1 b), so the offender moves to the mirror
+    x, y, z = NEGATIVE_TRACE_COORDS
+    rep = build_rep(TraceCoords(x, y, x * y - z))
+    with pytest.raises(MMLError, match="^slope -16/1 has negative trace -1832.6"):
         enumerate_up_to(rep, 30.0)
 
 
@@ -262,6 +287,40 @@ def test_curve_memo_reuses_classes_across_growth():
     assert [c for c in deep if c.length < 10.0] == short
     # from scratch: a second rep with the same seeded tangent has tables of its own
     assert enumerate_up_to(_deformed_444(), 30.0) == deep
+
+
+def test_classes_are_built_only_for_emitted_slopes():
+    rep = _deformed_444()
+    pos, neg = rep.tables
+
+    def emitted(curves, mirror):
+        return {(abs(c.slope.p), c.slope.q) for c in curves if (c.slope.p < 0) == mirror}
+
+    short = enumerate_up_to(rep, 20.0)
+    assert set(pos._curves) == emitted(short, False) and set(neg._curves) == emitted(short, True)
+    # the pruned frontier is traced and judged by its (trace, length), but has no class
+    for table in (pos, neg):
+        frontier = set(table._nodes) - set(table._curves)
+        assert frontier and all(2 * table.node(*k)[1] >= 20.0 for k in frontier)
+        assert frontier <= set(table._memo)
+    before = {table: dict(table._curves) for table in (pos, neg)}
+    deep = enumerate_up_to(rep, 30.0)
+    for table, mirror in ((pos, False), (neg, True)):
+        assert set(table._curves) == emitted(deep, mirror)
+        assert all(table._curves[k] is c for k, c in before[table].items())
+
+
+@pytest.mark.parametrize("coords", [(4, 4, 4), (3, 3, 3),
+                                    (2.6943989121171104, 7.2604181522038616, 4.259065393690246)])
+def test_grown_walk_equals_a_fresh_walk(coords):
+    def rep():
+        r = build_rep(TraceCoords(*coords))
+        return attach_deformation(r, random_tangent(r, np.random.default_rng(7)))
+
+    grown = rep()
+    for n_max in range(16, 57, 8):
+        curves = enumerate_up_to(grown, n_max + 1)
+    assert curves == enumerate_up_to(rep(), 57)
 
 
 def test_validate_fuchsian_builds_one_table_pair(monkeypatch):
