@@ -1,7 +1,7 @@
 """Numerical verification of length and Margulis-invariant identities
 on one-holed-torus hyperbolic surfaces and their affine deformations."""
 
-from .dualnum import DualScalar, dual_mul
+from .dualnum import DualScalar
 from .errors import (InvalidCoords, MMLError, NonConvergence, NotHyperbolic,
                      RecursionMismatch)
 from .identity_engine import (SeriesReport, coeff_H, coeff_K, gap_D, margulis_residual,

@@ -23,6 +23,8 @@ from .sl2grp import (DualMatrix2, commutator, compose, dual_trace, project_tange
 
 TANGENT_TOL = 1e-10
 DEFAULT_PATH_STEP = 1e-4
+#: validate_fuchsian checks every slope with |p| + q up to this.
+SAMPLE_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -126,27 +128,26 @@ def attach_deformation(rep: HoledTorusRep, d: DeformationSpec) -> HoledTorusRep:
     return replace(rep, A=DualMatrix2(rep.A.val, eps[0]), B=DualMatrix2(rep.B.val, eps[1]))
 
 
-def random_tangent(rep: HoledTorusRep, rng: np.random.Generator,
-                   scale: float = 1.0) -> DeformationSpec:
+def random_tangent(rep: HoledTorusRep, rng: np.random.Generator) -> DeformationSpec:
     """A seeded random tangent deformation of both generators."""
-    a1 = project_tangent(rep.A.val, rng.standard_normal((2, 2)) * scale)
-    b1 = project_tangent(rep.B.val, rng.standard_normal((2, 2)) * scale)
+    a1 = project_tangent(rep.A.val, rng.standard_normal((2, 2)))
+    b1 = project_tangent(rep.B.val, rng.standard_normal((2, 2)))
     return DeformationSpec(a1, b1)
 
 
-def validate_fuchsian(rep: HoledTorusRep, sample_depth: int = 6) -> None:
+def validate_fuchsian(rep: HoledTorusRep) -> None:
     """Admit rep to the identities' domain, or raise InvalidCoords.
 
     The domain is x, y, z > 2 with boundary trace < -2, plus its cusp limit:
     the trace is read and classified as identity_engine does, so a trace
     within PARABOLIC_TOL of -2 passes and runs the cusp form.  Not a
     discreteness certificate: it then checks |trace| > 2 for every slope
-    with |p| + q <= sample_depth.
+    with |p| + q <= SAMPLE_DEPTH.
     """
     c, kappa = rep.coords, dual_trace(rep.boundary).re
     if not (min(c.x, c.y, c.z) > 2.0 and kappa <= -2.0 + PARABOLIC_TOL):
         raise InvalidCoords(f"coordinates ({c.x}, {c.y}, {c.z}) need x, y, z > 2 and "
                             f"boundary trace {kappa} <= -2")
-    for s in torus_curves.farey_enumerate(sample_depth):
+    for s in torus_curves.farey_enumerate(SAMPLE_DEPTH):
         if abs(torus_curves.slope_trace(rep, s)) <= 2.0:
             raise InvalidCoords(f"non-hyperbolic simple curve of slope {s}")

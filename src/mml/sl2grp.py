@@ -80,14 +80,6 @@ def identity() -> DualMatrix2:
     return DualMatrix2(np.eye(2))
 
 
-def _unchecked(val: np.ndarray, eps: np.ndarray) -> DualMatrix2:
-    """A DualMatrix2 of read-only 2x2 float64 parts, built without re-validation."""
-    out = object.__new__(DualMatrix2)
-    object.__setattr__(out, "val", val)
-    object.__setattr__(out, "eps", eps)
-    return out
-
-
 def _product(m: DualMatrix2, n: DualMatrix2) -> DualMatrix2:
     """m*n without re-validation: products of validated 2x2 float parts
     are 2x2 float arrays, so only freezing them is left to do."""
@@ -95,7 +87,10 @@ def _product(m: DualMatrix2, n: DualMatrix2) -> DualMatrix2:
     eps = m.val @ n.eps + m.eps @ n.val
     val.setflags(write=False)
     eps.setflags(write=False)
-    return _unchecked(val, eps)
+    out = object.__new__(DualMatrix2)
+    object.__setattr__(out, "val", val)
+    object.__setattr__(out, "eps", eps)
+    return out
 
 
 #: The identity as laid out by flatten.
@@ -105,14 +100,6 @@ FLAT_IDENTITY = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 def flatten(m: DualMatrix2) -> tuple[float, ...]:
     """m as 8 Python floats: the value part, then the eps part, row-major."""
     return tuple(np.stack((m.val, m.eps)).ravel().tolist())
-
-
-def unflatten(t: tuple[float, ...]) -> DualMatrix2:
-    """The frozen DualMatrix2 of 8 floats laid out as by flatten."""
-    flat = np.array(t, dtype=float)
-    flat.setflags(write=False)
-    parts = flat.reshape(2, 2, 2)  # views of flat, read-only with it
-    return _unchecked(parts[0], parts[1])
 
 
 def flat_product(m: tuple[float, ...], n: tuple[float, ...]) -> tuple[float, ...]:
@@ -154,23 +141,23 @@ def commutator(a: DualMatrix2, b: DualMatrix2) -> DualMatrix2:
     return compose(a, b, inverse(a), inverse(b))
 
 
-def translation_length(t: float, tol: float = HYPERBOLIC_TOL) -> float:
+def translation_length(t: float) -> float:
     """Geodesic length 2*arccosh(|t|/2) of a hyperbolic element of trace t."""
-    if abs(t) <= 2.0 + tol:
+    if abs(t) <= 2.0 + HYPERBOLIC_TOL:
         raise NotHyperbolic(f"trace {t} is not hyperbolic (|t| <= 2)")
     return 2.0 * math.acosh(abs(t) / 2.0)
 
 
-def margulis_from_trace(t: DualScalar, tol: float = HYPERBOLIC_TOL) -> float:
+def margulis_from_trace(t: DualScalar) -> float:
     """d/deps of the translation length of an element with dual trace t.
 
     Differentiating 2*arccosh(|t|/2) gives 2*t_eps*sign(t)/sqrt(t^2-4).
     """
-    if abs(t.re) <= 2.0 + tol:
+    if abs(t.re) <= 2.0 + HYPERBOLIC_TOL:
         raise NotHyperbolic(f"trace {t.re} is not hyperbolic (|t| <= 2)")
     return 2.0 * t.inf * math.copysign(1.0, t.re) / math.sqrt(t.re * t.re - 4.0)
 
 
-def margulis_invariant_dual(m: DualMatrix2, tol: float = HYPERBOLIC_TOL) -> float:
+def margulis_invariant_dual(m: DualMatrix2) -> float:
     """Margulis invariant of a dual group element, via its dual trace."""
-    return margulis_from_trace(dual_trace(m), tol)
+    return margulis_from_trace(dual_trace(m))

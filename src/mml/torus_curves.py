@@ -20,7 +20,7 @@ from typing import Iterable
 from .dualnum import DualScalar
 from .errors import MMLError, RecursionMismatch
 from .sl2grp import (FLAT_IDENTITY, DualMatrix2, compose, dual_trace, flat_product, flatten,
-                     inverse, margulis_from_trace, translation_length, unflatten)
+                     inverse, margulis_from_trace, translation_length)
 
 #: Direct evaluation vs recursion disagreement beyond this raises.
 RECURSION_TOL = 1e-6
@@ -167,48 +167,56 @@ class TraceTable:
         return t
 
     def _check_against_word(self, p: int, q: int, word: str, t: DualScalar) -> None:
-        direct = dual_trace(self.word_matrix(word))
-        if abs(direct.re - t.re) > RECURSION_TOL * max(1.0, abs(direct.re)):
+        m = self.word_matrix(word)
+        re, eps = m[0] + m[3], m[4] + m[7]
+        if abs(re - t.re) > RECURSION_TOL * max(1.0, abs(re)):
             raise RecursionMismatch(
-                f"slope {p}/{q}: recursion {t.re} vs direct {direct.re}")
-        if abs(direct.inf - t.inf) > RECURSION_TOL * max(1.0, abs(direct.re), abs(direct.inf)):
+                f"slope {p}/{q}: recursion {t.re} vs direct {re}")
+        if abs(eps - t.inf) > RECURSION_TOL * max(1.0, abs(re), abs(eps)):
             raise RecursionMismatch(
-                f"slope {p}/{q}: recursion eps part {t.inf} vs direct {direct.inf}")
+                f"slope {p}/{q}: recursion eps part {t.inf} vs direct {eps}")
 
-    def word_matrix(self, word: str) -> DualMatrix2:
-        """Product of the generators spelled by word over {a, b}.
+    def word_matrix(self, word: str) -> tuple[float, ...]:
+        """Product of the generators spelled by word over {a, b}, as the 8
+        floats of sl2grp.flatten.
 
-        The recursion runs in _word_product, so a wrapper around this
-        method (perfbench's tracer) sees one call per requested word.
+        trace() memoizes the word of every slope it meets and this hands
+        out that tuple; any other word is split in half and not memoized.
         """
-        return unflatten(self._word_product(word))
-
-    def _word_product(self, word: str) -> tuple[float, ...]:
-        # trace() memoizes the word of every slope it meets; any other
-        # word is split in half and not memoized.
         m = self._words.get(word)
         if m is not None:
             return m
         if word.count("a") + word.count("b") != len(word):
             raise KeyError(f"word {word!r} has a letter outside {{a, b}}")
         cut = len(word) // 2
-        return flat_product(self._word_product(word[:cut]), self._word_product(word[cut:]))
+        return flat_product(self.word_matrix(word[:cut]), self.word_matrix(word[cut:]))
 
     def node(self, p: int, q: int) -> tuple[float, float]:
-        """(trace, length) of slope p/q: its trace's value part and translation_length."""
+        """(trace, length) of slope p/q: its trace's value part and translation_length.
+
+        Raises MMLError on a negative trace, which length pruning cannot
+        handle; nothing is stored then, so every visit raises.
+        """
         n = self._nodes.get((p, q))
         if n is None:
             t = self.trace(p, q).re
-            n = self._nodes[(p, q)] = (t, translation_length(t))
+            n = (t, translation_length(t))
+            if t < 0:
+                raise MMLError(f"slope {self._slope(p, q)} has negative trace {t}; "
+                               "length pruning needs positive traces")
+            self._nodes[(p, q)] = n
         return n
+
+    def _slope(self, p: int, q: int) -> Slope:
+        # the seeds 1/0 and 0/1 are their own mirrors
+        return _mediant_slope(-p if self.mirror else p, q) if p and q else Slope(p, q)
 
     def curve(self, p: int, q: int) -> CurveClass:
         c = self._curves.get((p, q))
         if c is not None:
             return c
         t, length = self.node(p, q)
-        # the seeds 1/0 and 0/1 are their own mirrors
-        slope = _mediant_slope(-p if self.mirror else p, q) if p and q else Slope(p, q)
+        slope = self._slope(p, q)
         c = CurveClass(slope=slope,
                        word=slope_word(slope),
                        trace=t,
@@ -259,16 +267,14 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     least as long as both Farey parents: for positive traces u, v <= c at
     the parents and the node, a child has trace u*c - v > c, so the whole
     subtree is longer still.  Nearer the root a node may be shorter than a
-    parent, and its subtree is searched.  Every visited node is the node or
-    a parent at some prune, so a check of the three traces there sees them
-    all; a negative one raises MMLError.  Nodes are judged by their
+    parent, and its subtree is searched.  Nodes are judged by their
     memoized TraceTable.node (trace, length), so each is traced and
-    cross-checked, but a curve class is built only for a slope that is
-    emitted or named by that error.
+    cross-checked, and the first visited slope with a negative trace raises
+    MMLError there; a curve class is built only for a slope that is emitted.
     """
     cutoff = max_total_length / 2.0
     pos, neg = rep.tables
-    a, b = pos.node(1, 0), pos.node(0, 1)
+    a, b = pos.node(1, 0)[1], pos.node(0, 1)[1]
     curves = [pos.curve(*s) for s in ((1, 0), (0, 1)) if pos.node(*s)[1] < cutoff]
     for table in (pos, neg):
         nodes = table._nodes
@@ -276,19 +282,13 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
         while stack:
             pl, ql, pr, qr, left, right = stack.pop()
             p, q = pl + pr, ql + qr
-            t, length = c = nodes.get((p, q)) or table.node(p, q)
+            length = (nodes.get((p, q)) or table.node(p, q))[1]
             if length < cutoff:
                 curves.append(table.curve(p, q))
-            elif length >= left[1] and length >= right[1]:
-                if t < 0 or left[0] < 0 or right[0] < 0:
-                    _, bp, bq = min((t, p, q), (left[0], pl, ql), (right[0], pr, qr),
-                                    key=lambda k: k[0])
-                    bad = (table if bp and bq else pos).curve(bp, bq)  # seed floats: pos's
-                    raise MMLError(f"slope {bad.slope} has negative trace {bad.trace}; "
-                                   "length pruning needs positive traces")
+            elif length >= left and length >= right:
                 continue
-            stack.append((pl, ql, p, q, left, c))
-            stack.append((p, q, pr, qr, c, right))
+            stack.append((pl, ql, p, q, left, length))
+            stack.append((p, q, pr, qr, length, right))
     return curves
 
 

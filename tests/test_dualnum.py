@@ -2,7 +2,7 @@ import math
 
 from hypothesis import example, given, strategies as st
 
-from mml.dualnum import DualScalar, dual_mul
+from mml.dualnum import DualScalar
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -12,22 +12,22 @@ def duals():
 
 
 def test_product_ring_law():
-    assert dual_mul(DualScalar(1, 2), DualScalar(3, 4)) == DualScalar(3, 10)
+    assert DualScalar(1, 2) * DualScalar(3, 4) == DualScalar(3, 10)
 
 
 def test_product_identity():
     x = DualScalar(1.5, -2.5)
-    assert dual_mul(x, DualScalar(1, 0)) == x
+    assert x * DualScalar(1, 0) == x
 
 
 def test_eps_squared_is_zero():
     eps = DualScalar(0, 1)
-    assert dual_mul(eps, eps) == DualScalar(0, 0)
+    assert eps * eps == DualScalar(0, 0)
 
 
 @given(duals(), duals())
 def test_commutative(x, y):
-    a, b = dual_mul(x, y), dual_mul(y, x)
+    a, b = x * y, y * x
     assert math.isclose(a.re, b.re, rel_tol=1e-14, abs_tol=1e-300)
     assert math.isclose(a.inf, b.inf, rel_tol=1e-14, abs_tol=1e-300)
 
@@ -49,8 +49,8 @@ def _associativity_bounds(x, y, z):
 @example(DualScalar(364660.498046875, 1.5390625), DualScalar(0.001953125, 376896.4921875),
          DualScalar(0.001953125, -368528.0))
 def test_associative(x, y, z):
-    a = dual_mul(dual_mul(x, y), z)
-    b = dual_mul(x, dual_mul(y, z))
+    a = (x * y) * z
+    b = x * (y * z)
     bound_re, bound_inf = _associativity_bounds(x, y, z)
     assert abs(a.re - b.re) <= bound_re
     assert abs(a.inf - b.inf) <= bound_inf
@@ -58,7 +58,7 @@ def test_associative(x, y, z):
 
 def test_associativity_bound_catches_a_dropped_eps_term():
     x, y, z = DualScalar(1.5, 0.25), DualScalar(-2.0, 0.75), DualScalar(3.0, -0.5)
-    good = dual_mul(dual_mul(x, y), z)
+    good = (x * y) * z
     # x*y*z without the x.re*y.re*z.inf summand of the eps part
     dropped = DualScalar(good.re, x.re * y.inf * z.re + x.inf * y.re * z.re)
     bound_re, bound_inf = _associativity_bounds(x, y, z)
@@ -68,5 +68,5 @@ def test_associativity_bound_catches_a_dropped_eps_term():
 
 @given(duals(), duals())
 def test_leibniz_rule(x, y):
-    p = dual_mul(x, y)
+    p = x * y
     assert p.inf == x.re * y.inf + x.inf * y.re

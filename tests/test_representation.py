@@ -43,7 +43,7 @@ def test_build_rep_rejects_small_x():
 
 
 def test_validate_fuchsian():
-    assert validate_fuchsian(build_rep(TraceCoords(4, 4, 4)), 6) is None
+    assert validate_fuchsian(build_rep(TraceCoords(4, 4, 4))) is None
     # the cusp is in the domain of the length series; the differentiated
     # series rejects it (see test_verify_margulis_rejects_parabolic_boundary)
     assert validate_fuchsian(build_rep(TraceCoords(3, 3, 3))) is None

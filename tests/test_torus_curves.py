@@ -10,7 +10,7 @@ from mml.identity_engine import (_boundary_values, _grow, choose_truncation, mar
                                  tail_bound_identity)
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent, validate_fuchsian)
-from mml.sl2grp import compose, dual_trace, flat_product, identity
+from mml.sl2grp import FLAT_IDENTITY, compose, flat_product, flatten
 from mml.torus_curves import (CurveClass, Slope, bin_curves, christoffel_word, enumerate_up_to,
                               export_census, farey_enumerate, fit_bin_constant, make_tables,
                               slope_trace, slope_word)
@@ -101,9 +101,10 @@ def test_recursion_matches_direct_everywhere():
     for s in farey_enumerate(12):
         table = pos if s.p >= 0 else neg
         rec = table.trace(abs(s.p), s.q)
-        direct = dual_trace(table.word_matrix(slope_word(Slope(abs(s.p), s.q))))
-        assert abs(rec.re - direct.re) <= 1e-9 * max(1.0, abs(direct.re))
-        assert abs(rec.inf - direct.inf) <= 1e-9 * max(1.0, abs(direct.re), abs(direct.inf))
+        m = table.word_matrix(slope_word(Slope(abs(s.p), s.q)))
+        re, eps = m[0] + m[3], m[4] + m[7]
+        assert abs(rec.re - re) <= 1e-9 * max(1.0, abs(re))
+        assert abs(rec.inf - eps) <= 1e-9 * max(1.0, abs(re), abs(eps))
 
 
 def test_slope_symmetry_equal_coords():
@@ -150,18 +151,23 @@ NEGATIVE_TRACE_COORDS = (2.1474282940828657, 7.798248901525441, 2.13013186256196
 
 
 def test_negative_trace_stops_enumeration():
-    # out of domain (boundary trace 32.3): slopes 2/1 (trace -3.22) to 16/1 are
-    # negative; the first prune is at 16/1, the most negative of its three traces
-    rep = build_rep(TraceCoords(*NEGATIVE_TRACE_COORDS))
-    with pytest.raises(MMLError, match="^slope 16/1 has negative trace -1832.6"):
-        enumerate_up_to(rep, 30.0)
+    for coords, message in [
+        # out of domain (boundary trace 32.3): slopes 2/1 (trace -3.22) to 16/1
+        # are negative, and 2/1 is the first of them the walk visits
+        (NEGATIVE_TRACE_COORDS, "^slope 2/1 has negative trace -3.22"),
+        # a negative seed: tr(b) = -3 raises before the walk visits a mediant
+        ((3, -3, 4), r"^slope 0/1 has negative trace -3.0;"),
+    ]:
+        rep = build_rep(TraceCoords(*coords))
+        with pytest.raises(MMLError, match=message):
+            enumerate_up_to(rep, 30.0)
 
 
 def test_negative_trace_in_the_mirrored_table_names_the_signed_slope():
     # z -> xy - z swaps tr(ab) and tr(a^-1 b), so the offender moves to the mirror
     x, y, z = NEGATIVE_TRACE_COORDS
     rep = build_rep(TraceCoords(x, y, x * y - z))
-    with pytest.raises(MMLError, match="^slope -16/1 has negative trace -1832.6"):
+    with pytest.raises(MMLError, match="^slope -2/1 has negative trace -3.22"):
         enumerate_up_to(rep, 30.0)
 
 
@@ -223,8 +229,8 @@ def test_census_roundtrip(tmp_path):
 
 
 def _assert_same_matrix(m, ref):
-    for got, want in ((m.val, ref.val), (m.eps, ref.eps)):
-        scale = max(1.0, float(np.abs(want).max()))
+    for got, want in ((m[:4], ref[:4]), (m[4:], ref[4:])):  # value part, eps part
+        scale = max(1.0, max(map(abs, want)))
         assert np.allclose(got, want, rtol=0.0, atol=1e-12 * scale)
 
 
@@ -234,8 +240,8 @@ def test_word_matrix_matches_letter_by_letter_product():
         words = [christoffel_word(p, q) for p in range(41) for q in range(41 - p)
                  if p + q >= 1 and math.gcd(p, q) == 1]
         for w in words + ["ba", "aab", "bab", "bbaab"]:
-            _assert_same_matrix(table.word_matrix(w), compose(*(letters[c] for c in w)))
-        _assert_same_matrix(table.word_matrix(""), identity())
+            _assert_same_matrix(table.word_matrix(w), flatten(compose(*(letters[c] for c in w))))
+        assert table.word_matrix("") == FLAT_IDENTITY
         with pytest.raises(KeyError):
             table.word_matrix("abc")
 
@@ -258,24 +264,28 @@ def test_word_matrix_costs_one_product_per_new_slope(monkeypatch):
 
 
 def test_word_matrix_returns_read_only_float64_parts():
+    # a tuple of 8 floats: callers cannot write the memo through it
     pos, neg = make_tables(_deformed_444())
     for table, word in [(pos, ""), (pos, "a"), (pos, "aab"), (neg, "ab"), (neg, "bab")]:
         m = table.word_matrix(word)
-        for part in (m.val, m.eps):
-            assert part.shape == (2, 2) and part.dtype == np.float64
-            assert not part.flags.writeable
-            assert part.base is None or not part.base.flags.writeable
-            with pytest.raises(ValueError):
-                part[0, 0] = 1.0
+        assert type(m) is tuple and len(m) == 8 and all(type(x) is float for x in m)
 
 
-@pytest.mark.parametrize("part", ["re", "inf"])
+@pytest.mark.parametrize("part", ["re", "inf", "word-re", "word-inf"])
 def test_corrupted_recursion_is_caught(part):
+    # 2/1 is traced from 1/1 and its word matrix from that of "ab": corrupt
+    # 1/1's trace, or the value (index 0) or eps (index 4) part of "ab"
     pos, _ = make_tables(_deformed_444())
     t = pos._memo[(1, 1)]
-    bumped = {"re": DualScalar(t.re + 1.0, t.inf), "inf": DualScalar(t.re, t.inf + 1.0)}
-    pos._memo[(1, 1)] = bumped[part]
-    with pytest.raises(RecursionMismatch):
+    if part.startswith("word"):
+        m = list(pos._words["ab"])
+        m[0 if part == "word-re" else 4] += 1.0
+        pos._words["ab"] = tuple(m)
+    else:
+        bumped = {"re": DualScalar(t.re + 1.0, t.inf), "inf": DualScalar(t.re, t.inf + 1.0)}
+        pos._memo[(1, 1)] = bumped[part]
+    check = "eps part" if part.endswith("inf") else r"-?\d"
+    with pytest.raises(RecursionMismatch, match=f"^slope 2/1: recursion {check}"):
         pos.trace(2, 1)
 
 
