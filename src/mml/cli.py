@@ -72,8 +72,7 @@ def _deformation(rep: reprs.HoledTorusRep, d, seed: int, name) -> reprs.Deformat
         coeffs = _finite_floats(d.get("path_coeffs", [1.0, 1.0, 1.0]), name("path_coeffs"))
         if len(coeffs) != 3:
             raise InvalidCoords(f"{name('path_coeffs')}: wants 3 entries, got {len(coeffs)}")
-        [h] = _finite_floats([d.get("h", reprs.DEFAULT_PATH_STEP)], name("h"))
-        return reprs.DeformationSpec.linear_path(rep.coords, tuple(coeffs), h)
+        return reprs.DeformationSpec.linear_path(rep, tuple(coeffs))
     if kind == "tangent":
         mats = d.get("tangent_matrices")
         if mats is None:
@@ -106,8 +105,8 @@ def _build(args) -> reprs.HoledTorusRep:
     if "seed" not in args:  # census writes traces and lengths only
         return _rep(coords, None, 0)
     if d is None and "deform" in args:
-        d = {"kind": args.deform, "path_coeffs": map(float, args.path_dir.split(",")), "h": args.h}
-        name = {"deformation": "--deform", "path_coeffs": "--path-dir", "h": "--h"}.get
+        d = {"kind": args.deform, "path_coeffs": map(float, args.path_dir.split(","))}
+        name = {"deformation": "--deform", "path_coeffs": "--path-dir"}.get
     return _rep(coords, d, args.seed, name)
 
 
@@ -202,7 +201,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="mml", description="Verify length and Margulis-invariant "
                                          "identities on the one-holed torus.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    # no prefix matching: an unknown flag such as --h is a usage error, not --help
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=functools.partial(_Parser, allow_abbrev=False))
 
     p = sub.add_parser("verify-mcshane", help="check the boundary-length series")
     _add_rep(p)
@@ -216,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--deform", choices=["path", "tangent", "zero"], default="zero")
     p.add_argument("--path-dir", default="1,1,1", help="coordinate direction for --deform path")
-    p.add_argument("--h", type=float, default=reprs.DEFAULT_PATH_STEP,
-                   help="finite-difference step for --deform path")
     p.set_defaults(fn=lambda args: _verify(args, engine.margulis_residual))
 
     p = sub.add_parser("census", help="export the curve census as CSV")

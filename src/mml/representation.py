@@ -3,7 +3,7 @@
 The generators are normalized so A is diagonal; B's diagonal is solved
 linearly from the remaining two trace coordinates and its off-diagonal
 entries force unit determinant.  An affine deformation is the pair of
-eps parts of the generators; linear_path computes one by differencing
+eps parts of the generators; linear_path computes one by differentiating
 the construction along a line of coordinates.
 """
 
@@ -22,7 +22,6 @@ from .sl2grp import (DualMatrix2, commutator, compose, dual_trace, project_tange
                      tangency_defect)
 
 TANGENT_TOL = 1e-10
-DEFAULT_PATH_STEP = 1e-4
 #: validate_fuchsian checks every slope with |p| + q up to this.
 SAMPLE_DEPTH = 6
 
@@ -54,18 +53,15 @@ class DeformationSpec:
     b_eps: np.ndarray | None = None
 
     @staticmethod
-    def linear_path(base: TraceCoords, direction: tuple[float, float, float],
-                    h: float = DEFAULT_PATH_STEP) -> "DeformationSpec":
-        """The tangent along base + t * direction at t = 0: build_rep
-        differenced centrally with step h, projected tangent at base."""
-        if h == 0 or not math.isfinite(h):
-            raise InvalidCoords(f"path step h must be finite and nonzero, got {h}")
+    def linear_path(rep: HoledTorusRep, direction: tuple[float, float, float]) -> DeformationSpec:
+        """The tangent of build_rep along rep.coords + t * direction at t = 0, in closed form."""
         dx, dy, dz = direction
-        at = lambda t: build_rep(TraceCoords(base.x + t * dx, base.y + t * dy, base.z + t * dz))
-        rep, plus, minus = build_rep(base), at(h), at(-h)
-        return DeformationSpec(
-            project_tangent(rep.A.val, (plus.A.val - minus.A.val) / (2.0 * h)),
-            project_tangent(rep.B.val, (plus.B.val - minus.B.val) / (2.0 * h)))
+        x, y, lam, p = rep.coords.x, rep.coords.y, rep.A.val[0, 0], rep.B.val[0, 0]
+        s = lam - 1.0 / lam  # sqrt(x^2 - 4)
+        dlam = dx * lam / s
+        dp = (dz - dy / lam + y * dlam / (lam * lam) - p * x * dx / s) / s
+        return DeformationSpec(np.diag([dlam, -dlam / (lam * lam)]),
+                               np.array([[dp, 0.0], [dp * (y - p) + p * (dy - dp), dy - dp]]))
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,8 @@ class CurveBin:
 
 @lru_cache(maxsize=None)
 def _farey_parents(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Stern-Brocot parents (lower, upper) of an interior slope p/q >= 1/1."""
+    """Stern-Brocot parents (lower, upper) of an interior slope p/q, p, q >= 1 coprime,
+    on either side of 1/1 (1/2 and 2/3 as well as 3/1)."""
     if q == 1:
         return (p - 1, 1), (1, 0)
     if p == 1:

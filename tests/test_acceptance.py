@@ -45,7 +45,7 @@ def sweep_grid():
 
     rep = build_rep(TraceCoords(4, 4, 4))
     run_cell("path(4,4,4)",
-             attach_deformation(rep, DeformationSpec.linear_path(rep.coords, (1, 1, 1))))
+             attach_deformation(rep, DeformationSpec.linear_path(rep, (1, 1, 1))))
 
     triples = []
     while len(triples) < 5:

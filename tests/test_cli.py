@@ -58,6 +58,18 @@ def test_verify_margulis_path_and_tangent(tmp_path):
                 "--out", str(out)]) == 0
 
 
+def test_path_near_x_equal_2_and_no_step_flag(tmp_path, capsys):
+    # in the domain, and a difference stencil around x would step below x = 2
+    out = tmp_path / "m.json"
+    assert run(["verify-margulis", "--coords", "2.00005,300,300", "--deform", "path",
+                "--tol", "1e-6", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
+    # the path tangent is exact: there is no step, and no prefix of --help either
+    with pytest.raises(SystemExit) as e:
+        run(["verify-margulis", "--coords", "4,4,4", "--deform", "path", "--h", "1e-4"])
+    assert e.value.code == 1 and capsys.readouterr().err.startswith("usage:")
+
+
 def test_spec_file(tmp_path):
     spec = tmp_path / "rep.json"
     spec.write_text(json.dumps({
@@ -284,27 +296,27 @@ def _spec_file(tmp_path, deformation, coords=(4, 4, 4)):
 _PATH = ["verify-margulis", "--coords", "4,4,4", "--deform", "path"]
 
 
+# Each case names its own id, so removing a case renames no other.
 @pytest.mark.parametrize("flags, deformation, names", [
-    (["--h", "0"], None, "step h"),
-    (["--h", "nan"], None, "--h:"),
-    (["--h", "inf"], None, "--h:"),
-    (["--path-dir", "1,1"], None, "--path-dir:"),
-    (None, {"kind": "path", "h": 0}, "step h"),
-    (None, "tangent", "deformation:"),
-    (None, {"kind": "path", "h": "x"}, "h: not a number"),
-    (None, {"kind": "path", "path_coeffs": [1, "a", 1]}, "path_coeffs: not a number"),
-    (None, {"kind": "tangent", "tangent_matrices": {"A1": [[1, 2, 3]]}}, "eps part of A"),
-    (None, {"kind": "tangent", "tangent_matrices": {"A1": [["NaN", 0], [0, 0]]}},
-     "eps part of A"),
-    (None, {"kind": "tangent", "tangent_matrices": {"A1": [[1, "a"], [0, 0]]}},
-     "eps part of A"),
-    (None, {"kind": "tangent", "tangent_matrices": {"A1": [[1, 0], [0, 1]]}}, "not tangent"),
-    (None, {"kind": "tangent", "tangent_matrices": [[1, 0], [0, 1]]}, "deformation:"),
-    (None, {"kind": "curve"}, "deformation:"),
-    (None, {"kind": "path", "h": True}, "h: not a number"),
-    (None, {"kind": "path", "h": "0.001"}, "h: not a number"),
-    (None, {"kind": "path", "path_coeffs": "111"}, "path_coeffs: not a number"),
-    (None, {"kind": "path", "path_coeffs": [1, False, 1]}, "path_coeffs: not a number"),
+    pytest.param(["--path-dir", "1,1"], None, "--path-dir:", id="flags3-None---path-dir:"),
+    pytest.param(None, "tangent", "deformation:", id="None-tangent-deformation:"),
+    pytest.param(None, {"kind": "path", "path_coeffs": [1, "a", 1]}, "path_coeffs: not a number",
+                 id="None-deformation7-path_coeffs: not a number"),
+    pytest.param(None, {"kind": "tangent", "tangent_matrices": {"A1": [[1, 2, 3]]}},
+                 "eps part of A", id="None-deformation8-eps part of A"),
+    pytest.param(None, {"kind": "tangent", "tangent_matrices": {"A1": [["NaN", 0], [0, 0]]}},
+                 "eps part of A", id="None-deformation9-eps part of A"),
+    pytest.param(None, {"kind": "tangent", "tangent_matrices": {"A1": [[1, "a"], [0, 0]]}},
+                 "eps part of A", id="None-deformation10-eps part of A"),
+    pytest.param(None, {"kind": "tangent", "tangent_matrices": {"A1": [[1, 0], [0, 1]]}},
+                 "not tangent", id="None-deformation11-not tangent"),
+    pytest.param(None, {"kind": "tangent", "tangent_matrices": [[1, 0], [0, 1]]},
+                 "deformation:", id="None-deformation12-deformation:"),
+    pytest.param(None, {"kind": "curve"}, "deformation:", id="None-deformation13-deformation:"),
+    pytest.param(None, {"kind": "path", "path_coeffs": "111"}, "path_coeffs: not a number",
+                 id="None-deformation16-path_coeffs: not a number"),
+    pytest.param(None, {"kind": "path", "path_coeffs": [1, False, 1]},
+                 "path_coeffs: not a number", id="None-deformation17-path_coeffs: not a number"),
 ])
 def test_bad_deformation_input_fails_cleanly(flags, deformation, names, tmp_path, capsys):
     argv = _PATH + flags if flags else ["verify-margulis", "--spec",
@@ -351,6 +363,15 @@ def test_spec_tangent_without_matrices_is_seeded_random(tmp_path, capsys):
     assert json.loads(flags)["kappa_hat"] > 0
     assert run(["verify-margulis", "--spec", _spec_file(tmp_path, {"kind": "tangent"}, (4, 5, 6)),
                 "--seed", "7"]) == 0
+    assert capsys.readouterr().out == flags
+
+
+def test_spec_path_equals_deform_path_and_ignores_h(tmp_path, capsys):
+    assert run(["verify-margulis", "--coords", "4,5,6", "--deform", "path",
+                "--path-dir", "1,2,3"]) == 0
+    flags = capsys.readouterr().out
+    spec = _spec_file(tmp_path, {"kind": "path", "path_coeffs": [1, 2, 3], "h": 1e-4}, (4, 5, 6))
+    assert run(["verify-margulis", "--spec", spec]) == 0
     assert capsys.readouterr().out == flags
 
 

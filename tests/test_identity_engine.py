@@ -125,7 +125,7 @@ def test_margulis_residual_zero_deformation():
 
 def test_margulis_residual_uniform_path():
     rep = build_rep(TraceCoords(4, 4, 4))
-    repd = attach_deformation(rep, DeformationSpec.linear_path(rep.coords, (1, 1, 1)))
+    repd = attach_deformation(rep, DeformationSpec.linear_path(rep, (1, 1, 1)))
     r = margulis_residual(repd, tail_tolerance=1e-6)
     assert abs(r.residual) <= 1e-5
     assert r.passed

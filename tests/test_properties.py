@@ -13,7 +13,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mml import cli, identity_engine
 from mml.identity_engine import (_boundary_values, _grow, _report, _series, margulis_residual,
                                  mcshane_sum)
-from mml.representation import TraceCoords, attach_deformation, build_rep, random_tangent
+from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
+                                random_tangent)
+from mml.sl2grp import compose, margulis_invariant_dual
 
 TOL = 1e-6
 
@@ -47,6 +49,29 @@ def test_both_series_certify_in_domain(coords, seed):
     _check(mcshane_sum, rep)
     _check(margulis_residual,
            attach_deformation(rep, random_tangent(rep, np.random.default_rng(seed))))
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(coords=in_domain_coords(), d=st.tuples(_UNIT, _UNIT, _UNIT))
+@example(coords=TraceCoords(2.00005, 300.0, 300.0), d=(1.0, 1.0, 1.0))
+def test_path_alpha_equals_the_trace_gradient_closed_form(coords, d):
+    """A path's alpha is 2 grad(t).d / sqrt(t^2 - 4) for the traces x, y, z of A, B,
+    AB, and -2 grad(kappa).d / sqrt(kappa^2 - 4) for the boundary trace kappa."""
+    assume(max(map(abs, d)) > 1e-3)
+    x, y, z = coords.x, coords.y, coords.z
+    rep = build_rep(coords)
+    repd = attach_deformation(rep, DeformationSpec.linear_path(rep, d))
+    kappa = coords.boundary_trace()
+    cases = [(repd.A, x, np.eye(3)[0]), (repd.B, y, np.eye(3)[1]),
+             (compose(repd.A, repd.B), z, np.eye(3)[2]),
+             (repd.boundary, kappa, -np.array([2 * x - y * z, 2 * y - x * z, 2 * z - x * y]))]
+    for m, t, grad in cases:
+        root = math.sqrt(t * t - 4.0)
+        scale = 2.0 * np.linalg.norm(grad) * np.linalg.norm(d) / root
+        assert abs(margulis_invariant_dual(m) - 2.0 * (grad @ d) / root) <= 1e-10 * scale
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

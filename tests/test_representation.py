@@ -68,7 +68,7 @@ def test_zero_deformation():
 
 def test_path_deformation_boundary_invariant():
     rep = build_rep(TraceCoords(4, 4, 4))
-    d = DeformationSpec.linear_path(rep.coords, (1, 1, 1))
+    d = DeformationSpec.linear_path(rep, (1, 1, 1))
     repd = attach_deformation(rep, d)
     # closed form: 2 * 24 / sqrt(18^2 - 4)
     assert math.isclose(margulis_invariant_dual(repd.boundary),
@@ -79,14 +79,15 @@ def test_path_deformation_boundary_invariant():
 def test_path_vs_one_sided_difference():
     coords = TraceCoords(4, 4, 4)
     rep = build_rep(coords)
-    h = 1e-4
-    repd = attach_deformation(rep, DeformationSpec.linear_path(coords, (1, 1, 1), h=h))
-    # independently coded one-sided difference with step h/2
-    plus = build_rep(TraceCoords(4 + h / 2, 4 + h / 2, 4 + h / 2))
-    a1 = (plus.A.val - rep.A.val) / (h / 2)
-    b1 = (plus.B.val - rep.B.val) / (h / 2)
+    repd = attach_deformation(rep, DeformationSpec.linear_path(rep, (1, 1, 1)))
+    # independently coded one-sided difference of build_rep with step h
+    h = 5e-5
+    plus = build_rep(TraceCoords(4 + h, 4 + h, 4 + h))
+    a1 = (plus.A.val - rep.A.val) / h
+    b1 = (plus.B.val - rep.B.val) / h
     one_sided = HoledTorusRep(DualMatrix2(rep.A.val, a1), DualMatrix2(rep.B.val, b1),
                               coords=coords)
+    assert np.abs(repd.A.eps - a1).max() <= 10 * h and np.abs(repd.B.eps - b1).max() <= 10 * h
     a_c = margulis_invariant_dual(repd.boundary)
     a_o = margulis_invariant_dual(one_sided.boundary)
     assert abs(a_c - a_o) <= 10 * h
