@@ -246,7 +246,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if "tol" in args and (not args.tol > 0 or args.n_ceiling < 1):
+        if "tol" in args and (not 0 < args.tol < math.inf or args.n_ceiling < 1):
             raise InvalidCoords("--tol must be > 0 and --n-ceiling >= 1")
         return args.fn(args)
     except NonConvergence as e:

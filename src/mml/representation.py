@@ -77,9 +77,9 @@ class HoledTorusRep:
         object.__setattr__(self, "boundary", commutator(self.A, self.B))
 
     @cached_property
-    def tables(self) -> tuple[torus_curves.TraceTable, torus_curves.TraceTable]:
-        """The rep's one make_tables pair, built on first use and shared by
-        every reader; dataclasses.replace gives the copy a pair of its own."""
+    def table(self) -> torus_curves.TraceTable:
+        """The rep's one trace table, built on first use and shared by every
+        reader; dataclasses.replace gives the copy a table of its own."""
         return torus_curves.make_tables(self)
 
 
@@ -136,14 +136,16 @@ def validate_fuchsian(rep: HoledTorusRep) -> None:
 
     The domain is x, y, z > 2 with boundary trace < -2, plus its cusp limit:
     the trace is read and classified as identity_engine does, so a trace
-    within PARABOLIC_TOL of -2 passes and runs the cusp form.  Not a
-    discreteness certificate: it then checks |trace| > 2 for every slope
-    with |p| + q <= SAMPLE_DEPTH.
+    within PARABOLIC_TOL of -2 passes and runs the cusp form.  Such a
+    representation is Fuchsian (Goldman, "The modular group action on real
+    SL(2)-characters of a one-holed torus", Geom. Topol. 2003); as a cheap
+    guard it then checks |trace| > 2 for every slope with |p| + q <=
+    SAMPLE_DEPTH.
     """
     c, kappa = rep.coords, dual_trace(rep.boundary).re
     if not (min(c.x, c.y, c.z) > 2.0 and kappa <= -2.0 + PARABOLIC_TOL):
         raise InvalidCoords(f"coordinates ({c.x}, {c.y}, {c.z}) need x, y, z > 2 and "
                             f"boundary trace {kappa} <= -2")
     for s in torus_curves.farey_enumerate(SAMPLE_DEPTH):
-        if abs(torus_curves.slope_trace(rep, s)) <= 2.0:
+        if abs(rep.table.trace(s.p, s.q).re) <= 2.0:
             raise InvalidCoords(f"non-hyperbolic simple curve of slope {s}")

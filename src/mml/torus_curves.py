@@ -1,12 +1,10 @@
 """Simple closed curves on the one-holed torus, indexed by Farey slopes.
 
 Isotopy classes of essential simple closed curves correspond to slopes
-p/q (coprime, q > 0, plus 1/0); each slope carries a Christoffel word in
-the positive generators, and traces are computed both by direct matrix
-evaluation of the word and by the trace recursion
-tr(UV) = tr(U) tr(V) - tr(UV^-1) along the Stern-Brocot tree.  Negative
-slopes are evaluated with the inverse first generator instead of a
-larger alphabet.
+p/q (coprime, q > 0, plus 1/0); each slope carries a Christoffel word,
+spelled with A = a^-1 for a negative p, and traces are computed both by
+direct matrix evaluation of the word and by the trace recursion
+tr(UV) = tr(U) tr(V) - tr(UV^-1) along the Farey tree of both signs.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ class Slope:
 
 
 def _mediant_slope(p: int, q: int) -> Slope:
-    """Slope(p, q) for a mediant or its mirror, coprime with q > 0 by construction."""
+    """Slope(p, q) for a signed mediant or a seed, coprime and canonical by construction."""
     s = object.__new__(Slope)
     object.__setattr__(s, "p", p)
     object.__setattr__(s, "q", q)
@@ -76,8 +74,12 @@ class CurveBin:
 
 @lru_cache(maxsize=None)
 def _farey_parents(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Stern-Brocot parents (lower, upper) of an interior slope p/q, p, q >= 1 coprime,
-    on either side of 1/1 (1/2 and 2/3 as well as 3/1)."""
+    """Stern-Brocot parents (lower, upper) of an interior slope p/q, p != 0 and q >= 1
+    coprime, on either side of 1/1 (1/2 and 2/3 as well as 3/1).  A negative slope
+    has the parents of -p/q negated, 1/0 written as -1/0."""
+    if p < 0:
+        (a, b), (c, d) = _farey_parents(-p, q)
+        return (-a, b), (-c, d)
     if q == 1:
         return (p - 1, 1), (1, 0)
     if p == 1:
@@ -89,48 +91,47 @@ def _farey_parents(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def christoffel_word(p: int, q: int) -> str:
-    """Christoffel word of slope p/q over {a, b}; abelianization (p, q)."""
-    if (p, q) == (1, 0):
-        return "a"
-    if (p, q) == (0, 1):
+    """Christoffel word of slope p/q over {a, b}, or over {A, b} with A = a^-1
+    for a negative p (and -1/0); abelianization (p, q)."""
+    if q == 0:
+        return "a" if p > 0 else "A"
+    if p == 0:
         return "b"
     lower, upper = _farey_parents(p, q)
     return christoffel_word(*upper) + christoffel_word(*lower)
 
 
-def slope_word(s: Slope) -> str:
-    """Word of a canonical slope; negative p is rendered with 'A' = a^-1."""
-    w = christoffel_word(abs(s.p), s.q)
-    return w.replace("a", "A") if s.p < 0 else w
-
-
 class TraceTable:
     """Memoized dual traces of slope words for one pair of generator matrices.
 
-    One table covers nonnegative slopes for its generators; the mirrored
-    family (negative slopes) uses a second table built on the inverse of
-    the first generator.  Build once, then treat as read-only.  Besides
-    the traces, a table memoizes the matrix of each traced slope's
-    Christoffel word, as 8 floats (see sl2grp.flatten), filled from its
-    Farey parents' words, the (trace, length) pair of each traced slope,
-    and the curve class of each slope it was asked for (by enumerate_up_to,
-    only the emitted ones).  Word matrices only cross-check the trace
-    recursion, so they are multiplied in plain floats; the seed traces
-    come from numpy products.
+    One table covers every slope, keyed by the signed (p, q) with q >= 0;
+    1/0 is also stored as -1/0, the parent of the negative slopes next to
+    it.  Build once, then treat as read-only.  Besides the traces, a table
+    memoizes the matrix of each traced slope's Christoffel word, as 8
+    floats (see sl2grp.flatten), filled from its Farey parents' words, the
+    (trace, length) pair of each traced slope, and the curve class of each
+    slope it was asked for (by enumerate_up_to, only the emitted ones).
+    Word matrices only cross-check the trace recursion, so they are
+    multiplied in plain floats; the seed traces come from numpy products.
     """
 
-    def __init__(self, gen_a: DualMatrix2, gen_b: DualMatrix2, mirror: bool = False):
+    def __init__(self, gen_a: DualMatrix2, gen_b: DualMatrix2):
         self.gen_a = gen_a
         self.gen_b = gen_b
-        self.mirror = mirror
-        ab = compose(gen_a, gen_b)
+        inv_a = inverse(gen_a)
+        ab, inv_ab = compose(gen_a, gen_b), compose(inv_a, gen_b)
+        # tr(a^-1) has the bits of tr(a): the adjugate only swaps the diagonal
+        ta = dual_trace(gen_a)
         self._memo: dict[tuple[int, int], DualScalar] = {
-            (1, 0): dual_trace(gen_a),
+            (1, 0): ta,
+            (-1, 0): ta,
             (0, 1): dual_trace(gen_b),
             (1, 1): dual_trace(ab),
+            (-1, 1): dual_trace(inv_ab),
         }
         self._words: dict[str, tuple[float, ...]] = {
-            "": FLAT_IDENTITY, "a": flatten(gen_a), "b": flatten(gen_b), "ab": flatten(ab)}
+            "": FLAT_IDENTITY, "a": flatten(gen_a), "A": flatten(inv_a), "b": flatten(gen_b),
+            "ab": flatten(ab), "Ab": flatten(inv_ab)}
         self._nodes: dict[tuple[int, int], tuple[float, float]] = {}
         self._curves: dict[tuple[int, int], CurveClass] = {}
 
@@ -141,9 +142,9 @@ class TraceTable:
             return t
         lower, upper = _farey_parents(p, q)
         dp, dq = upper[0] - lower[0], upper[1] - lower[1]
-        if dq < 0 or (dq == 0 and dp < 0):
+        if dq < 0:
             dp, dq = -dp, -dq
-        if dp < 0:
+        if dp * p < 0:
             raise MMLError(f"unexpected mixed-sign third neighbor for {p}/{q}")
         # A neighbour not traced yet goes through self.trace, so a wrapper
         # around it (perfbench's tracer) still sees every new slope.
@@ -178,8 +179,8 @@ class TraceTable:
                 f"slope {p}/{q}: recursion eps part {t.inf} vs direct {eps}")
 
     def word_matrix(self, word: str) -> tuple[float, ...]:
-        """Product of the generators spelled by word over {a, b}, as the 8
-        floats of sl2grp.flatten.
+        """Product of the generators spelled by word over {a, A, b}, A = a^-1,
+        as the 8 floats of sl2grp.flatten.
 
         trace() memoizes the word of every slope it meets and this hands
         out that tuple; any other word is split in half and not memoized.
@@ -187,8 +188,8 @@ class TraceTable:
         m = self._words.get(word)
         if m is not None:
             return m
-        if word.count("a") + word.count("b") != len(word):
-            raise KeyError(f"word {word!r} has a letter outside {{a, b}}")
+        if word.count("a") + word.count("A") + word.count("b") != len(word):
+            raise KeyError(f"word {word!r} has a letter outside {{a, A, b}}")
         cut = len(word) // 2
         return flat_product(self.word_matrix(word[:cut]), self.word_matrix(word[cut:]))
 
@@ -203,23 +204,18 @@ class TraceTable:
             t = self.trace(p, q).re
             n = (t, translation_length(t))
             if t < 0:
-                raise MMLError(f"slope {self._slope(p, q)} has negative trace {t}; "
+                raise MMLError(f"slope {p}/{q} has negative trace {t}; "
                                "length pruning needs positive traces")
             self._nodes[(p, q)] = n
         return n
-
-    def _slope(self, p: int, q: int) -> Slope:
-        # the seeds 1/0 and 0/1 are their own mirrors
-        return _mediant_slope(-p if self.mirror else p, q) if p and q else Slope(p, q)
 
     def curve(self, p: int, q: int) -> CurveClass:
         c = self._curves.get((p, q))
         if c is not None:
             return c
         t, length = self.node(p, q)
-        slope = self._slope(p, q)
-        c = CurveClass(slope=slope,
-                       word=slope_word(slope),
+        c = CurveClass(slope=_mediant_slope(p, q),
+                       word=christoffel_word(p, q),
                        trace=t,
                        length=length,
                        alpha=margulis_from_trace(self._memo[(p, q)]))
@@ -227,21 +223,15 @@ class TraceTable:
         return c
 
 
-def make_tables(rep) -> tuple[TraceTable, TraceTable]:
-    """Trace tables for the positive and mirrored slope families of a rep."""
-    return (TraceTable(rep.A, rep.B),
-            TraceTable(inverse(rep.A), rep.B, mirror=True))
-
-
-def slope_trace(rep, s: Slope) -> float:
-    """Value-part trace of the slope word, with the recursion/word cross-check."""
-    return rep.tables[s.p < 0].trace(abs(s.p), s.q).re
+def make_tables(rep) -> TraceTable:
+    """The trace table of a rep, over the slopes of both signs."""
+    return TraceTable(rep.A, rep.B)
 
 
 def farey_enumerate(max_denominator_sum: int) -> list[Slope]:
     """All canonical slopes with |p| + q <= bound, in Stern-Brocot order.
 
-    Each positive interior slope is followed by its mirror; 1/0 and 0/1
+    Each positive interior slope p/q is followed by -p/q; 1/0 and 0/1
     open the list.
     """
     if max_denominator_sum < 1:
@@ -274,22 +264,22 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     MMLError there; a curve class is built only for a slope that is emitted.
     """
     cutoff = max_total_length / 2.0
-    pos, neg = rep.tables
-    a, b = pos.node(1, 0)[1], pos.node(0, 1)[1]
-    curves = [pos.curve(*s) for s in ((1, 0), (0, 1)) if pos.node(*s)[1] < cutoff]
-    for table in (pos, neg):
-        nodes = table._nodes
-        stack = [(0, 1, 1, 0, b, a)]
-        while stack:
-            pl, ql, pr, qr, left, right = stack.pop()
-            p, q = pl + pr, ql + qr
-            length = (nodes.get((p, q)) or table.node(p, q))[1]
-            if length < cutoff:
-                curves.append(table.curve(p, q))
-            elif length >= left and length >= right:
-                continue
-            stack.append((pl, ql, p, q, left, length))
-            stack.append((p, q, pr, qr, length, right))
+    table = rep.table
+    nodes = table._nodes
+    a, b = table.node(1, 0)[1], table.node(0, 1)[1]
+    curves = [table.curve(*s) for s in ((1, 0), (0, 1)) if table.node(*s)[1] < cutoff]
+    # the positive root is on top, so its whole subtree is walked first
+    stack = [(0, 1, -1, 0, b, a), (0, 1, 1, 0, b, a)]
+    while stack:
+        pl, ql, pr, qr, left, right = stack.pop()
+        p, q = pl + pr, ql + qr
+        length = (nodes.get((p, q)) or table.node(p, q))[1]
+        if length < cutoff:
+            curves.append(table.curve(p, q))
+        elif length >= left and length >= right:
+            continue
+        stack.append((pl, ql, p, q, left, length))
+        stack.append((p, q, pr, qr, length, right))
     return curves
 
 
@@ -321,4 +311,3 @@ def export_census(bins: list[CurveBin], path) -> None:
                 w.writerow([c.slope.p, c.slope.q, c.word,
                             f"{c.trace:.12g}", f"{c.length:.12g}", b.index])
         w.writerow(["m_hat", f"{fit_bin_constant(bins):.12g}", "", "", "", ""])
-

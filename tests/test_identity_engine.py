@@ -285,7 +285,7 @@ def test_grown_bins_equal_binning_from_scratch(coords, n_ceiling):
     steps = list(_grow(rep, n_ceiling))
     assert [n for n, _, _ in steps] == list(range(16, n_ceiling + 1, 8))
     for n_max, bins, m_hat in steps:
-        # a fresh rep has fresh trace tables, so nothing filled by _grow is reused
+        # a fresh rep has a fresh trace table, so nothing filled by _grow is reused
         fresh = build_rep(TraceCoords(*coords))
         assert bins == bin_curves(enumerate_up_to(fresh, n_max + 1), n_max)
         assert m_hat == fit_bin_constant(bins)
@@ -339,7 +339,7 @@ def test_margulis_tail_and_kappa_equal_a_recount_from_the_final_bins(coords, tol
     rep = _tangent_rep(coords, 11)
     r = margulis_residual(rep, tail_tolerance=tol)
     ell_bdry, alpha_bdry, _ = _boundary_values(rep)
-    # recounted on a second rep, whose trace tables margulis_residual never filled
+    # recounted on a second rep, whose trace table margulis_residual never filled
     bins = bin_curves(enumerate_up_to(_tangent_rep(coords, 11), r.n_max + 1), r.n_max)
     m_hat = fit_bin_constant(bins)
     kappa = kappa_from_bins(bins, ell_bdry, alpha_bdry)

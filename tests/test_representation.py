@@ -54,7 +54,7 @@ def test_validate_fuchsian():
 
 def test_validate_fuchsian_names_the_offending_slope():
     rep = build_rep(TraceCoords(4, 5, 6))
-    rep.tables[0]._memo[(2, 1)] = DualScalar(1.0, 0.0)
+    rep.table._memo[(2, 1)] = DualScalar(1.0, 0.0)
     with pytest.raises(InvalidCoords, match="2/1"):
         validate_fuchsian(rep)
 

@@ -10,15 +10,18 @@ from mml.identity_engine import (_boundary_values, _grow, choose_truncation, mar
                                  tail_bound_identity)
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent, validate_fuchsian)
-from mml.sl2grp import FLAT_IDENTITY, compose, flat_product, flatten
+from mml.sl2grp import FLAT_IDENTITY, compose, flat_product, flatten, inverse
 from mml.torus_curves import (CurveClass, Slope, bin_curves, christoffel_word, enumerate_up_to,
-                              export_census, farey_enumerate, fit_bin_constant, make_tables,
-                              slope_trace, slope_word)
+                              export_census, farey_enumerate, fit_bin_constant, make_tables)
 
 
 def _deformed_444():
     rep = build_rep(TraceCoords(4, 4, 4))
     return attach_deformation(rep, random_tangent(rep, np.random.default_rng(7)))
+
+
+def _trace(rep, s):
+    return rep.table.trace(s.p, s.q).re
 
 
 def test_slope_canonicalization():
@@ -29,14 +32,12 @@ def test_slope_canonicalization():
 
 
 def test_mediant_built_slopes_equal_and_hash_like_public_slopes():
-    pos, neg = make_tables(build_rep(TraceCoords(4, 4, 4)))
+    table = make_tables(build_rep(TraceCoords(4, 4, 4)))
     for s in farey_enumerate(30):
-        for built in (s, (neg if s.p < 0 else pos).curve(abs(s.p), s.q).slope):
+        for built in (s, table.curve(s.p, s.q).slope):
             public = Slope(built.p, built.q)
             assert type(built) is Slope and built == public and hash(built) == hash(public)
             assert (built.p, built.q) == (public.p, public.q) and public.q >= 0
-    # the seeds keep the public canonical form in the mirrored table too
-    assert [(c.slope.p, c.slope.q) for c in (neg.curve(1, 0), neg.curve(0, 1))] == [(1, 0), (0, 1)]
     with pytest.raises(ValueError):
         Slope(2, 4)
 
@@ -73,35 +74,36 @@ def test_farey_enumerate_coprime_census():
 
 
 def test_words():
-    assert slope_word(Slope(1, 0)) == "a"
-    assert slope_word(Slope(0, 1)) == "b"
-    assert slope_word(Slope(1, 1)) == "ab"
-    assert slope_word(Slope(2, 1)) == "aab"
-    assert slope_word(Slope(1, 2)) == "abb"
-    assert slope_word(Slope(-2, 1)) == "AAb"
-    w = slope_word(Slope(3, 5))
+    assert christoffel_word(1, 0) == "a"
+    assert christoffel_word(-1, 0) == "A"
+    assert christoffel_word(0, 1) == "b"
+    assert christoffel_word(1, 1) == "ab"
+    assert christoffel_word(2, 1) == "aab"
+    assert christoffel_word(1, 2) == "abb"
+    assert christoffel_word(-2, 1) == "AAb"
+    w = christoffel_word(3, 5)
     assert w.count("a") == 3 and w.count("b") == 5
+    assert christoffel_word(-3, 5) == w.replace("a", "A")
 
 
 def test_traces_333():
     rep = build_rep(TraceCoords(3, 3, 3))
-    assert math.isclose(slope_trace(rep, Slope(1, 1)), 3.0, abs_tol=1e-12)
+    assert math.isclose(_trace(rep, Slope(1, 1)), 3.0, abs_tol=1e-12)
     # tr(A*AB) = x*z - y = 6
-    assert math.isclose(slope_trace(rep, Slope(2, 1)), 6.0, abs_tol=1e-9)
-    assert math.isclose(slope_trace(rep, Slope(1, 2)), 6.0, abs_tol=1e-9)
+    assert math.isclose(_trace(rep, Slope(2, 1)), 6.0, abs_tol=1e-9)
+    assert math.isclose(_trace(rep, Slope(1, 2)), 6.0, abs_tol=1e-9)
 
 
 def test_traces_444_generator():
     rep = build_rep(TraceCoords(4, 4, 4))
-    assert math.isclose(slope_trace(rep, Slope(1, 0)), 4.0, abs_tol=1e-12)
+    assert math.isclose(_trace(rep, Slope(1, 0)), 4.0, abs_tol=1e-12)
 
 
 def test_recursion_matches_direct_everywhere():
-    pos, neg = make_tables(_deformed_444())
+    table = make_tables(_deformed_444())
     for s in farey_enumerate(12):
-        table = pos if s.p >= 0 else neg
-        rec = table.trace(abs(s.p), s.q)
-        m = table.word_matrix(slope_word(Slope(abs(s.p), s.q)))
+        rec = table.trace(s.p, s.q)
+        m = table.word_matrix(christoffel_word(s.p, s.q))
         re, eps = m[0] + m[3], m[4] + m[7]
         assert abs(rec.re - re) <= 1e-9 * max(1.0, abs(re))
         assert abs(rec.inf - eps) <= 1e-9 * max(1.0, abs(re), abs(eps))
@@ -110,8 +112,8 @@ def test_recursion_matches_direct_everywhere():
 def test_slope_symmetry_equal_coords():
     rep = build_rep(TraceCoords(4, 4, 4))
     for p, q in [(2, 1), (3, 2), (5, 3), (4, 7)]:
-        t1 = slope_trace(rep, Slope(p, q))
-        t2 = slope_trace(rep, Slope(q, p))
+        t1 = _trace(rep, Slope(p, q))
+        t2 = _trace(rep, Slope(q, p))
         assert abs(t1 - t2) <= 1e-9 * max(1.0, abs(t1))
 
 
@@ -129,7 +131,7 @@ def test_enumeration_completeness_against_brute_force():
     cutoff = 24.0
     curves = {(c.slope.p, c.slope.q) for c in enumerate_up_to(rep, cutoff)}
     for s in farey_enumerate(10):
-        length = 2 * math.acosh(abs(slope_trace(rep, s)) / 2)
+        length = 2 * math.acosh(abs(_trace(rep, s)) / 2)
         assert ((s.p, s.q) in curves) == (2 * length < cutoff)
 
 
@@ -139,11 +141,10 @@ def test_enumerated_slopes_equal_brute_force_filter(coords):
     # near the root a mediant can be shorter than a parent (slope 2/1 at the
     # last two triples), so pruning must not assume length grows down the tree
     rep = build_rep(TraceCoords(*coords))
-    pos, neg = make_tables(rep)
+    table = make_tables(rep)
     cutoff = 30.0
     got = {(c.slope.p, c.slope.q) for c in enumerate_up_to(rep, cutoff)}
-    want = {(s.p, s.q) for s in farey_enumerate(40)
-            if 2 * (neg if s.p < 0 else pos).curve(abs(s.p), s.q).length < cutoff}
+    want = {(s.p, s.q) for s in farey_enumerate(40) if 2 * table.curve(s.p, s.q).length < cutoff}
     assert got == want and len(got) >= 20
 
 
@@ -164,7 +165,7 @@ def test_negative_trace_stops_enumeration():
 
 
 def test_negative_trace_in_the_mirrored_table_names_the_signed_slope():
-    # z -> xy - z swaps tr(ab) and tr(a^-1 b), so the offender moves to the mirror
+    # z -> xy - z swaps tr(ab) and tr(a^-1 b), so the offender moves to the negative slopes
     x, y, z = NEGATIVE_TRACE_COORDS
     rep = build_rep(TraceCoords(x, y, x * y - z))
     with pytest.raises(MMLError, match="^slope -2/1 has negative trace -3.22"):
@@ -235,15 +236,15 @@ def _assert_same_matrix(m, ref):
 
 
 def test_word_matrix_matches_letter_by_letter_product():
-    for table in make_tables(_deformed_444()):
-        letters = {"a": table.gen_a, "b": table.gen_b}
-        words = [christoffel_word(p, q) for p in range(41) for q in range(41 - p)
-                 if p + q >= 1 and math.gcd(p, q) == 1]
-        for w in words + ["ba", "aab", "bab", "bbaab"]:
-            _assert_same_matrix(table.word_matrix(w), flatten(compose(*(letters[c] for c in w))))
-        assert table.word_matrix("") == FLAT_IDENTITY
-        with pytest.raises(KeyError):
-            table.word_matrix("abc")
+    table = make_tables(_deformed_444())
+    letters = {"a": table.gen_a, "A": inverse(table.gen_a), "b": table.gen_b}
+    words = [christoffel_word(sign * p, q) for p in range(41) for q in range(41 - p)
+             for sign in (1, -1) if p + q >= 1 and math.gcd(p, q) == 1]
+    for w in words + ["ba", "aab", "bab", "bbaab", "bA", "Aba", "bAAbb"]:
+        _assert_same_matrix(table.word_matrix(w), flatten(compose(*(letters[c] for c in w))))
+    assert table.word_matrix("") == FLAT_IDENTITY
+    with pytest.raises(KeyError):
+        table.word_matrix("abc")
 
 
 def test_word_matrix_costs_one_product_per_new_slope(monkeypatch):
@@ -253,11 +254,11 @@ def test_word_matrix_costs_one_product_per_new_slope(monkeypatch):
     monkeypatch.setattr(tc, "flat_product",
                         lambda *ms: factors.append(len(ms)) or flat_product(*ms))
     monkeypatch.setattr(tc, "compose", lambda *ms: composed.append(len(ms)) or compose(*ms))
-    pos, _ = make_tables(_deformed_444())
+    table = make_tables(_deformed_444())
     seeds = len(composed)
-    for p, q in [(2, 1), (3, 1), (3, 2), (5, 3), (8, 5)]:
+    for p, q in [(2, 1), (3, 1), (3, 2), (5, 3), (8, 5), (-2, 1), (-3, 2), (-5, 8)]:
         before = len(factors)
-        pos.trace(p, q)
+        table.trace(p, q)
         assert len(factors) > before
         assert factors[before:] == [2] * (len(factors) - before)
     assert len(composed) == seeds
@@ -265,59 +266,62 @@ def test_word_matrix_costs_one_product_per_new_slope(monkeypatch):
 
 def test_word_matrix_returns_read_only_float64_parts():
     # a tuple of 8 floats: callers cannot write the memo through it
-    pos, neg = make_tables(_deformed_444())
-    for table, word in [(pos, ""), (pos, "a"), (pos, "aab"), (neg, "ab"), (neg, "bab")]:
+    table = make_tables(_deformed_444())
+    for word in ["", "a", "A", "aab", "Ab", "bAb"]:
         m = table.word_matrix(word)
         assert type(m) is tuple and len(m) == 8 and all(type(x) is float for x in m)
 
 
-@pytest.mark.parametrize("part", ["re", "inf", "word-re", "word-inf"])
+@pytest.mark.parametrize("part", ["re", "inf", "word-re", "word-inf",
+                                  "mirror-re", "mirror-inf", "mirror-word-re", "mirror-word-inf"])
 def test_corrupted_recursion_is_caught(part):
     # 2/1 is traced from 1/1 and its word matrix from that of "ab": corrupt
-    # 1/1's trace, or the value (index 0) or eps (index 4) part of "ab"
-    pos, _ = make_tables(_deformed_444())
-    t = pos._memo[(1, 1)]
-    if part.startswith("word"):
-        m = list(pos._words["ab"])
-        m[0 if part == "word-re" else 4] += 1.0
-        pos._words["ab"] = tuple(m)
+    # 1/1's trace, or the value (index 0) or eps (index 4) part of "ab";
+    # likewise -2/1 from -1/1 and "Ab"
+    sign = -1 if part.startswith("mirror") else 1
+    key, word = (sign, 1), "ab" if sign > 0 else "Ab"
+    table = make_tables(_deformed_444())
+    t = table._memo[key]
+    if "word" in part:
+        m = list(table._words[word])
+        m[0 if part.endswith("word-re") else 4] += 1.0
+        table._words[word] = tuple(m)
     else:
         bumped = {"re": DualScalar(t.re + 1.0, t.inf), "inf": DualScalar(t.re, t.inf + 1.0)}
-        pos._memo[(1, 1)] = bumped[part]
+        table._memo[key] = bumped[part.rsplit("-", 1)[-1]]
     check = "eps part" if part.endswith("inf") else r"-?\d"
-    with pytest.raises(RecursionMismatch, match=f"^slope 2/1: recursion {check}"):
-        pos.trace(2, 1)
+    with pytest.raises(RecursionMismatch, match=f"^slope {2 * sign}/1: recursion {check}"):
+        table.trace(2 * sign, 1)
 
 
 def test_curve_memo_reuses_classes_across_growth():
     rep = _deformed_444()
     short = enumerate_up_to(rep, 20.0)
     deep = enumerate_up_to(rep, 30.0)
-    assert all(c is rep.tables[0].curve(c.slope.p, c.slope.q) for c in short if c.slope.p >= 0)
+    assert all(c is rep.table.curve(c.slope.p, c.slope.q) for c in short)
     assert [c for c in deep if c.length < 10.0] == short
-    # from scratch: a second rep with the same seeded tangent has tables of its own
+    # from scratch: a second rep with the same seeded tangent has a table of its own
     assert enumerate_up_to(_deformed_444(), 30.0) == deep
 
 
 def test_classes_are_built_only_for_emitted_slopes():
     rep = _deformed_444()
-    pos, neg = rep.tables
+    table = rep.table
 
-    def emitted(curves, mirror):
-        return {(abs(c.slope.p), c.slope.q) for c in curves if (c.slope.p < 0) == mirror}
+    def emitted(curves):
+        return {(c.slope.p, c.slope.q) for c in curves}
 
     short = enumerate_up_to(rep, 20.0)
-    assert set(pos._curves) == emitted(short, False) and set(neg._curves) == emitted(short, True)
+    assert set(table._curves) == emitted(short)
     # the pruned frontier is traced and judged by its (trace, length), but has no class
-    for table in (pos, neg):
-        frontier = set(table._nodes) - set(table._curves)
-        assert frontier and all(2 * table.node(*k)[1] >= 20.0 for k in frontier)
-        assert frontier <= set(table._memo)
-    before = {table: dict(table._curves) for table in (pos, neg)}
+    frontier = set(table._nodes) - set(table._curves)
+    assert frontier and all(2 * table.node(*k)[1] >= 20.0 for k in frontier)
+    assert frontier <= set(table._memo)
+    assert any(p < 0 for p, _ in frontier) and any(p > 0 for p, _ in frontier)
+    before = dict(table._curves)
     deep = enumerate_up_to(rep, 30.0)
-    for table, mirror in ((pos, False), (neg, True)):
-        assert set(table._curves) == emitted(deep, mirror)
-        assert all(table._curves[k] is c for k, c in before[table].items())
+    assert set(table._curves) == emitted(deep)
+    assert all(table._curves[k] is c for k, c in before.items())
 
 
 @pytest.mark.parametrize("coords", [(4, 4, 4), (3, 3, 3),
@@ -333,7 +337,7 @@ def test_grown_walk_equals_a_fresh_walk(coords):
     assert curves == enumerate_up_to(rep(), 57)
 
 
-def test_validate_fuchsian_builds_one_table_pair(monkeypatch):
+def test_validate_fuchsian_builds_one_table(monkeypatch):
     import mml.torus_curves as tc
 
     built = []
@@ -345,10 +349,10 @@ def test_validate_fuchsian_builds_one_table_pair(monkeypatch):
 
     monkeypatch.setattr(tc.TraceTable, "__init__", counting_init)
     assert validate_fuchsian(build_rep(TraceCoords(4, 5, 6))) is None
-    assert len(built) == 2
+    assert len(built) == 1
 
 
-def test_every_reader_shares_the_reps_one_table_pair(monkeypatch):
+def test_every_reader_shares_the_reps_one_table(monkeypatch):
     import mml.torus_curves as tc
 
     built = []
@@ -361,10 +365,10 @@ def test_every_reader_shares_the_reps_one_table_pair(monkeypatch):
     monkeypatch.setattr(tc.TraceTable, "__init__", counting_init)
     rep = _deformed_444()
     assert validate_fuchsian(rep) is None
-    pair = rep.tables
+    table = rep.table
     enumerate_up_to(rep, 20.0)
-    slope_trace(rep, Slope(-3, 5))
+    table.trace(-3, 5)
     margulis_residual(rep, 1e-6)
-    assert rep.tables is pair and built == list(pair)
+    assert rep.table is table and built == [table]
     moved = attach_deformation(rep, DeformationSpec())
-    assert moved.tables is not pair and built[2:] == list(moved.tables)
+    assert moved.table is not table and built == [table, moved.table]
