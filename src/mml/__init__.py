@@ -5,7 +5,7 @@ from .dualnum import DualScalar
 from .errors import (InvalidCoords, MMLError, NonConvergence, NotHyperbolic,
                      RecursionMismatch)
 from .identity_engine import (SeriesReport, coeff_H, coeff_K, gap_D, margulis_residual,
-                              mcshane_sum, mirzakhani_threshold, term_derivative)
+                              mcshane_sum, term_derivative)
 from .lorentz import LorentzIsometry, adjoint_of, margulis_invariant_lorentz, neutral_vector
 from .representation import (DeformationSpec, HoledTorusRep, TraceCoords,
                              attach_deformation, build_rep, validate_fuchsian)

@@ -40,6 +40,13 @@ def _finite_floats(values, what: str) -> list[float]:
     return out
 
 
+def _matrix(m, what: str) -> list[list[float]] | None:
+    """m, a JSON matrix or None, as rows of finite floats; InvalidCoords names `what` otherwise."""
+    if m is not None and not isinstance(m, list):
+        raise InvalidCoords(f"{what}: not a matrix of numbers: {m!r}")
+    return m if m is None else [_finite_floats(row, what) for row in m]
+
+
 def _parse_coords(text: str) -> reprs.TraceCoords:
     parts = _finite_floats(map(float, text.split(",")), "--coords")
     if len(parts) != 3:
@@ -78,7 +85,8 @@ def _deformation(rep: reprs.HoledTorusRep, d, seed: int, name) -> reprs.Deformat
         if mats is None:
             return reprs.random_tangent(rep, np.random.default_rng(seed))
         if isinstance(mats, dict):
-            return reprs.DeformationSpec(mats.get("A1"), mats.get("B1"))
+            return reprs.DeformationSpec(*(_matrix(mats.get(k + "1"), name(f"eps part of {k}"))
+                                           for k in "AB"))
     raise InvalidCoords(f"{name('deformation')}: not a zero, path or tangent deformation: {d!r}")
 
 

@@ -77,13 +77,7 @@ def term_derivative(ell1: float, ell2: float, ell_bdry: float,
                     alpha1: float, alpha2: float, alpha_bdry: float) -> float:
     """d/dt of one gap term, by the chain rule on (H, K)."""
     u = ell1 + ell2
-    return _term_derivative_from(coeff_H(u, ell_bdry), u, ell_bdry, alpha1 + alpha2, alpha_bdry)
-
-
-def _term_derivative_from(h_u: float, u: float, ell_bdry: float,
-                          alpha_sum: float, alpha_bdry: float) -> float:
-    """term_derivative given h_u = coeff_H(u, ell_bdry) and alpha_sum = alpha1 + alpha2."""
-    return h_u * alpha_bdry + coeff_K(u, ell_bdry) * alpha_sum
+    return coeff_H(u, ell_bdry) * alpha_bdry + coeff_K(u, ell_bdry) * (alpha1 + alpha2)
 
 
 def bound_D(x: float, y: float, z: float) -> float:
@@ -184,41 +178,50 @@ def _boundary_values(rep) -> tuple[float, float, bool]:
     return translation_length(t.re), margulis_from_trace(t), False
 
 
-def _grow(rep, n_ceiling: int) -> Iterator[tuple[int, list[CurveBin], float]]:
-    """Yield (n_max, bins, m_hat) at n_max = min(16, n_ceiling), then 8 deeper
+def kappa_from_bins(bins: list[CurveBin], ell_bdry: float, alpha_bdry: float) -> float:
+    """max |alpha| / length over enumerated curves and the boundary."""
+    k = abs(alpha_bdry) / ell_bdry if ell_bdry > 0 else 0.0
+    for b in bins:
+        for c in b.members:
+            k = max(k, abs(c.alpha) / c.length)
+    return k
+
+
+def _grow(rep, n_ceiling: int) -> Iterator[tuple[int, list[CurveBin], float, float]]:
+    """Yield (n_max, bins, m_hat, kappa) at n_max = min(16, n_ceiling), then 8 deeper
     per step, up to the ceiling."""
+    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
     n_max = min(_GROW_START, n_ceiling)
-    bins, m_hat = [], 0.0
+    bins, m_hat, kappa = [], 0.0, 0.0
     while True:
-        # Every step enumerates all curves below its cutoff, so the bins of
-        # earlier steps are complete: only the new ones need binning and fitting.
+        # Every step enumerates all curves below its cutoff, so the bins of earlier
+        # steps are complete: m_hat and kappa are running maxima over the new ones.
         new = bin_curves(enumerate_up_to(rep, n_max + 1), n_max, len(bins))
         bins, m_hat = bins + new, max(m_hat, fit_bin_constant(new))
-        yield n_max, bins, m_hat
+        kappa = max(kappa, kappa_from_bins(new, ell_bdry, alpha_bdry))
+        yield n_max, bins, m_hat, kappa
         if n_max >= n_ceiling:
             return
         n_max = min(n_max + _GROW_STEP, n_ceiling)
 
 
-def choose_truncation(rep, tail_tolerance: float, n_ceiling: int = 200,
-                      tail=None) -> tuple[int, list[CurveBin], float, float]:
-    """(n_max, bins, m_hat, tail) at the least depth whose certified tail is below tolerance.
+def choose_truncation(rep, tail_tolerance: float, n_ceiling: int,
+                      tail) -> tuple[int, list[CurveBin], float, float, float]:
+    """(n_max, bins, m_hat, kappa, tail) at the least depth whose certified tail is
+    below tolerance.
 
-    tail(n_max, bins, m_hat, stop) defaults to the identity tail and may stop once
-    past stop (inf at the ceiling, so NonConvergence gives the full tail); a depth
-    with no enumerated curve is never accepted.
+    tail(n_max, m_hat, kappa, stop) may stop once past stop (inf at the ceiling, so
+    NonConvergence gives the full tail); a depth with no enumerated curve is never
+    accepted.
     """
     if tail_tolerance <= 0:
         raise ValueError("tail_tolerance must be positive")
-    if tail is None:
-        ell_bdry, _, _ = _boundary_values(rep)
-        tail = lambda n_max, bins, m_hat, stop: tail_bound_identity(n_max, m_hat, ell_bdry, stop)
-    for n_max, bins, m_hat in _grow(rep, n_ceiling):
+    for n_max, bins, m_hat, kappa in _grow(rep, n_ceiling):
         stop = tail_tolerance if n_max < n_ceiling else math.inf
         # m_hat == 0: no curve enumerated yet, so the fitted tail reads 0
         # without certifying anything.
-        if m_hat > 0 and (bound := tail(n_max, bins, m_hat, stop)) <= tail_tolerance:
-            return n_max, bins, m_hat, bound
+        if m_hat > 0 and (bound := tail(n_max, m_hat, kappa, stop)) <= tail_tolerance:
+            return n_max, bins, m_hat, kappa, bound
     if m_hat == 0:
         raise NonConvergence(f"no curve enumerated up to bin ceiling {n_ceiling}")
     raise NonConvergence(f"tail {bound} > {tail_tolerance} at bin ceiling {n_ceiling}")
@@ -244,7 +247,7 @@ def _series(bins: list[CurveBin], ell_bdry: float, alpha_bdry: float,
                 sd.add(cusp_gap(l))
             else:
                 sd.add(gap_D(ell_bdry, l, l))
-                sv.add(_term_derivative_from(hu, u, ell_bdry, a + a, alpha_bdry))
+                sv.add(hu * alpha_bdry + coeff_K(u, ell_bdry) * (a + a))
             h.add(hu)
         stats.append(BinStat(b.index, len(b.members), sd.total, sv.total))
         h_running.append(h.total)
@@ -273,15 +276,6 @@ def _report(target: float, series: tuple[list[BinStat], list[float]], attr: str,
         passed=abs(residual) <= max(tail_bound, tolerance))
 
 
-def kappa_from_bins(bins: list[CurveBin], ell_bdry: float, alpha_bdry: float) -> float:
-    """max |alpha| / length over enumerated curves and the boundary."""
-    k = abs(alpha_bdry) / ell_bdry if ell_bdry > 0 else 0.0
-    for b in bins:
-        for c in b.members:
-            k = max(k, abs(c.alpha) / c.length)
-    return k
-
-
 def mcshane_sum(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200) -> SeriesReport:
     """Verify that the gap terms sum to the boundary length.
 
@@ -289,10 +283,12 @@ def mcshane_sum(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200) -> Seri
     2/(1+e^l) with target 1.
     """
     ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
-    _, bins, m_hat, tail_bound = choose_truncation(rep, tail_tolerance, n_ceiling)
+    _, bins, m_hat, kappa, tail_bound = choose_truncation(
+        rep, tail_tolerance, n_ceiling,
+        lambda n_max, m_hat, kappa, stop: tail_bound_identity(n_max, m_hat, ell_bdry, stop))
     return _report(1.0 if cusp else ell_bdry,
                    _series(bins, ell_bdry, alpha_bdry, cusp), "sum_d", tail_bound,
-                   m_hat, kappa_from_bins(bins, ell_bdry, alpha_bdry), tail_tolerance)
+                   m_hat, kappa, tail_tolerance)
 
 
 def margulis_residual(rep, tail_tolerance: float = 1e-6,
@@ -306,30 +302,9 @@ def margulis_residual(rep, tail_tolerance: float = 1e-6,
     ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
     if cusp:
         raise NotHyperbolic("boundary-parabolic: no differentiated identity at a cusp")
-    # Bins only grow by appending, so kappa is a running max over the new
-    # ones; the last call is on the accepted step's bins.
-    scanned, kappa = 0, 0.0
-
-    def tail(n_max, bins, m_hat, stop):
-        nonlocal scanned, kappa
-        kappa = max(kappa, kappa_from_bins(bins[scanned:], ell_bdry, alpha_bdry))
-        scanned = len(bins)
-        return tail_bound_derivative(n_max, m_hat, ell_bdry, kappa, alpha_bdry, stop)
-
-    _, bins, m_hat, tail_bound = choose_truncation(rep, tail_tolerance, n_ceiling, tail)
+    _, bins, m_hat, kappa, tail_bound = choose_truncation(
+        rep, tail_tolerance, n_ceiling, lambda n_max, m_hat, kappa, stop:
+        tail_bound_derivative(n_max, m_hat, ell_bdry, kappa, alpha_bdry, stop))
     return _report(alpha_bdry,
                    _series(bins, ell_bdry, alpha_bdry, cusp=False), "sum_deriv",
                    tail_bound, m_hat, kappa, tail_tolerance)
-
-
-def mirzakhani_threshold(rep, n_ceiling: int = 200) -> tuple[list[float], int | None]:
-    """Running bin sums of the H coefficients and the first bin where they exceed 1."""
-    ell_bdry, _, cusp = _boundary_values(rep)
-    if cusp:
-        raise NotHyperbolic("threshold needs a hyperbolic boundary")
-    for _, bins, _ in _grow(rep, n_ceiling):
-        h_running = _series(bins, ell_bdry, 0.0, cusp=False)[1]
-        if _first_over_one(h_running) is not None:
-            break
-    return h_running, _first_over_one(h_running)
-

@@ -53,13 +53,6 @@ class DualMatrix2:
         d = self.det()
         return abs(d.re - 1.0) <= tol and abs(d.inf) <= tol
 
-    def renormalized(self) -> "DualMatrix2":
-        """Project back onto det = 1 + 0*eps (divide by sqrt(det), then
-        remove the trace component of the eps part violating tangency)."""
-        d = self.det()
-        val = self.val / math.sqrt(d.re)
-        return DualMatrix2(val, project_tangent(val, self.eps) / math.sqrt(d.re))
-
 
 def adjugate(m: np.ndarray) -> np.ndarray:
     """adj(m) = det(m) m^-1 of a 2x2 array; entrywise linear."""

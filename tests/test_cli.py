@@ -318,6 +318,13 @@ _PATH = ["verify-margulis", "--coords", "4,4,4", "--deform", "path"]
                  id="None-deformation16-path_coeffs: not a number"),
     pytest.param(None, {"kind": "path", "path_coeffs": [1, False, 1]},
                  "path_coeffs: not a number", id="None-deformation17-path_coeffs: not a number"),
+    pytest.param(None, {"kind": "tangent", "tangent_matrices": {"A1": [["0", "0"], ["0", "0"]]}},
+                 "eps part of A: not a number", id="tangent-string-entry"),
+    pytest.param(None, {"kind": "tangent",
+                        "tangent_matrices": {"B1": [[False, False], [False, False]]}},
+                 "eps part of B: not a number", id="tangent-bool-entry"),
+    pytest.param(None, {"kind": "tangent", "tangent_matrices": {"A1": 0}},
+                 "eps part of A: not a matrix", id="tangent-non-list-matrix"),
 ])
 def test_bad_deformation_input_fails_cleanly(flags, deformation, names, tmp_path, capsys):
     argv = _PATH + flags if flags else ["verify-margulis", "--spec",

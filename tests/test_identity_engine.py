@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from mml.errors import NonConvergence, NotHyperbolic
 from mml.identity_engine import (BinStat, KahanSum, _boundary_values, _grow, _series, bound_D,
                                  bound_HK, coeff_H, coeff_K, cusp_gap, gap_D, kappa_from_bins,
-                                 margulis_residual, mcshane_sum, mirzakhani_threshold,
+                                 margulis_residual, mcshane_sum,
                                  tail_bound_derivative, tail_bound_identity, term_derivative)
 from mml.representation import DeformationSpec, TraceCoords, attach_deformation, build_rep, random_tangent
 from mml.sl2grp import dual_trace, translation_length
@@ -144,25 +144,25 @@ def test_margulis_residual_rejects_cusp():
         margulis_residual(rep)
 
 
-def test_mirzakhani_threshold():
-    rep = build_rep(TraceCoords(4, 4, 4))
-    running, threshold = mirzakhani_threshold(rep)
-    assert threshold is not None
-    assert running[threshold] > 1.0
-    if threshold > 0:
-        assert running[threshold - 1] <= 1.0
+@pytest.mark.parametrize("coords, tol, n_ceiling", [((4, 4, 4), 1e-4, 200), ((4, 4, 4), 100.0, 8),
+                                                    ((200, 200, 200), 1e-6, 200)],
+                         ids=["generic", "low-ceiling", "far"])
+def test_reports_carry_the_first_bin_where_the_h_sum_passes_1(coords, tol, n_ceiling):
+    rep = build_rep(TraceCoords(*coords))
+    r = mcshane_sum(rep, tail_tolerance=tol, n_ceiling=n_ceiling)
+    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
+    # _series's running H sum over the report's bins, binned afresh on a second rep
+    bins = bin_curves(enumerate_up_to(build_rep(TraceCoords(*coords)), r.n_max + 1), r.n_max)
+    h_running = _series(bins, ell_bdry, alpha_bdry, False)[1]
+    assert r.n_max <= n_ceiling and len(h_running) == r.n_max + 1
+    assert h_running == sorted(h_running) and r.h_partial_sum == h_running[-1]
+    first = next((n for n, h in enumerate(h_running) if h > 1.0), None)
+    assert r.h_threshold_n == first
+    assert first is None or first == 0 or h_running[first - 1] <= 1.0
     # term inequality D/l < H for each enumerated curve
     lb = translation_length(dual_trace(rep.boundary).re)
     for c in enumerate_up_to(rep, 25.0):
         assert gap_D(lb, c.length, c.length) / lb < coeff_H(2 * c.length, lb)
-
-
-def test_mirzakhani_threshold_respects_low_ceiling():
-    rep = build_rep(TraceCoords(4, 4, 4))
-    running, threshold = mirzakhani_threshold(rep, n_ceiling=8)
-    assert len(running) == 9
-    assert running == sorted(running)
-    assert threshold is None or running[threshold] > 1.0
 
 
 def _kappa(rep, max_total_length=40.0):
@@ -212,7 +212,7 @@ def test_series_bins_are_kahan_sums_of_the_public_terms(rep, cusp):
     # each curve is the pair (l, l, alpha, alpha); the sums must match bit for bit
     ell_bdry, alpha_bdry, is_cusp = _boundary_values(rep)
     assert is_cusp == cusp
-    *_, (_, bins, _) = _grow(rep, 40)
+    *_, (_, bins, _, _) = _grow(rep, 40)
     stats, h_running = _series(bins, ell_bdry, alpha_bdry, cusp)
     assert [s.n for s in stats] == [b.index for b in bins] == list(range(41))
     h = KahanSum()
@@ -239,8 +239,7 @@ def test_nonconvergence_at_low_ceiling():
 def test_nonconvergence_reports_the_full_ceiling_tail():
     rep = _tangent_rep((4, 4, 4), 11)
     ell_bdry, alpha_bdry, _ = _boundary_values(rep)
-    *_, (_, bins, m_hat) = _grow(_tangent_rep((4, 4, 4), 11), 24)
-    kappa = kappa_from_bins(bins, ell_bdry, alpha_bdry)
+    *_, (_, bins, m_hat, kappa) = _grow(_tangent_rep((4, 4, 4), 11), 24)
     tails = {mcshane_sum: lambda b: tail_bound_identity(24, m_hat, ell_bdry, b),
              margulis_residual: lambda b: tail_bound_derivative(24, m_hat, ell_bdry, kappa,
                                                                 alpha_bdry, b)}
@@ -282,13 +281,15 @@ def test_report_json_schema():
                                                ((200, 200, 200), 96)])
 def test_grown_bins_equal_binning_from_scratch(coords, n_ceiling):
     rep = build_rep(TraceCoords(*coords))
+    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
     steps = list(_grow(rep, n_ceiling))
-    assert [n for n, _, _ in steps] == list(range(16, n_ceiling + 1, 8))
-    for n_max, bins, m_hat in steps:
+    assert [n for n, _, _, _ in steps] == list(range(16, n_ceiling + 1, 8))
+    for n_max, bins, m_hat, kappa in steps:
         # a fresh rep has a fresh trace table, so nothing filled by _grow is reused
         fresh = build_rep(TraceCoords(*coords))
         assert bins == bin_curves(enumerate_up_to(fresh, n_max + 1), n_max)
         assert m_hat == fit_bin_constant(bins)
+        assert kappa == kappa_from_bins(bins, ell_bdry, alpha_bdry)
     assert sum(len(b.members) for b in steps[-1][1]) > 0
 
 
@@ -346,6 +347,18 @@ def test_margulis_tail_and_kappa_equal_a_recount_from_the_final_bins(coords, tol
     assert r.m_hat == m_hat
     assert r.kappa_hat == kappa
     assert r.tail_bound == tail_bound_derivative(r.n_max, m_hat, ell_bdry, kappa, alpha_bdry)
+
+
+@pytest.mark.parametrize("coords", [(4, 4, 4), (3, 3, 3), (200, 200, 200)])
+def test_mcshane_tail_and_kappa_equal_a_recount_from_the_final_bins(coords):
+    rep = _tangent_rep(coords, 11)
+    r = mcshane_sum(rep, tail_tolerance=1e-6)
+    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
+    # recounted on a copy, whose trace table mcshane_sum never filled
+    bins = bin_curves(enumerate_up_to(dataclasses.replace(rep), r.n_max + 1), r.n_max)
+    assert r.m_hat == fit_bin_constant(bins)
+    assert r.kappa_hat == kappa_from_bins(bins, ell_bdry, alpha_bdry)
+    assert r.tail_bound == tail_bound_identity(r.n_max, r.m_hat, ell_bdry)
 
 
 def test_margulis_residual_after_validation_equals_it_alone():

@@ -81,7 +81,7 @@ def test_mcshane_partial_sum_is_monotone_in_depth(coords):
     rep = build_rep(coords)
     ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
     sums = []
-    for _, bins, m_hat in _grow(rep, 64):
+    for _, bins, m_hat, _ in _grow(rep, 64):
         series = _series(bins, ell_bdry, alpha_bdry, cusp)
         sums.append(_report(1.0 if cusp else ell_bdry, series, "sum_d",
                             0.0, m_hat, 0.0, TOL).partial_sum)

@@ -9,7 +9,7 @@ from mml.representation import (DeformationSpec, HoledTorusRep, TraceCoords,
                                 attach_deformation, build_rep, random_tangent,
                                 validate_fuchsian)
 from mml.sl2grp import (DualMatrix2, compose, dual_trace, inverse,
-                        margulis_invariant_dual, translation_length)
+                        margulis_invariant_dual, project_tangent, translation_length)
 
 
 def test_build_rep_roundtrip():
@@ -111,9 +111,8 @@ def test_tangent_rejects_nontangent_eps():
 def test_conjugation_leaves_invariants(rng):
     rep = build_rep(TraceCoords(4.2, 4.8, 5.1))
     repd = attach_deformation(rep, random_tangent(rep, rng))
-    p = DualMatrix2(np.array([[1.3, 0.4], [0.7, (1 + 0.4 * 0.7) / 1.3]]),
-                    np.array([[0.1, 0.0], [0.2, 0.0]]))
-    p = p.renormalized()
+    val = np.array([[1.3, 0.4], [0.7, (1 + 0.4 * 0.7) / 1.3]])
+    p = DualMatrix2(val, project_tangent(val, np.array([[0.1, 0.0], [0.2, 0.0]])))
     conj = HoledTorusRep(compose(p, repd.A, inverse(p)),
                          compose(p, repd.B, inverse(p)), coords=rep.coords)
     for w1, w2 in [(repd.A, conj.A), (repd.B, conj.B), (repd.boundary, conj.boundary)]:

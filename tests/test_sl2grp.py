@@ -46,6 +46,11 @@ def test_compose_closure(rng):
         m, n = random_hyperbolic_dual(rng), random_hyperbolic_dual(rng)
         d = compose(m, n).det()
         assert abs(d.re - 1.0) <= 1e-10 and abs(d.inf) <= 1e-9
+    # a matrix drifted off det = 1 + 0*eps, in either part, is out of the group
+    m = random_hyperbolic_dual(rng)
+    for drift in (DualMatrix2(m.val * 1.000001, m.eps + 1e-6 * m.val),
+                  DualMatrix2(m.val * 1.000001, m.eps), DualMatrix2(m.val, m.eps + 1e-6 * m.val)):
+        assert not drift.in_group()
 
 
 def test_inverse_identity_and_adjugate():
@@ -146,11 +151,3 @@ def test_margulis_matches_finite_difference(rng):
         ell = lambda s: translation_length(float(np.trace(a0 @ sl2_exp(w, s))))
         fd = (ell(h) - ell(-h)) / (2 * h)
         assert abs(margulis_invariant_dual(m) - fd) <= 1e-6
-
-
-def test_renormalized_restores_group(rng):
-    m = random_hyperbolic_dual(rng)
-    drift = DualMatrix2(m.val * 1.000001, m.eps + 1e-6 * m.val)
-    assert not drift.in_group()
-    fixed = drift.renormalized()
-    assert fixed.in_group(tol=1e-12)

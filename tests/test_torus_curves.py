@@ -199,15 +199,16 @@ def test_choose_truncation_tail_policy():
     for coords in ((4, 4, 4), (3, 3, 3)):
         rep = build_rep(TraceCoords(*coords))
         ell_bdry, _, _ = _boundary_values(rep)
-        n_max, bins, m_hat, tail = choose_truncation(rep, tol)
+        n_max, bins, m_hat, kappa, tail = choose_truncation(
+            rep, tol, 200, lambda n, m, k, stop: tail_bound_identity(n, m, ell_bdry, stop))
         assert tail <= tol
         assert [b.index for b in bins] == list(range(n_max + 1))
         assert n_max >= 16 and (n_max - 16) % 8 == 0
         # the grid step before it, grown on a fresh rep, is the one the tail rejected
-        steps = {n: m for n, _, m in _grow(build_rep(TraceCoords(*coords)), n_max)}
-        assert steps[n_max] == m_hat
+        steps = {n: (m, k) for n, _, m, k in _grow(build_rep(TraceCoords(*coords)), n_max)}
+        assert steps[n_max] == (m_hat, kappa)
         if n_max > 16:
-            assert tail_bound_identity(n_max - 8, steps[n_max - 8], ell_bdry) > tol
+            assert tail_bound_identity(n_max - 8, steps[n_max - 8][0], ell_bdry) > tol
 
 
 def test_nonhyperbolic_rep_raises():
