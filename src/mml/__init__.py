@@ -11,7 +11,7 @@ from .representation import (DeformationSpec, HoledTorusRep, TraceCoords,
                              attach_deformation, build_rep, validate_fuchsian)
 from .sl2grp import (DualMatrix2, commutator, compose, dual_trace, inverse,
                      margulis_invariant_dual, translation_length)
-from .torus_curves import (CurveBin, CurveClass, Slope, christoffel_word, export_census,
+from .torus_curves import (CurveBin, CurveClass, christoffel_word, export_census,
                            farey_enumerate)
 
 __version__ = "0.1.0"

@@ -17,15 +17,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import NonConvergence, NotHyperbolic
-from .sl2grp import dual_trace, margulis_from_trace, translation_length
+from .sl2grp import PARABOLIC_TOL, dual_trace, margulis_from_trace, translation_length
 # make_tables is unused here, but perfbench's tracer wraps identity_engine.make_tables.
 from .torus_curves import CurveBin, bin_curves, enumerate_up_to, fit_bin_constant, make_tables
 
 #: Safety inflation applied to the fitted bin constant and kappa estimate.
 SAFETY_FACTOR = 2.0
-
-#: Boundary traces within this of +-2 run the cusp-limit form of the sum.
-PARABOLIC_TOL = 1e-9
 
 _GROW_START = 16
 _GROW_STEP = 8

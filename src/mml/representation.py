@@ -17,9 +17,8 @@ import numpy as np
 
 from . import torus_curves
 from .errors import InvalidCoords
-from .identity_engine import PARABOLIC_TOL
-from .sl2grp import (DualMatrix2, commutator, compose, dual_trace, project_tangent,
-                     tangency_defect)
+from .sl2grp import (PARABOLIC_TOL, DualMatrix2, commutator, compose, dual_trace,
+                     project_tangent, tangency_defect)
 
 TANGENT_TOL = 1e-10
 #: validate_fuchsian checks every slope with |p| + q up to this.
@@ -139,13 +138,13 @@ def validate_fuchsian(rep: HoledTorusRep) -> None:
     within PARABOLIC_TOL of -2 passes and runs the cusp form.  Such a
     representation is Fuchsian (Goldman, "The modular group action on real
     SL(2)-characters of a one-holed torus", Geom. Topol. 2003); as a cheap
-    guard it then checks |trace| > 2 for every slope with |p| + q <=
-    SAMPLE_DEPTH.
+    guard it then checks |trace| > 2 + PARABOLIC_TOL, as translation_length
+    does, for every slope with |p| + q <= SAMPLE_DEPTH.
     """
     c, kappa = rep.coords, dual_trace(rep.boundary).re
     if not (min(c.x, c.y, c.z) > 2.0 and kappa <= -2.0 + PARABOLIC_TOL):
         raise InvalidCoords(f"coordinates ({c.x}, {c.y}, {c.z}) need x, y, z > 2 and "
                             f"boundary trace {kappa} <= -2")
-    for s in torus_curves.farey_enumerate(SAMPLE_DEPTH):
-        if abs(rep.table.trace(s.p, s.q).re) <= 2.0:
-            raise InvalidCoords(f"non-hyperbolic simple curve of slope {s}")
+    for p, q in torus_curves.farey_enumerate(SAMPLE_DEPTH):
+        if abs(rep.table.trace(p, q).re) <= 2.0 + PARABOLIC_TOL:
+            raise InvalidCoords(f"non-hyperbolic simple curve of slope {p}/{q}")

@@ -20,8 +20,9 @@ from .errors import NotHyperbolic
 #: Tolerance for det = 1 + 0*eps on construction.
 GROUP_TOL = 1e-10
 
-#: |trace| <= 2 + this is treated as non-hyperbolic.
-HYPERBOLIC_TOL = 1e-9
+#: |trace| <= 2 + this is treated as non-hyperbolic, and a boundary trace
+#: within this of +-2 as parabolic (the cusp).
+PARABOLIC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,6 @@ def _product(m: DualMatrix2, n: DualMatrix2) -> DualMatrix2:
     return out
 
 
-#: The identity as laid out by flatten.
-FLAT_IDENTITY = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-
-
 def flatten(m: DualMatrix2) -> tuple[float, ...]:
     """m as 8 Python floats: the value part, then the eps part, row-major."""
     return tuple(np.stack((m.val, m.eps)).ravel().tolist())
@@ -136,8 +133,8 @@ def commutator(a: DualMatrix2, b: DualMatrix2) -> DualMatrix2:
 
 def translation_length(t: float) -> float:
     """Geodesic length 2*arccosh(|t|/2) of a hyperbolic element of trace t."""
-    if abs(t) <= 2.0 + HYPERBOLIC_TOL:
-        raise NotHyperbolic(f"trace {t} is not hyperbolic (|t| <= 2)")
+    if abs(t) <= 2.0 + PARABOLIC_TOL:
+        raise NotHyperbolic(f"trace {t} is not hyperbolic (|t| <= 2 + PARABOLIC_TOL)")
     return 2.0 * math.acosh(abs(t) / 2.0)
 
 
@@ -146,8 +143,8 @@ def margulis_from_trace(t: DualScalar) -> float:
 
     Differentiating 2*arccosh(|t|/2) gives 2*t_eps*sign(t)/sqrt(t^2-4).
     """
-    if abs(t.re) <= 2.0 + HYPERBOLIC_TOL:
-        raise NotHyperbolic(f"trace {t.re} is not hyperbolic (|t| <= 2)")
+    if abs(t.re) <= 2.0 + PARABOLIC_TOL:
+        raise NotHyperbolic(f"trace {t.re} is not hyperbolic (|t| <= 2 + PARABOLIC_TOL)")
     return 2.0 * t.inf * math.copysign(1.0, t.re) / math.sqrt(t.re * t.re - 4.0)
 
 

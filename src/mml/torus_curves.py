@@ -1,10 +1,12 @@
 """Simple closed curves on the one-holed torus, indexed by Farey slopes.
 
 Isotopy classes of essential simple closed curves correspond to slopes
-p/q (coprime, q > 0, plus 1/0); each slope carries a Christoffel word,
-spelled with A = a^-1 for a negative p, and traces are computed both by
-direct matrix evaluation of the word and by the trace recursion
-tr(UV) = tr(U) tr(V) - tr(UV^-1) along the Farey tree of both signs.
+p/q (coprime, q > 0, plus 1/0), written as the tuple (p, q).  Traces
+are computed both by the trace recursion tr(UV) = tr(U) tr(V) - tr(UV^-1)
+along the Farey tree of both signs and by direct matrix evaluation of
+each slope's Christoffel word (spelled with A = a^-1 for a negative p),
+built as the product of its Farey parents' word matrices; the word itself
+is spelled out only for the census.
 """
 
 from __future__ import annotations
@@ -17,45 +19,19 @@ from typing import Iterable
 
 from .dualnum import DualScalar
 from .errors import MMLError, RecursionMismatch
-from .sl2grp import (FLAT_IDENTITY, DualMatrix2, compose, dual_trace, flat_product, flatten,
-                     inverse, margulis_from_trace, translation_length)
+from .sl2grp import (DualMatrix2, compose, dual_trace, flat_product, flatten, inverse,
+                     margulis_from_trace, translation_length)
 
 #: Direct evaluation vs recursion disagreement beyond this raises.
 RECURSION_TOL = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
-class Slope:
-    """Coprime slope p/q, canonical with q > 0, or (1, 0)."""
+class CurveClass:
+    """One isotopy class: slope p/q and values under the active representation."""
 
     p: int
     q: int
-
-    def __post_init__(self):
-        if math.gcd(abs(self.p), abs(self.q)) != 1:
-            raise ValueError(f"slope {self.p}/{self.q} is not coprime")
-        if self.q < 0 or (self.q == 0 and self.p < 0):
-            object.__setattr__(self, "p", -self.p)
-            object.__setattr__(self, "q", -self.q)
-
-    def __str__(self):
-        return f"{self.p}/{self.q}"
-
-
-def _mediant_slope(p: int, q: int) -> Slope:
-    """Slope(p, q) for a signed mediant or a seed, coprime and canonical by construction."""
-    s = object.__new__(Slope)
-    object.__setattr__(s, "p", p)
-    object.__setattr__(s, "q", q)
-    return s
-
-
-@dataclass(frozen=True, slots=True)
-class CurveClass:
-    """One isotopy class: slope, word, and values under the active representation."""
-
-    slope: Slope
-    word: str
     trace: float
     length: float
     alpha: float = 0.0
@@ -107,10 +83,11 @@ class TraceTable:
     One table covers every slope, keyed by the signed (p, q) with q >= 0;
     1/0 is also stored as -1/0, the parent of the negative slopes next to
     it.  Build once, then treat as read-only.  Besides the traces, a table
-    memoizes the matrix of each traced slope's Christoffel word, as 8
-    floats (see sl2grp.flatten), filled from its Farey parents' words, the
-    (trace, length) pair of each traced slope, and the curve class of each
-    slope it was asked for (by enumerate_up_to, only the emitted ones).
+    memoizes, under the same keys, the matrix of each traced slope's
+    Christoffel word, as 8 floats (see sl2grp.flatten), filled from its
+    Farey parents' word matrices, the (trace, length) pair of each traced
+    slope, and the curve class of each slope it was asked for (by
+    enumerate_up_to, only the emitted ones).
     Word matrices only cross-check the trace recursion, so they are
     multiplied in plain floats; the seed traces come from numpy products.
     """
@@ -129,9 +106,9 @@ class TraceTable:
             (1, 1): dual_trace(ab),
             (-1, 1): dual_trace(inv_ab),
         }
-        self._words: dict[str, tuple[float, ...]] = {
-            "": FLAT_IDENTITY, "a": flatten(gen_a), "A": flatten(inv_a), "b": flatten(gen_b),
-            "ab": flatten(ab), "Ab": flatten(inv_ab)}
+        self._words: dict[tuple[int, int], tuple[float, ...]] = {
+            (1, 0): flatten(gen_a), (-1, 0): flatten(inv_a), (0, 1): flatten(gen_b),
+            (1, 1): flatten(ab), (-1, 1): flatten(inv_ab)}
         self._nodes: dict[tuple[int, int], tuple[float, float]] = {}
         self._curves: dict[tuple[int, int], CurveClass] = {}
 
@@ -160,16 +137,14 @@ class TraceTable:
         t = lo * up - th
         # word(p/q) = word(upper) + word(lower), and both parents are traced,
         # so their word matrices are in the memo: one product per new slope.
-        word = christoffel_word(p, q)
         words = self._words
-        words[word] = flat_product(words[christoffel_word(*upper)],
-                                   words[christoffel_word(*lower)])
-        self._check_against_word(p, q, word, t)
+        words[(p, q)] = flat_product(words[upper], words[lower])
+        self._check_against_word(p, q, t)
         memo[(p, q)] = t
         return t
 
-    def _check_against_word(self, p: int, q: int, word: str, t: DualScalar) -> None:
-        m = self.word_matrix(word)
+    def _check_against_word(self, p: int, q: int, t: DualScalar) -> None:
+        m = self.word_matrix((p, q))
         re, eps = m[0] + m[3], m[4] + m[7]
         if abs(re - t.re) > RECURSION_TOL * max(1.0, abs(re)):
             raise RecursionMismatch(
@@ -178,20 +153,10 @@ class TraceTable:
             raise RecursionMismatch(
                 f"slope {p}/{q}: recursion eps part {t.inf} vs direct {eps}")
 
-    def word_matrix(self, word: str) -> tuple[float, ...]:
-        """Product of the generators spelled by word over {a, A, b}, A = a^-1,
-        as the 8 floats of sl2grp.flatten.
-
-        trace() memoizes the word of every slope it meets and this hands
-        out that tuple; any other word is split in half and not memoized.
-        """
-        m = self._words.get(word)
-        if m is not None:
-            return m
-        if word.count("a") + word.count("A") + word.count("b") != len(word):
-            raise KeyError(f"word {word!r} has a letter outside {{a, A, b}}")
-        cut = len(word) // 2
-        return flat_product(self.word_matrix(word[:cut]), self.word_matrix(word[cut:]))
+    def word_matrix(self, slope: tuple[int, int]) -> tuple[float, ...]:
+        """Matrix of the Christoffel word of a traced slope (p, q), as the 8
+        floats of sl2grp.flatten; KeyError for a slope not traced yet."""
+        return self._words[slope]
 
     def node(self, p: int, q: int) -> tuple[float, float]:
         """(trace, length) of slope p/q: its trace's value part and translation_length.
@@ -214,11 +179,7 @@ class TraceTable:
         if c is not None:
             return c
         t, length = self.node(p, q)
-        c = CurveClass(slope=_mediant_slope(p, q),
-                       word=christoffel_word(p, q),
-                       trace=t,
-                       length=length,
-                       alpha=margulis_from_trace(self._memo[(p, q)]))
+        c = CurveClass(p, q, t, length, margulis_from_trace(self._memo[(p, q)]))
         self._curves[(p, q)] = c
         return c
 
@@ -228,7 +189,7 @@ def make_tables(rep) -> TraceTable:
     return TraceTable(rep.A, rep.B)
 
 
-def farey_enumerate(max_denominator_sum: int) -> list[Slope]:
+def farey_enumerate(max_denominator_sum: int) -> list[tuple[int, int]]:
     """All canonical slopes with |p| + q <= bound, in Stern-Brocot order.
 
     Each positive interior slope p/q is followed by -p/q; 1/0 and 0/1
@@ -236,15 +197,15 @@ def farey_enumerate(max_denominator_sum: int) -> list[Slope]:
     """
     if max_denominator_sum < 1:
         raise ValueError("max_denominator_sum must be >= 1")
-    out = [Slope(1, 0), Slope(0, 1)]
+    out = [(1, 0), (0, 1)]
     stack = [((0, 1), (1, 0))]
     while stack:
         (pl, ql), (pr, qr) = stack.pop()
         p, q = pl + pr, ql + qr
         if p + q > max_denominator_sum:
             continue
-        out.append(_mediant_slope(p, q))
-        out.append(_mediant_slope(-p, q))
+        out.append((p, q))
+        out.append((-p, q))
         # push right child last so it is visited first (preorder, a-side first)
         stack.append(((pl, ql), (p, q)))
         stack.append(((p, q), (pr, qr)))
@@ -291,7 +252,7 @@ def bin_curves(curves: Iterable[CurveClass], n_max: int, n_min: int = 0) -> list
         if c.length >= shortest and (n := c.bin_index) <= n_max:
             buckets.setdefault(n, []).append(c)
     return [CurveBin(n, tuple(sorted(buckets.get(n, []),
-                                     key=lambda c: (c.length, c.slope.p, c.slope.q))))
+                                     key=lambda c: (c.length, c.p, c.q))))
             for n in range(n_min, n_max + 1)]
 
 
@@ -308,6 +269,6 @@ def export_census(bins: list[CurveBin], path) -> None:
         w.writerow(["slope_p", "slope_q", "word", "trace", "length", "bin"])
         for b in bins:
             for c in b.members:
-                w.writerow([c.slope.p, c.slope.q, c.word,
+                w.writerow([c.p, c.q, christoffel_word(c.p, c.q),
                             f"{c.trace:.12g}", f"{c.length:.12g}", b.index])
         w.writerow(["m_hat", f"{fit_bin_constant(bins):.12g}", "", "", "", ""])

@@ -80,13 +80,17 @@ def test_spec_file(tmp_path):
     assert abs(json.loads(out.read_text())["target"] - 2.6832815737) < 1e-6
 
 
-def test_invalid_inputs():
+def test_invalid_inputs(capsys):
     assert run(["verify-mcshane", "--coords", "1,1"]) == 1
     assert run(["verify-mcshane", "--coords", "1.5,4,4"]) == 1
     assert run(["verify-mcshane", "--spec", "/nonexistent.json"]) == 1
     assert run(["verify-mcshane", "--coords", "4,4,4", "--tol", "-1"]) == 1
     assert run(["verify-mcshane", "--coords", "4,4,4", "--tol", "nan"]) == 1
     assert run(["verify-mcshane", "--coords", "4,4,4", "--tol", "inf"]) == 1
+    # in the domain, but tr(a) is within PARABOLIC_TOL of 2: the slope check names 1/0
+    capsys.readouterr()
+    assert run(["verify-margulis", "--coords", "2.0000000005,100000,100000"]) == 1
+    assert capsys.readouterr().err == "error: non-hyperbolic simple curve of slope 1/0\n"
 
 
 _OUTSIDE = ["10,3,3", "4,1.5,4", "2.5,2.5,2.5"]

@@ -200,7 +200,7 @@ def test_rearrangement_invariance():
     for c in curves:
         farey_order.add(gap_D(lb, c.length, c.length))
     bin_order = KahanSum()
-    for c in sorted(curves, key=lambda c: (c.bin_index, c.length, c.slope.p, c.slope.q)):
+    for c in sorted(curves, key=lambda c: (c.bin_index, c.length, c.p, c.q)):
         bin_order.add(gap_D(lb, c.length, c.length))
     assert abs(farey_order.total - bin_order.total) < 1e-10
 

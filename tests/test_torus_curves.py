@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ import pytest
 from mml.dualnum import DualScalar
 from mml.errors import MMLError, NotHyperbolic, RecursionMismatch
 from mml.identity_engine import (_boundary_values, _grow, choose_truncation, margulis_residual,
-                                 tail_bound_identity)
+                                 mcshane_sum, tail_bound_identity)
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent, validate_fuchsian)
-from mml.sl2grp import FLAT_IDENTITY, compose, flat_product, flatten, inverse
-from mml.torus_curves import (CurveClass, Slope, bin_curves, christoffel_word, enumerate_up_to,
+from mml.sl2grp import compose, flat_product, flatten, inverse
+from mml.torus_curves import (CurveClass, bin_curves, christoffel_word, enumerate_up_to,
                               export_census, farey_enumerate, fit_bin_constant, make_tables)
 
 
@@ -21,32 +22,21 @@ def _deformed_444():
 
 
 def _trace(rep, s):
-    return rep.table.trace(s.p, s.q).re
+    return rep.table.trace(*s).re
 
 
-def test_slope_canonicalization():
-    assert Slope(1, -1) == Slope(-1, 1)
-    assert Slope(-1, 0) == Slope(1, 0)
-    with pytest.raises(ValueError):
-        Slope(2, 4)
-
-
-def test_mediant_built_slopes_equal_and_hash_like_public_slopes():
+def test_enumerated_and_curve_slopes_are_canonical():
     table = make_tables(build_rep(TraceCoords(4, 4, 4)))
-    for s in farey_enumerate(30):
-        for built in (s, table.curve(s.p, s.q).slope):
-            public = Slope(built.p, built.q)
-            assert type(built) is Slope and built == public and hash(built) == hash(public)
-            assert (built.p, built.q) == (public.p, public.q) and public.q >= 0
-    with pytest.raises(ValueError):
-        Slope(2, 4)
+    for p, q in farey_enumerate(30):
+        c = table.curve(p, q)
+        assert (c.p, c.q) == (p, q) and type(p) is int and type(q) is int
+        assert math.gcd(abs(p), q) == 1 and (q > 0 or (p, q) == (1, 0))
 
 
 @pytest.mark.parametrize("value, field, other", [
     (DualScalar(1.5, -2.0), "inf", 2.0),
-    (Slope(-2, 3), "p", 1),
-    (CurveClass(Slope(1, 2), "bab", 3.5, 1.9248473002384139, 0.25), "alpha", 0.5),
-], ids=["DualScalar", "Slope", "CurveClass"])
+    (CurveClass(1, 2, 3.5, 1.9248473002384139, 0.25), "alpha", 0.5),
+], ids=["DualScalar", "CurveClass"])
 def test_value_types_are_slotted_frozen_and_hash_by_fields(value, field, other):
     # at least four are built per newly traced slope: no per-instance dict
     assert not hasattr(value, "__dict__")
@@ -59,18 +49,18 @@ def test_value_types_are_slotted_frozen_and_hash_by_fields(value, field, other):
 
 
 def test_farey_enumerate_small():
-    assert [(s.p, s.q) for s in farey_enumerate(1)] == [(1, 0), (0, 1)]
-    assert {(s.p, s.q) for s in farey_enumerate(2)} == {(1, 0), (0, 1), (1, 1), (-1, 1)}
-    got3 = {(s.p, s.q) for s in farey_enumerate(3)}
+    assert farey_enumerate(1) == [(1, 0), (0, 1)]
+    assert set(farey_enumerate(2)) == {(1, 0), (0, 1), (1, 1), (-1, 1)}
+    got3 = set(farey_enumerate(3))
     assert got3 == {(1, 0), (0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2), (2, 1), (-2, 1)}
 
 
 def test_farey_enumerate_coprime_census():
     slopes = farey_enumerate(12)
     assert len(slopes) == len(set(slopes))
-    for s in slopes:
-        assert math.gcd(abs(s.p), s.q) == 1
-        assert abs(s.p) + s.q <= 12
+    for p, q in slopes:
+        assert math.gcd(abs(p), q) == 1
+        assert abs(p) + q <= 12
 
 
 def test_words():
@@ -88,22 +78,22 @@ def test_words():
 
 def test_traces_333():
     rep = build_rep(TraceCoords(3, 3, 3))
-    assert math.isclose(_trace(rep, Slope(1, 1)), 3.0, abs_tol=1e-12)
+    assert math.isclose(_trace(rep, (1, 1)), 3.0, abs_tol=1e-12)
     # tr(A*AB) = x*z - y = 6
-    assert math.isclose(_trace(rep, Slope(2, 1)), 6.0, abs_tol=1e-9)
-    assert math.isclose(_trace(rep, Slope(1, 2)), 6.0, abs_tol=1e-9)
+    assert math.isclose(_trace(rep, (2, 1)), 6.0, abs_tol=1e-9)
+    assert math.isclose(_trace(rep, (1, 2)), 6.0, abs_tol=1e-9)
 
 
 def test_traces_444_generator():
     rep = build_rep(TraceCoords(4, 4, 4))
-    assert math.isclose(_trace(rep, Slope(1, 0)), 4.0, abs_tol=1e-12)
+    assert math.isclose(_trace(rep, (1, 0)), 4.0, abs_tol=1e-12)
 
 
 def test_recursion_matches_direct_everywhere():
     table = make_tables(_deformed_444())
     for s in farey_enumerate(12):
-        rec = table.trace(s.p, s.q)
-        m = table.word_matrix(christoffel_word(s.p, s.q))
+        rec = table.trace(*s)
+        m = table.word_matrix(s)
         re, eps = m[0] + m[3], m[4] + m[7]
         assert abs(rec.re - re) <= 1e-9 * max(1.0, abs(re))
         assert abs(rec.inf - eps) <= 1e-9 * max(1.0, abs(re), abs(eps))
@@ -112,8 +102,8 @@ def test_recursion_matches_direct_everywhere():
 def test_slope_symmetry_equal_coords():
     rep = build_rep(TraceCoords(4, 4, 4))
     for p, q in [(2, 1), (3, 2), (5, 3), (4, 7)]:
-        t1 = _trace(rep, Slope(p, q))
-        t2 = _trace(rep, Slope(q, p))
+        t1 = _trace(rep, (p, q))
+        t2 = _trace(rep, (q, p))
         assert abs(t1 - t2) <= 1e-9 * max(1.0, abs(t1))
 
 
@@ -129,10 +119,10 @@ def test_enumeration_completeness_against_brute_force():
     # oracle: every slope with |p|+q small, kept iff 2*length below cutoff
     rep = build_rep(TraceCoords(4, 4, 4))
     cutoff = 24.0
-    curves = {(c.slope.p, c.slope.q) for c in enumerate_up_to(rep, cutoff)}
+    curves = {(c.p, c.q) for c in enumerate_up_to(rep, cutoff)}
     for s in farey_enumerate(10):
         length = 2 * math.acosh(abs(_trace(rep, s)) / 2)
-        assert ((s.p, s.q) in curves) == (2 * length < cutoff)
+        assert (s in curves) == (2 * length < cutoff)
 
 
 @pytest.mark.parametrize("coords", [(4, 4, 4), (2.2, 150, 100),
@@ -143,8 +133,8 @@ def test_enumerated_slopes_equal_brute_force_filter(coords):
     rep = build_rep(TraceCoords(*coords))
     table = make_tables(rep)
     cutoff = 30.0
-    got = {(c.slope.p, c.slope.q) for c in enumerate_up_to(rep, cutoff)}
-    want = {(s.p, s.q) for s in farey_enumerate(40) if 2 * table.curve(s.p, s.q).length < cutoff}
+    got = {(c.p, c.q) for c in enumerate_up_to(rep, cutoff)}
+    want = {s for s in farey_enumerate(40) if 2 * table.curve(*s).length < cutoff}
     assert got == want and len(got) >= 20
 
 
@@ -188,7 +178,7 @@ def test_bins_and_constant():
 def test_a_bin_range_equals_those_bins_of_a_full_binning():
     # lengths on and just below each bin edge N/2, where the length test must agree with floor
     lengths = [x for k in range(1, 12) for x in (k / 2, math.nextafter(k / 2, 0.0), k / 2 + 0.25)]
-    curves = [CurveClass(Slope(i, 1), "", 2.0, length) for i, length in enumerate(lengths)]
+    curves = [CurveClass(i, 1, 2.0, length) for i, length in enumerate(lengths)]
     full = bin_curves(curves, 10)
     for n_min in range(12):
         assert bin_curves(curves, 10, n_min) == full[n_min:]
@@ -239,13 +229,12 @@ def _assert_same_matrix(m, ref):
 def test_word_matrix_matches_letter_by_letter_product():
     table = make_tables(_deformed_444())
     letters = {"a": table.gen_a, "A": inverse(table.gen_a), "b": table.gen_b}
-    words = [christoffel_word(sign * p, q) for p in range(41) for q in range(41 - p)
-             for sign in (1, -1) if p + q >= 1 and math.gcd(p, q) == 1]
-    for w in words + ["ba", "aab", "bab", "bbaab", "bA", "Aba", "bAAbb"]:
-        _assert_same_matrix(table.word_matrix(w), flatten(compose(*(letters[c] for c in w))))
-    assert table.word_matrix("") == FLAT_IDENTITY
-    with pytest.raises(KeyError):
-        table.word_matrix("abc")
+    slopes = [(sign * p, q) for p in range(41) for q in range(41 - p)
+              for sign in (1, -1) if p + q >= 1 and math.gcd(p, q) == 1]
+    for s in slopes:
+        table.trace(*s)
+        w = christoffel_word(*s)
+        _assert_same_matrix(table.word_matrix(s), flatten(compose(*(letters[c] for c in w))))
 
 
 def test_word_matrix_costs_one_product_per_new_slope(monkeypatch):
@@ -268,25 +257,51 @@ def test_word_matrix_costs_one_product_per_new_slope(monkeypatch):
 def test_word_matrix_returns_read_only_float64_parts():
     # a tuple of 8 floats: callers cannot write the memo through it
     table = make_tables(_deformed_444())
-    for word in ["", "a", "A", "aab", "Ab", "bAb"]:
-        m = table.word_matrix(word)
+    for s in [(1, 0), (-1, 0), (0, 1), (2, 1), (-1, 1), (-1, 2)]:
+        table.trace(*s)
+        m = table.word_matrix(s)
         assert type(m) is tuple and len(m) == 8 and all(type(x) is float for x in m)
+
+
+def test_tracing_a_long_spine_holds_no_word_strings():
+    # a near-parabolic generator keeps the spine p/1 short far down the tree; the
+    # word of p/1 has p + 1 letters, so a memo keyed by words would hold ~50 MB here
+    table = make_tables(build_rep(TraceCoords(2.000000002, 1e5, 1e5)))
+    tracemalloc.start()
+    try:
+        for p in range(2, 10_001):
+            table.trace(p, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def test_the_series_never_spell_a_word(monkeypatch):
+    import mml.torus_curves as tc
+
+    def spelled(p, q):
+        raise AssertionError(f"the word of {p}/{q} was spelled")
+
+    monkeypatch.setattr(tc, "christoffel_word", spelled)
+    rep = _deformed_444()
+    assert mcshane_sum(rep, 1e-10).passed and margulis_residual(rep, 1e-10).passed
 
 
 @pytest.mark.parametrize("part", ["re", "inf", "word-re", "word-inf",
                                   "mirror-re", "mirror-inf", "mirror-word-re", "mirror-word-inf"])
 def test_corrupted_recursion_is_caught(part):
-    # 2/1 is traced from 1/1 and its word matrix from that of "ab": corrupt
-    # 1/1's trace, or the value (index 0) or eps (index 4) part of "ab";
-    # likewise -2/1 from -1/1 and "Ab"
+    # 2/1 is traced from 1/1 and its word matrix from that of 1/1 ("ab"):
+    # corrupt 1/1's trace, or the value (index 0) or eps (index 4) part of
+    # its word matrix; likewise -2/1 from -1/1 ("Ab")
     sign = -1 if part.startswith("mirror") else 1
-    key, word = (sign, 1), "ab" if sign > 0 else "Ab"
+    key = (sign, 1)
     table = make_tables(_deformed_444())
     t = table._memo[key]
     if "word" in part:
-        m = list(table._words[word])
+        m = list(table._words[key])
         m[0 if part.endswith("word-re") else 4] += 1.0
-        table._words[word] = tuple(m)
+        table._words[key] = tuple(m)
     else:
         bumped = {"re": DualScalar(t.re + 1.0, t.inf), "inf": DualScalar(t.re, t.inf + 1.0)}
         table._memo[key] = bumped[part.rsplit("-", 1)[-1]]
@@ -299,7 +314,7 @@ def test_curve_memo_reuses_classes_across_growth():
     rep = _deformed_444()
     short = enumerate_up_to(rep, 20.0)
     deep = enumerate_up_to(rep, 30.0)
-    assert all(c is rep.table.curve(c.slope.p, c.slope.q) for c in short)
+    assert all(c is rep.table.curve(c.p, c.q) for c in short)
     assert [c for c in deep if c.length < 10.0] == short
     # from scratch: a second rep with the same seeded tangent has a table of its own
     assert enumerate_up_to(_deformed_444(), 30.0) == deep
@@ -310,7 +325,7 @@ def test_classes_are_built_only_for_emitted_slopes():
     table = rep.table
 
     def emitted(curves):
-        return {(c.slope.p, c.slope.q) for c in curves}
+        return {(c.p, c.q) for c in curves}
 
     short = enumerate_up_to(rep, 20.0)
     assert set(table._curves) == emitted(short)
