@@ -6,7 +6,6 @@ from .errors import (InvalidCoords, MMLError, NonConvergence, NotHyperbolic,
                      RecursionMismatch)
 from .identity_engine import (SeriesReport, coeff_H, coeff_K, gap_D, margulis_residual,
                               mcshane_sum, term_derivative)
-from .lorentz import LorentzIsometry, adjoint_of, margulis_invariant_lorentz, neutral_vector
 from .representation import (DeformationSpec, HoledTorusRep, TraceCoords,
                              attach_deformation, build_rep, validate_fuchsian)
 from .sl2grp import (DualMatrix2, commutator, compose, dual_trace, inverse,

@@ -103,13 +103,11 @@ def _rep(coords: reprs.TraceCoords, d, seed: int, name=None) -> reprs.HoledTorus
 def _build(args) -> reprs.HoledTorusRep:
     """The rep of --spec or --coords.  census (no --seed) builds it undeformed; elsewhere,
     without a spec deformation, a command that has --deform takes the flags' one."""
-    if args.spec:
+    if args.spec is not None:
         coords, d = _load_spec(args.spec)
         name = lambda field: f"spec {args.spec} {field}"
-    elif args.coords:
-        coords, d, name = _parse_coords(args.coords), None, None
     else:
-        raise InvalidCoords("either --coords or --spec is required")
+        coords, d, name = _parse_coords(args.coords), None, None
     if "seed" not in args:  # census writes traces and lengths only
         return _rep(coords, None, 0)
     if d is None and "deform" in args:
@@ -187,8 +185,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _add_rep(p: argparse.ArgumentParser, seed: bool = True) -> None:
-    p.add_argument("--coords", help="trace coordinates x,y,z")
-    p.add_argument("--spec", help="JSON representation spec file")
+    rep = p.add_mutually_exclusive_group(required=True)
+    rep.add_argument("--coords", help="trace coordinates x,y,z")
+    rep.add_argument("--spec", help="JSON representation spec file")
     if seed:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of a random tangent")
 
@@ -256,6 +255,8 @@ def main(argv=None) -> int:
     try:
         if "tol" in args and (not 0 < args.tol < math.inf or args.n_ceiling < 1):
             raise InvalidCoords("--tol must be > 0 and --n-ceiling >= 1")
+        if "seed" in args and args.seed < 0:  # numpy's default_rng takes no negative seed
+            raise InvalidCoords(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except NonConvergence as e:
         print(f"error: {e}", file=sys.stderr)

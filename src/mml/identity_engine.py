@@ -77,16 +77,6 @@ def term_derivative(ell1: float, ell2: float, ell_bdry: float,
     return coeff_H(u, ell_bdry) * alpha_bdry + coeff_K(u, ell_bdry) * (alpha1 + alpha2)
 
 
-def bound_D(x: float, y: float, z: float) -> float:
-    """Exponential summand bound 4 sinh(x/2) e^{-(y+z)/2}."""
-    return 4.0 * math.sinh(x / 2.0) * math.exp(-(y + z) / 2.0)
-
-
-def bound_HK(u: float, v: float) -> float:
-    """Shared exponential bound 2 cosh(|v|/2) e^{-u/2} for |H| and |K| at (u, v)."""
-    return 2.0 * math.cosh(abs(v) / 2.0) * math.exp(-u / 2.0)
-
-
 @dataclass(frozen=True)
 class BinStat:
     n: int

@@ -10,7 +10,7 @@ the construction along a line of coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -65,15 +65,17 @@ class DeformationSpec:
 
 @dataclass(frozen=True)
 class HoledTorusRep:
-    """Generator pair with boundary word [A, B] and cached coordinates."""
+    """Generator pair with their trace coordinates."""
 
     A: DualMatrix2
     B: DualMatrix2
     coords: TraceCoords
-    boundary: DualMatrix2 = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "boundary", commutator(self.A, self.B))
+    @cached_property
+    def boundary(self) -> DualMatrix2:
+        """The boundary word [A, B], computed on first use; like table, it is
+        not carried over by dataclasses.replace."""
+        return commutator(self.A, self.B)
 
     @cached_property
     def table(self) -> torus_curves.TraceTable:

@@ -17,9 +17,6 @@ import numpy as np
 from .dualnum import DualScalar
 from .errors import NotHyperbolic
 
-#: Tolerance for det = 1 + 0*eps on construction.
-GROUP_TOL = 1e-10
-
 #: |trace| <= 2 + this is treated as non-hyperbolic, and a boundary trace
 #: within this of +-2 as parabolic (the cusp).
 PARABOLIC_TOL = 1e-9
@@ -42,18 +39,6 @@ class DualMatrix2:
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "eps", eps)
 
-    def det(self) -> DualScalar:
-        v = self.val
-        e = self.eps
-        d0 = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-        d1 = (v[0, 0] * e[1, 1] + e[0, 0] * v[1, 1]
-              - v[0, 1] * e[1, 0] - e[0, 1] * v[1, 0])
-        return DualScalar(d0, d1)
-
-    def in_group(self, tol: float = GROUP_TOL) -> bool:
-        d = self.det()
-        return abs(d.re - 1.0) <= tol and abs(d.inf) <= tol
-
 
 def adjugate(m: np.ndarray) -> np.ndarray:
     """adj(m) = det(m) m^-1 of a 2x2 array; entrywise linear."""
@@ -68,10 +53,6 @@ def tangency_defect(m0: np.ndarray, m1: np.ndarray) -> float:
 def project_tangent(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
     """m1 with the component violating d(det)/deps = 0 at det(m0) = 1 removed."""
     return m1 - 0.5 * tangency_defect(m0, m1) * m0
-
-
-def identity() -> DualMatrix2:
-    return DualMatrix2(np.eye(2))
 
 
 def _product(m: DualMatrix2, n: DualMatrix2) -> DualMatrix2:
@@ -106,9 +87,7 @@ def flat_product(m: tuple[float, ...], n: tuple[float, ...]) -> tuple[float, ...
 
 
 def compose(*ms: DualMatrix2) -> DualMatrix2:
-    """Product of group elements; value M0*N0, eps M0*N1 + M1*N0."""
-    if not ms:
-        return identity()
+    """Product of one or more group elements; value M0*N0, eps M0*N1 + M1*N0."""
     out = ms[0]
     for n in ms[1:]:
         out = _product(out, n)

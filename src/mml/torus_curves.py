@@ -93,22 +93,13 @@ class TraceTable:
     """
 
     def __init__(self, gen_a: DualMatrix2, gen_b: DualMatrix2):
-        self.gen_a = gen_a
-        self.gen_b = gen_b
         inv_a = inverse(gen_a)
-        ab, inv_ab = compose(gen_a, gen_b), compose(inv_a, gen_b)
-        # tr(a^-1) has the bits of tr(a): the adjugate only swaps the diagonal
-        ta = dual_trace(gen_a)
+        seeds = {(1, 0): gen_a, (-1, 0): inv_a, (0, 1): gen_b,
+                 (1, 1): compose(gen_a, gen_b), (-1, 1): compose(inv_a, gen_b)}
         self._memo: dict[tuple[int, int], DualScalar] = {
-            (1, 0): ta,
-            (-1, 0): ta,
-            (0, 1): dual_trace(gen_b),
-            (1, 1): dual_trace(ab),
-            (-1, 1): dual_trace(inv_ab),
-        }
+            s: dual_trace(m) for s, m in seeds.items()}
         self._words: dict[tuple[int, int], tuple[float, ...]] = {
-            (1, 0): flatten(gen_a), (-1, 0): flatten(inv_a), (0, 1): flatten(gen_b),
-            (1, 1): flatten(ab), (-1, 1): flatten(inv_ab)}
+            s: flatten(m) for s, m in seeds.items()}
         self._nodes: dict[tuple[int, int], tuple[float, float]] = {}
         self._curves: dict[tuple[int, int], CurveClass] = {}
 

@@ -1,22 +1,62 @@
-"""Lorentzian oracle for the Margulis invariant.
+"""Reference computations the tests hold mml against.
 
-The traceless 2x2 matrices carry the quadratic form <X,Y> = tr(XY)/2 of
-signature (+,+,-); conjugation by SL(2,R) acts as SO(2,1).  An affine
-isometry of Minkowski space is a linear part in SO(2,1) plus a
-translation vector; pairing the translation against the unit spacelike
-fixed vector of a hyperbolic linear part yields the Lorentzian
-displacement along the invariant axis.  This route never differentiates
-anything, so it is independent of the dual-trace computation.
+Nothing here is imported from mml but its errors, so an oracle shares no
+code with what it checks.  It holds:
+
+* the Lorentzian Margulis invariant, an independent route to the length
+  derivative that mml computes from dual traces;
+* the exponential bounds on the gap summand and on the coefficients H and K;
+* the determinant of a dual 2x2 matrix and the unit-determinant group test.
+
+A dual matrix is anything with 2x2 value and eps parts ``m.val`` and ``m.eps``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHyperbolic
-from .sl2grp import DualMatrix2, adjugate
+from mml.errors import NotHyperbolic
+
+#: Tolerance of in_group on det = 1 + 0*eps.
+GROUP_TOL = 1e-10
+
+
+def det(m) -> tuple[float, float]:
+    """det(m.val + eps*m.eps) as its (value, eps) parts."""
+    v, e = m.val, m.eps
+    d0 = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
+    d1 = (v[0, 0] * e[1, 1] + e[0, 0] * v[1, 1]
+          - v[0, 1] * e[1, 0] - e[0, 1] * v[1, 0])
+    return d0, d1
+
+
+def in_group(m, tol: float = GROUP_TOL) -> bool:
+    """Whether det(m) is 1 + 0*eps within tol in each part."""
+    d0, d1 = det(m)
+    return abs(d0 - 1.0) <= tol and abs(d1) <= tol
+
+
+def bound_D(x: float, y: float, z: float) -> float:
+    """Exponential summand bound 4 sinh(x/2) e^{-(y+z)/2}."""
+    return 4.0 * math.sinh(x / 2.0) * math.exp(-(y + z) / 2.0)
+
+
+def bound_HK(u: float, v: float) -> float:
+    """Shared exponential bound 2 cosh(|v|/2) e^{-u/2} for |H| and |K| at (u, v)."""
+    return 2.0 * math.cosh(abs(v) / 2.0) * math.exp(-u / 2.0)
+
+
+# The Lorentzian oracle.  The traceless 2x2 matrices carry the quadratic form
+# <X,Y> = tr(XY)/2 of signature (+,+,-); conjugation by SL(2,R) acts as SO(2,1).
+# An affine isometry of Minkowski space is a linear part in SO(2,1) plus a
+# translation vector; pairing the translation against the unit spacelike fixed
+# vector of a hyperbolic linear part yields the Lorentzian displacement along
+# the invariant axis (Goldman-Margulis, "Flat Lorentz 3-manifolds and cocompact
+# Fuchsian groups", Contemp. Math. 262, 2000).  This route never differentiates
+# anything, so it is independent of the dual-trace computation.
 
 # Orthonormal basis of sl(2,R) for <X,Y> = tr(XY)/2: two spacelike, one timelike.
 E1 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -66,7 +106,7 @@ class LorentzIsometry:
                                self.linear @ other.translation + self.translation)
 
 
-def adjoint_of(m: DualMatrix2) -> LorentzIsometry:
+def adjoint_of(m) -> LorentzIsometry:
     """Linearize a dual group element as an affine Lorentz isometry.
 
     The linear part is conjugation by the value part on sl(2,R); the
@@ -74,7 +114,7 @@ def adjoint_of(m: DualMatrix2) -> LorentzIsometry:
     which is traceless when the group invariant holds.
     """
     m0 = m.val
-    m0_inv = adjugate(m0)
+    m0_inv = np.array([[m0[1, 1], -m0[0, 1]], [-m0[1, 0], m0[0, 0]]])  # adjugate: det 1
     cols = [sl2_to_vec(m0 @ e @ m0_inv) for e in (E1, E2, E3)]
     u = m.eps @ m0_inv
     u = u - 0.5 * np.trace(u) * np.eye(2)  # project out rounding in the trace

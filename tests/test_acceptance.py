@@ -6,15 +6,14 @@ import time
 import numpy as np
 import pytest
 
-from mml.identity_engine import (bound_D, bound_HK, coeff_H, coeff_K, gap_D,
-                                 margulis_residual, mcshane_sum)
-from mml.lorentz import adjoint_of, margulis_invariant_lorentz
+from mml.identity_engine import coeff_H, coeff_K, gap_D, margulis_residual, mcshane_sum
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation,
                                 build_rep, random_tangent)
 from mml.sl2grp import (DualMatrix2, dual_trace, margulis_invariant_dual,
                         translation_length)
 from mml.torus_curves import bin_curves, enumerate_up_to, fit_bin_constant
 from conftest import random_hyperbolic_dual, random_sl2, random_traceless, sl2_exp
+from oracles import adjoint_of, bound_D, bound_HK, margulis_invariant_lorentz
 
 SEED = 20150831
 

@@ -11,9 +11,11 @@ import pytest
 
 import mml
 from mml import identity_engine as engine
+from mml import representation as reprs
 from mml.cli import SWEEP_DRAWS_PER_CELL, main
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent)
+from mml.sl2grp import commutator
 
 
 def run(args):
@@ -156,6 +158,8 @@ def test_census_deterministic(tmp_path):
     ["frobnicate"],
     [],
     ["census", "--coords", "4,4,4", "--seed", "1"],
+    ["verify-mcshane", "--coords", "3,3,3", "--spec", "rep.json"],
+    ["census", "--n-max", "5"],
 ])
 def test_usage_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
     # argparse's own exit code, 2, is the one for an uncertified tail
@@ -166,6 +170,34 @@ def test_usage_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: mml") and "error: " in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-margulis", "--coords", "4,4,4", "--deform", "tangent", "--seed", "-1"],
+    ["sweep", "--seed", "-3", "--cells", "1", "--deforms-per-cell", "1"],
+])
+def test_negative_seed_fails_cleanly(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == 1
+    seed = argv[argv.index("--seed") + 1]
+    assert capsys.readouterr().err == f"error: --seed must be >= 0, got {seed}\n"
+    assert not out.exists()
+
+
+def test_empty_spec_path_is_read_as_a_spec(capsys):
+    assert run(["verify-mcshane", "--spec", ""]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read spec") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("deform", ["zero", "path", "tangent"])
+def test_one_boundary_commutator_per_verify_margulis(deform, tmp_path, monkeypatch):
+    # the rep is built, then deformed: only the deformed rep's boundary is computed
+    calls = []
+    monkeypatch.setattr(reprs, "commutator", lambda a, b: calls.append(1) or commutator(a, b))
+    assert run(["verify-margulis", "--coords", "4,4,4", "--deform", deform,
+                "--out", str(tmp_path / "m.json")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["verify-mcshane", "verify-margulis", "census", "sweep"])

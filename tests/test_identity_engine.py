@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mml.errors import NonConvergence, NotHyperbolic
-from mml.identity_engine import (BinStat, KahanSum, _boundary_values, _grow, _series, bound_D,
-                                 bound_HK, coeff_H, coeff_K, cusp_gap, gap_D, kappa_from_bins,
+from mml.identity_engine import (BinStat, KahanSum, _boundary_values, _grow, _series,
+                                 coeff_H, coeff_K, cusp_gap, gap_D, kappa_from_bins,
                                  margulis_residual, mcshane_sum,
                                  tail_bound_derivative, tail_bound_identity, term_derivative)
 from mml.representation import DeformationSpec, TraceCoords, attach_deformation, build_rep, random_tangent
 from mml.sl2grp import dual_trace, translation_length
 from mml.torus_curves import bin_curves, enumerate_up_to, fit_bin_constant
+from oracles import bound_D, bound_HK
 
 
 def _tangent_rep(coords, seed):

@@ -1,15 +1,17 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mml.errors import NotHyperbolic
-from mml.lorentz import (J, LorentzIsometry, adjoint_of, margulis_invariant_lorentz,
-                         minkowski, neutral_vector, sl2_to_vec, vec_to_sl2)
-from mml.sl2grp import DualMatrix2, compose, identity, margulis_invariant_dual
+from mml.sl2grp import DualMatrix2, compose, margulis_invariant_dual
 from conftest import random_hyperbolic_dual, random_traceless
+from oracles import (J, LorentzIsometry, adjoint_of, margulis_invariant_lorentz, minkowski,
+                     neutral_vector, sl2_to_vec, vec_to_sl2)
 
-from test_sl2grp import diag_deformed
+from test_sl2grp import IDENTITY, diag_deformed
 
 
 def test_basis_roundtrip(rng):
@@ -18,7 +20,7 @@ def test_basis_roundtrip(rng):
 
 
 def test_adjoint_of_identity():
-    g = adjoint_of(identity())
+    g = adjoint_of(IDENTITY)
     assert np.allclose(g.linear, np.eye(3)) and np.allclose(g.translation, 0.0)
 
 
@@ -108,3 +110,15 @@ def test_gram_condition(rng):
     g = adjoint_of(random_hyperbolic_dual(rng))
     assert np.allclose(g.linear.T @ J @ g.linear, J, atol=1e-10)
     assert math.isclose(np.linalg.det(g.linear), 1.0, abs_tol=1e-10)
+
+
+def test_oracles_import_nothing_from_mml_but_its_errors():
+    # an oracle that shared code with mml would check mml against itself
+    imported = set()
+    for node in ast.walk(ast.parse(Path(__file__).with_name("oracles.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    from_mml = {m for m in imported if m.startswith(".") or m.split(".")[0] == "mml"}
+    assert from_mml == {"mml.errors"}

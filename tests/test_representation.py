@@ -8,8 +8,9 @@ from mml.errors import InvalidCoords
 from mml.representation import (DeformationSpec, HoledTorusRep, TraceCoords,
                                 attach_deformation, build_rep, random_tangent,
                                 validate_fuchsian)
-from mml.sl2grp import (DualMatrix2, compose, dual_trace, inverse,
+from mml.sl2grp import (DualMatrix2, commutator, compose, dual_trace, inverse,
                         margulis_invariant_dual, project_tangent, translation_length)
+from oracles import in_group
 
 
 def test_build_rep_roundtrip():
@@ -73,7 +74,16 @@ def test_path_deformation_boundary_invariant():
     # closed form: 2 * 24 / sqrt(18^2 - 4)
     assert math.isclose(margulis_invariant_dual(repd.boundary),
                         48 / math.sqrt(320), abs_tol=1e-6)
-    assert repd.A.in_group() and repd.B.in_group() and repd.boundary.in_group(1e-8)
+    assert in_group(repd.A) and in_group(repd.B) and in_group(repd.boundary, 1e-8)
+
+
+def test_deformed_boundary_is_the_commutator_of_the_deformed_generators(rng):
+    rep = build_rep(TraceCoords(4.2, 4.8, 5.1))
+    assert not rep.boundary.eps.any()  # read before deforming: not carried over
+    repd = attach_deformation(rep, random_tangent(rep, rng))
+    want = commutator(repd.A, repd.B)
+    assert repd.boundary.val.tobytes() == want.val.tobytes()
+    assert repd.boundary.eps.tobytes() == want.eps.tobytes() and repd.boundary.eps.any()
 
 
 def test_path_vs_one_sided_difference():

@@ -227,8 +227,9 @@ def _assert_same_matrix(m, ref):
 
 
 def test_word_matrix_matches_letter_by_letter_product():
-    table = make_tables(_deformed_444())
-    letters = {"a": table.gen_a, "A": inverse(table.gen_a), "b": table.gen_b}
+    rep = _deformed_444()
+    table = make_tables(rep)
+    letters = {"a": rep.A, "A": inverse(rep.A), "b": rep.B}
     slopes = [(sign * p, q) for p in range(41) for q in range(41 - p)
               for sign in (1, -1) if p + q >= 1 and math.gcd(p, q) == 1]
     for s in slopes:
