@@ -8,8 +8,7 @@ from .identity_engine import (SeriesReport, coeff_H, coeff_K, gap_D, margulis_re
                               mcshane_sum, term_derivative)
 from .representation import (DeformationSpec, HoledTorusRep, TraceCoords,
                              attach_deformation, build_rep, validate_fuchsian)
-from .sl2grp import (DualMatrix2, commutator, compose, dual_trace, inverse,
-                     margulis_invariant_dual, translation_length)
+from .sl2grp import DualMatrix2, commutator, compose, dual_trace, inverse, translation_length
 from .torus_curves import (CurveBin, CurveClass, christoffel_word, export_census,
                            farey_enumerate)
 

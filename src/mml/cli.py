@@ -40,11 +40,16 @@ def _finite_floats(values, what: str) -> list[float]:
     return out
 
 
-def _matrix(m, what: str) -> list[list[float]] | None:
-    """m, a JSON matrix or None, as rows of finite floats; InvalidCoords names `what` otherwise."""
-    if m is not None and not isinstance(m, list):
+def _matrix(m, what: str) -> list[float] | None:
+    """m, a 2x2 JSON matrix or None, as 4 finite floats row by row; InvalidCoords names `what`."""
+    if m is None:
+        return None
+    if not isinstance(m, list):
         raise InvalidCoords(f"{what}: not a matrix of numbers: {m!r}")
-    return m if m is None else [_finite_floats(row, what) for row in m]
+    rows = [_finite_floats(row, what) for row in m]
+    if [len(row) for row in rows] != [2, 2]:
+        raise InvalidCoords(f"{what}: not a 2x2 matrix: {m!r}")
+    return rows[0] + rows[1]
 
 
 def _parse_coords(text: str) -> reprs.TraceCoords:
@@ -170,9 +175,8 @@ def _cmd_sweep(args) -> int:
         raise InvalidCoords(f"--coord-min {lo}, --coord-max {hi}: want finite min <= max, max > 3")
     rng = np.random.default_rng(args.seed)
     draws = SWEEP_DRAWS_PER_CELL * args.cells
-    boxed = (reprs.TraceCoords(*(rng.uniform(lo, hi, 3))) for _ in range(draws))
-    with np.errstate(over="ignore", invalid="ignore"):  # x*x overflows in a huge box: no cell
-        cells = list(itertools.islice((c for c in boxed if c.in_domain()), args.cells))
+    boxed = (reprs.TraceCoords(*rng.uniform(lo, hi, 3).tolist()) for _ in range(draws))
+    cells = list(itertools.islice((c for c in boxed if c.in_domain()), args.cells))
     if len(cells) < args.cells:
         raise InvalidCoords(f"--coord-min {lo}, --coord-max {hi}: {len(cells)} of "
                             f"{args.cells} cells in the domain after {draws} draws")

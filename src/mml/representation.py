@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-import numpy as np
-
 from . import torus_curves
 from .errors import InvalidCoords
 from .sl2grp import (PARABOLIC_TOL, DualMatrix2, commutator, compose, dual_trace,
@@ -48,19 +46,19 @@ class DeformationSpec:
     """An infinitesimal deformation: the eps parts of the two generators,
     each tangent to SL(2) at its generator; None is the zero part."""
 
-    a_eps: np.ndarray | None = None
-    b_eps: np.ndarray | None = None
+    a_eps: tuple[float, ...] | None = None
+    b_eps: tuple[float, ...] | None = None
 
     @staticmethod
     def linear_path(rep: HoledTorusRep, direction: tuple[float, float, float]) -> DeformationSpec:
         """The tangent of build_rep along rep.coords + t * direction at t = 0, in closed form."""
         dx, dy, dz = direction
-        x, y, lam, p = rep.coords.x, rep.coords.y, rep.A.val[0, 0], rep.B.val[0, 0]
+        x, y, lam, p = rep.coords.x, rep.coords.y, rep.A.val[0], rep.B.val[0]
         s = lam - 1.0 / lam  # sqrt(x^2 - 4)
         dlam = dx * lam / s
         dp = (dz - dy / lam + y * dlam / (lam * lam) - p * x * dx / s) / s
-        return DeformationSpec(np.diag([dlam, -dlam / (lam * lam)]),
-                               np.array([[dp, 0.0], [dp * (y - p) + p * (dy - dp), dy - dp]]))
+        return DeformationSpec((dlam, 0.0, 0.0, -dlam / (lam * lam)),
+                               (dp, 0.0, dp * (y - p) + p * (dy - dp), dy - dp))
 
 
 @dataclass(frozen=True)
@@ -97,9 +95,8 @@ def build_rep(c: TraceCoords) -> HoledTorusRep:
     denom = lam - 1.0 / lam
     p = (z - y / lam) / denom
     d = y - p
-    a0 = np.array([[lam, 0.0], [0.0, 1.0 / lam]])
-    b0 = np.array([[p, 1.0], [p * d - 1.0, d]])
-    rep = HoledTorusRep(DualMatrix2(a0), DualMatrix2(b0), coords=c)
+    rep = HoledTorusRep(DualMatrix2((lam, 0.0, 0.0, 1.0 / lam)),
+                        DualMatrix2((p, 1.0, p * d - 1.0, d)), coords=c)
     got = (dual_trace(rep.A).re, dual_trace(rep.B).re,
            dual_trace(compose(rep.A, rep.B)).re)
     if not all(math.isclose(g, w, rel_tol=0, abs_tol=1e-9 * max(1.0, abs(w)))
@@ -109,33 +106,32 @@ def build_rep(c: TraceCoords) -> HoledTorusRep:
 
 
 def attach_deformation(rep: HoledTorusRep, d: DeformationSpec) -> HoledTorusRep:
-    """A copy of rep whose generators carry the eps parts of d; InvalidCoords
-    unless each is a finite 2x2 matrix tangent to SL(2) at its generator."""
+    """A copy of rep whose generators carry the eps parts of d; InvalidCoords unless
+    each is a finite 2x2 matrix (4 numbers, row-major) tangent to SL(2) at its generator."""
     eps = []
     for m0, m1, name in ((rep.A.val, d.a_eps, "A"), (rep.B.val, d.b_eps, "B")):
         try:
-            m1 = np.zeros((2, 2)) if m1 is None else np.asarray(m1, dtype=float)
+            m1 = (0.0,) * 4 if m1 is None else tuple(map(float, m1))
         except (TypeError, ValueError) as e:
             raise InvalidCoords(f"eps part of {name} is not a matrix of numbers ({e})") from e
-        if m1.shape != (2, 2) or not np.isfinite(m1).all():
+        if len(m1) != 4 or not all(map(math.isfinite, m1)):
             raise InvalidCoords(f"eps part of {name} is not a finite 2x2 matrix")
-        if abs(tangency_defect(m0, m1)) > TANGENT_TOL * max(1.0, float(np.abs(m1).max())):
+        if abs(tangency_defect(m0, m1)) > TANGENT_TOL * max(1.0, *map(abs, m1)):
             raise InvalidCoords(f"eps part of {name} is not tangent to SL(2)")
         eps.append(m1)
     return replace(rep, A=DualMatrix2(rep.A.val, eps[0]), B=DualMatrix2(rep.B.val, eps[1]))
 
 
-def random_tangent(rep: HoledTorusRep, rng: np.random.Generator) -> DeformationSpec:
-    """A seeded random tangent deformation of both generators."""
-    a1 = project_tangent(rep.A.val, rng.standard_normal((2, 2)))
-    b1 = project_tangent(rep.B.val, rng.standard_normal((2, 2)))
-    return DeformationSpec(a1, b1)
+def random_tangent(rep: HoledTorusRep, rng) -> DeformationSpec:
+    """A random tangent deformation of both generators, drawn from a numpy Generator."""
+    return DeformationSpec(*(project_tangent(g.val, rng.standard_normal(4).tolist())
+                             for g in (rep.A, rep.B)))
 
 
 def validate_fuchsian(rep: HoledTorusRep) -> None:
     """Admit rep to the identities' domain, or raise InvalidCoords.
 
-    The domain is x, y, z > 2 with boundary trace < -2, plus its cusp limit:
+    The domain is x, y, z > 2 with a finite boundary trace < -2, plus its cusp limit:
     the trace is read and classified as identity_engine does, so a trace
     within PARABOLIC_TOL of -2 passes and runs the cusp form.  Such a
     representation is Fuchsian (Goldman, "The modular group action on real
@@ -144,9 +140,9 @@ def validate_fuchsian(rep: HoledTorusRep) -> None:
     does, for every slope with |p| + q <= SAMPLE_DEPTH.
     """
     c, kappa = rep.coords, dual_trace(rep.boundary).re
-    if not (min(c.x, c.y, c.z) > 2.0 and kappa <= -2.0 + PARABOLIC_TOL):
+    if not (min(c.x, c.y, c.z) > 2.0 and -math.inf < kappa <= -2.0 + PARABOLIC_TOL):
         raise InvalidCoords(f"coordinates ({c.x}, {c.y}, {c.z}) need x, y, z > 2 and "
-                            f"boundary trace {kappa} <= -2")
+                            f"a finite boundary trace {kappa} <= -2")
     for p, q in torus_curves.farey_enumerate(SAMPLE_DEPTH):
         if abs(rep.table.trace(p, q).re) <= 2.0 + PARABOLIC_TOL:
             raise InvalidCoords(f"non-hyperbolic simple curve of slope {p}/{q}")

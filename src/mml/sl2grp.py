@@ -10,9 +10,8 @@ of that length along the deformation (the Margulis invariant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from functools import reduce
 
 from .dualnum import DualScalar
 from .errors import NotHyperbolic
@@ -20,65 +19,76 @@ from .errors import NotHyperbolic
 #: |trace| <= 2 + this is treated as non-hyperbolic, and a boundary trace
 #: within this of +-2 as parabolic (the cusp).
 PARABOLIC_TOL = 1e-9
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
 
 
 @dataclass(frozen=True)
 class DualMatrix2:
-    """Element of SL(2, R[eps]) stored as value and eps matrix parts."""
+    """Element of SL(2, R[eps]): value and eps parts as row-major 4-tuples of floats."""
 
-    val: np.ndarray
-    eps: np.ndarray = field(default=None)  # type: ignore[assignment]
+    val: tuple[float, ...]
+    eps: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        val = np.asarray(self.val, dtype=float)
-        eps = np.zeros((2, 2)) if self.eps is None else np.asarray(self.eps, dtype=float)
-        if val.shape != (2, 2) or eps.shape != (2, 2):
-            raise ValueError("DualMatrix2 parts must be 2x2")
-        val.setflags(write=False)
-        eps.setflags(write=False)
+        val, eps = tuple(map(float, self.val)), tuple(map(float, self.eps))
+        if len(val) != 4 or len(eps) != 4:
+            raise ValueError("DualMatrix2 parts must be 4 floats (a, b, c, d), row-major")
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "eps", eps)
 
 
-def adjugate(m: np.ndarray) -> np.ndarray:
-    """adj(m) = det(m) m^-1 of a 2x2 array; entrywise linear."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+def _fma(a: float, b: float, c: float) -> float:
+    """a*b + c rounded once, as an FMA does: Dekker's split (Numer. Math. 18, 1971) writes
+    a*b as p + e exactly and math.fsum rounds p + e + c.  Inexact for |a*b| < 2**-969,
+    where e underflows; a*b + c, rounded twice, when the product or the split overflows
+    (e is not finite) or the sum does."""
+    p = a * b
+    ah = (t := _SPLIT * a) - (t - a)
+    bh = (t := _SPLIT * b) - (t - b)
+    al, bl = a - ah, b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    try:
+        return math.fsum((p, e, c)) if math.isfinite(e) else p + c
+    except OverflowError:  # p + e + c beyond the largest float
+        return p + c
 
 
-def tangency_defect(m0: np.ndarray, m1: np.ndarray) -> float:
+def _mul(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, ...]:
+    """x*y, each entry rounded as fma(x_i1, y_1j, x_i0*y_0j), as FMA matmul kernels do."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (_fma(b, g, a * e), _fma(b, h, a * f), _fma(d, g, c * e), _fma(d, h, c * f))
+
+
+def adjugate(m: tuple[float, ...]) -> tuple[float, ...]:
+    """adj(m) = det(m) m^-1 of a 2x2 matrix; entrywise linear."""
+    return (m[3], -m[1], -m[2], m[0])
+
+
+def tangency_defect(m0: tuple[float, ...], m1: tuple[float, ...]) -> float:
     """tr(adj(m0) m1), the eps part of det(m0 + eps*m1); zero iff m1 is tangent."""
-    return float(np.trace(adjugate(m0) @ m1))
+    p = _mul(adjugate(m0), m1)
+    return p[0] + p[3]
 
 
-def project_tangent(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+def project_tangent(m0: tuple[float, ...], m1: tuple[float, ...]) -> tuple[float, ...]:
     """m1 with the component violating d(det)/deps = 0 at det(m0) = 1 removed."""
-    return m1 - 0.5 * tangency_defect(m0, m1) * m0
+    k = 0.5 * tangency_defect(m0, m1)
+    return tuple(x - k * y for x, y in zip(m1, m0))
 
 
 def _product(m: DualMatrix2, n: DualMatrix2) -> DualMatrix2:
-    """m*n without re-validation: products of validated 2x2 float parts
-    are 2x2 float arrays, so only freezing them is left to do."""
-    val = m.val @ n.val
-    eps = m.val @ n.eps + m.eps @ n.val
-    val.setflags(write=False)
-    eps.setflags(write=False)
+    """m*n without re-validation: products of 4-float parts are 4-float parts."""
     out = object.__new__(DualMatrix2)
-    object.__setattr__(out, "val", val)
-    object.__setattr__(out, "eps", eps)
+    object.__setattr__(out, "val", _mul(m.val, n.val))
+    object.__setattr__(out, "eps", tuple(
+        u + v for u, v in zip(_mul(m.val, n.eps), _mul(m.eps, n.val))))
     return out
 
 
-def flatten(m: DualMatrix2) -> tuple[float, ...]:
-    """m as 8 Python floats: the value part, then the eps part, row-major."""
-    return tuple(np.stack((m.val, m.eps)).ravel().tolist())
-
-
 def flat_product(m: tuple[float, ...], n: tuple[float, ...]) -> tuple[float, ...]:
-    """m*n of flattened matrices in Python floats: value M0*N0, eps M0*N1 + M1*N0.
-
-    Its last bits can differ from _product's numpy matmul, so it may feed
-    only checks with a tolerance, never a value that reaches a report.
-    """
+    """m*n of 8-float matrices val + eps in plain sums, so its bits can differ from
+    _product's: it may feed only checks with a tolerance, never a report value."""
     a, b, c, d, ea, eb, ec, ed = m
     e, f, g, h, ee, ef, eg, eh = n
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
@@ -88,10 +98,7 @@ def flat_product(m: tuple[float, ...], n: tuple[float, ...]) -> tuple[float, ...
 
 def compose(*ms: DualMatrix2) -> DualMatrix2:
     """Product of one or more group elements; value M0*N0, eps M0*N1 + M1*N0."""
-    out = ms[0]
-    for n in ms[1:]:
-        out = _product(out, n)
-    return out
+    return reduce(_product, ms)
 
 
 def inverse(m: DualMatrix2) -> DualMatrix2:
@@ -101,8 +108,7 @@ def inverse(m: DualMatrix2) -> DualMatrix2:
 
 
 def dual_trace(m: DualMatrix2) -> DualScalar:
-    # Same bits as np.trace: a sum of two floats is one rounding either way.
-    return DualScalar(m.val.item(0) + m.val.item(3), m.eps.item(0) + m.eps.item(3))
+    return DualScalar(m.val[0] + m.val[3], m.eps[0] + m.eps[3])
 
 
 def commutator(a: DualMatrix2, b: DualMatrix2) -> DualMatrix2:
@@ -125,8 +131,3 @@ def margulis_from_trace(t: DualScalar) -> float:
     if abs(t.re) <= 2.0 + PARABOLIC_TOL:
         raise NotHyperbolic(f"trace {t.re} is not hyperbolic (|t| <= 2 + PARABOLIC_TOL)")
     return 2.0 * t.inf * math.copysign(1.0, t.re) / math.sqrt(t.re * t.re - 4.0)
-
-
-def margulis_invariant_dual(m: DualMatrix2) -> float:
-    """Margulis invariant of a dual group element, via its dual trace."""
-    return margulis_from_trace(dual_trace(m))

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .dualnum import DualScalar
 from .errors import MMLError, RecursionMismatch
-from .sl2grp import (DualMatrix2, compose, dual_trace, flat_product, flatten, inverse,
+from .sl2grp import (DualMatrix2, compose, dual_trace, flat_product, inverse,
                      margulis_from_trace, translation_length)
 
 #: Direct evaluation vs recursion disagreement beyond this raises.
@@ -84,12 +84,12 @@ class TraceTable:
     1/0 is also stored as -1/0, the parent of the negative slopes next to
     it.  Build once, then treat as read-only.  Besides the traces, a table
     memoizes, under the same keys, the matrix of each traced slope's
-    Christoffel word, as 8 floats (see sl2grp.flatten), filled from its
+    Christoffel word, as the 8 floats m.val + m.eps, filled from its
     Farey parents' word matrices, the (trace, length) pair of each traced
     slope, and the curve class of each slope it was asked for (by
     enumerate_up_to, only the emitted ones).
-    Word matrices only cross-check the trace recursion, so they are
-    multiplied in plain floats; the seed traces come from numpy products.
+    Word matrices only cross-check the trace recursion, so flat_product multiplies
+    them in plain sums; the seed traces come from compose's fma-rounded products.
     """
 
     def __init__(self, gen_a: DualMatrix2, gen_b: DualMatrix2):
@@ -99,7 +99,7 @@ class TraceTable:
         self._memo: dict[tuple[int, int], DualScalar] = {
             s: dual_trace(m) for s, m in seeds.items()}
         self._words: dict[tuple[int, int], tuple[float, ...]] = {
-            s: flatten(m) for s, m in seeds.items()}
+            s: m.val + m.eps for s, m in seeds.items()}
         self._nodes: dict[tuple[int, int], tuple[float, float]] = {}
         self._curves: dict[tuple[int, int], CurveClass] = {}
 
@@ -146,7 +146,7 @@ class TraceTable:
 
     def word_matrix(self, slope: tuple[int, int]) -> tuple[float, ...]:
         """Matrix of the Christoffel word of a traced slope (p, q), as the 8
-        floats of sl2grp.flatten; KeyError for a slope not traced yet."""
+        floats val + eps; KeyError for a slope not traced yet."""
         return self._words[slope]
 
     def node(self, p: int, q: int) -> tuple[float, float]:

@@ -31,7 +31,12 @@ def random_hyperbolic_dual(rng: np.random.Generator,
     p = random_sl2(rng)
     m0 = p @ np.diag([math.exp(ell / 2), math.exp(-ell / 2)]) @ np.linalg.inv(p)
     u = random_traceless(rng)
-    return DualMatrix2(m0, u @ m0)
+    return DualMatrix2(m0.ravel(), (u @ m0).ravel())
+
+
+def as_array(part) -> np.ndarray:
+    """A DualMatrix2 part, 4 floats row-major, as a 2x2 array."""
+    return np.reshape(part, (2, 2))
 
 
 def sl2_exp(w: np.ndarray, s: float = 1.0) -> np.ndarray:

@@ -8,7 +8,8 @@ code with what it checks.  It holds:
 * the exponential bounds on the gap summand and on the coefficients H and K;
 * the determinant of a dual 2x2 matrix and the unit-determinant group test.
 
-A dual matrix is anything with 2x2 value and eps parts ``m.val`` and ``m.eps``.
+A dual matrix is anything with value and eps parts ``m.val`` and ``m.eps``, each
+the 4 entries of a 2x2 matrix, row-major.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ GROUP_TOL = 1e-10
 
 def det(m) -> tuple[float, float]:
     """det(m.val + eps*m.eps) as its (value, eps) parts."""
-    v, e = m.val, m.eps
+    v, e = np.reshape(m.val, (2, 2)), np.reshape(m.eps, (2, 2))
     d0 = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
     d1 = (v[0, 0] * e[1, 1] + e[0, 0] * v[1, 1]
           - v[0, 1] * e[1, 0] - e[0, 1] * v[1, 0])
@@ -113,10 +114,10 @@ def adjoint_of(m) -> LorentzIsometry:
     translation is the left-logarithmic derivative eps_part @ val^{-1},
     which is traceless when the group invariant holds.
     """
-    m0 = m.val
+    m0 = np.reshape(m.val, (2, 2))
     m0_inv = np.array([[m0[1, 1], -m0[0, 1]], [-m0[1, 0], m0[0, 0]]])  # adjugate: det 1
     cols = [sl2_to_vec(m0 @ e @ m0_inv) for e in (E1, E2, E3)]
-    u = m.eps @ m0_inv
+    u = np.reshape(m.eps, (2, 2)) @ m0_inv
     u = u - 0.5 * np.trace(u) * np.eye(2)  # project out rounding in the trace
     return LorentzIsometry(np.column_stack(cols), sl2_to_vec(u))
 

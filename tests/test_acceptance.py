@@ -9,8 +9,7 @@ import pytest
 from mml.identity_engine import coeff_H, coeff_K, gap_D, margulis_residual, mcshane_sum
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation,
                                 build_rep, random_tangent)
-from mml.sl2grp import (DualMatrix2, dual_trace, margulis_invariant_dual,
-                        translation_length)
+from mml.sl2grp import DualMatrix2, dual_trace, margulis_from_trace, translation_length
 from mml.torus_curves import bin_curves, enumerate_up_to, fit_bin_constant
 from conftest import random_hyperbolic_dual, random_sl2, random_traceless, sl2_exp
 from oracles import adjoint_of, bound_D, bound_HK, margulis_invariant_lorentz
@@ -38,7 +37,7 @@ def sweep_grid():
             "report": r,
             "alphas": [c.alpha for c in curves],
             "lengths": [c.length for c in curves],
-            "alpha_bdry": margulis_invariant_dual(repd.boundary),
+            "alpha_bdry": margulis_from_trace(dual_trace(repd.boundary)),
             "ell_bdry": translation_length(dual_trace(repd.boundary).re),
         })
 
@@ -94,7 +93,7 @@ def test_criterion_4_oracle_agreement():
     worst_pair = 0.0
     for _ in range(1000):
         m = random_hyperbolic_dual(rng)
-        a = margulis_invariant_dual(m)
+        a = margulis_from_trace(dual_trace(m))
         b = margulis_invariant_lorentz(adjoint_of(m))
         worst_pair = max(worst_pair, abs(a - b))
     worst_fd = 0.0
@@ -106,10 +105,10 @@ def test_criterion_4_oracle_agreement():
             continue
         n_paths += 1
         w = random_traceless(rng)
-        m = DualMatrix2(a0, a0 @ w)
+        m = DualMatrix2(a0.ravel(), (a0 @ w).ravel())
         ell = lambda s: translation_length(float(np.trace(a0 @ sl2_exp(w, s))))
         fd = (ell(h) - ell(-h)) / (2 * h)
-        worst_fd = max(worst_fd, abs(margulis_invariant_dual(m) - fd))
+        worst_fd = max(worst_fd, abs(margulis_from_trace(dual_trace(m)) - fd))
     ok = worst_pair <= 1e-8 and worst_fd <= 1e-6
     _verdict("4 oracle agreement", ok,
              f"lorentz={worst_pair:.3e} finite-diff={worst_fd:.3e}")

@@ -95,7 +95,8 @@ def test_invalid_inputs(capsys):
     assert capsys.readouterr().err == "error: non-hyperbolic simple curve of slope 1/0\n"
 
 
-_OUTSIDE = ["10,3,3", "4,1.5,4", "2.5,2.5,2.5"]
+# 1e120: xyz overflows, so the boundary trace reads -inf
+_OUTSIDE = ["10,3,3", "4,1.5,4", "2.5,2.5,2.5", "1e120,1e120,1e120"]
 
 
 @pytest.mark.parametrize("command, coords",
@@ -361,6 +362,10 @@ _PATH = ["verify-margulis", "--coords", "4,4,4", "--deform", "path"]
                  "eps part of B: not a number", id="tangent-bool-entry"),
     pytest.param(None, {"kind": "tangent", "tangent_matrices": {"A1": 0}},
                  "eps part of A: not a matrix", id="tangent-non-list-matrix"),
+    pytest.param(None, {"kind": "tangent", "tangent_matrices": {"A1": [[0, 0], [0]]}},
+                 "eps part of A: not a 2x2 matrix", id="tangent-ragged-matrix"),
+    pytest.param(None, {"kind": "tangent", "tangent_matrices": {"B1": [[0, 0]] * 3}},
+                 "eps part of B: not a 2x2 matrix", id="tangent-three-row-matrix"),
 ])
 def test_bad_deformation_input_fails_cleanly(flags, deformation, names, tmp_path, capsys):
     argv = _PATH + flags if flags else ["verify-margulis", "--spec",
@@ -394,7 +399,8 @@ def test_spec_tangent_matrices_equal_the_library_deformation(tmp_path, capsys):
     rep = build_rep(TraceCoords(4, 5, 6))
     t = random_tangent(rep, np.random.default_rng(3))
     spec = _spec_file(tmp_path, {"kind": "tangent", "tangent_matrices":
-                                 {"A1": t.a_eps.tolist(), "B1": t.b_eps.tolist()}}, (4, 5, 6))
+                                 {"A1": [t.a_eps[:2], t.a_eps[2:]],
+                                  "B1": [t.b_eps[:2], t.b_eps[2:]]}}, (4, 5, 6))
     assert run(["verify-margulis", "--spec", spec]) == 0
     want = engine.margulis_residual(attach_deformation(rep, DeformationSpec(t.a_eps, t.b_eps)))
     assert capsys.readouterr().out == want.to_json() + "\n"
@@ -446,6 +452,22 @@ def test_sweep_that_cannot_fill_its_box_stops(lo, hi, tmp_path):
     assert proc.stderr.startswith("error: --coord-min") and proc.stderr.count("\n") == 1
     assert f"0 of 1 cells in the domain after {SWEEP_DRAWS_PER_CELL} draws" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-margulis", "--coords", "4,4,4", "--deform", "path",
+     "--path-dir", "1e308,1e308,1e308"],  # the path tangent overflows
+    ["census", "--coords", "1e120,1e120,1e120"],  # the commutator overflows
+    ["verify-margulis", "--coords", "1e120,1e120,1e120", "--deform", "tangent"],
+], ids=["path-tangent-overflow", "census-overflow", "tangent-overflow"])
+def test_overflowing_input_prints_one_error_line(argv, tmp_path):
+    # in a subprocess, so a RuntimeWarning would reach stderr rather than pytest
+    env = dict(os.environ, PYTHONPATH=str(Path(mml.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mml.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def _readme_examples() -> tuple[list[list[str]], list[str]]:

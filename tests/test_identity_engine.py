@@ -177,8 +177,8 @@ def test_kappa_from_bins():
     rep = attach_deformation(build_rep(TraceCoords(4, 4, 4)), DeformationSpec())
     assert _kappa(rep) == 0.0
     s = 0.8
-    a1 = 0.5 * s * rep.A.val @ np.diag([1.0, -1.0])
-    repd = attach_deformation(rep, DeformationSpec(a_eps=a1))
+    a1 = 0.5 * s * np.reshape(rep.A.val, (2, 2)) @ np.diag([1.0, -1.0])
+    repd = attach_deformation(rep, DeformationSpec(a_eps=a1.ravel()))
     ell_a = translation_length(dual_trace(rep.A).re)
     assert _kappa(repd) >= s / ell_a - 1e-12
 

@@ -15,7 +15,7 @@ from mml.identity_engine import (_boundary_values, _grow, _report, _series, marg
                                  mcshane_sum)
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent)
-from mml.sl2grp import compose, margulis_invariant_dual
+from mml.sl2grp import compose, dual_trace, margulis_from_trace
 
 TOL = 1e-6
 
@@ -71,7 +71,7 @@ def test_path_alpha_equals_the_trace_gradient_closed_form(coords, d):
     for m, t, grad in cases:
         root = math.sqrt(t * t - 4.0)
         scale = 2.0 * np.linalg.norm(grad) * np.linalg.norm(d) / root
-        assert abs(margulis_invariant_dual(m) - 2.0 * (grad @ d) / root) <= 1e-10 * scale
+        assert abs(margulis_from_trace(dual_trace(m)) - 2.0 * (grad @ d) / root) <= 1e-10 * scale
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

@@ -11,7 +11,7 @@ from mml.identity_engine import (_boundary_values, _grow, choose_truncation, mar
                                  mcshane_sum, tail_bound_identity)
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent, validate_fuchsian)
-from mml.sl2grp import compose, flat_product, flatten, inverse
+from mml.sl2grp import compose, flat_product, inverse
 from mml.torus_curves import (CurveClass, bin_curves, christoffel_word, enumerate_up_to,
                               export_census, farey_enumerate, fit_bin_constant, make_tables)
 
@@ -235,7 +235,8 @@ def test_word_matrix_matches_letter_by_letter_product():
     for s in slopes:
         table.trace(*s)
         w = christoffel_word(*s)
-        _assert_same_matrix(table.word_matrix(s), flatten(compose(*(letters[c] for c in w))))
+        m = compose(*(letters[c] for c in w))
+        _assert_same_matrix(table.word_matrix(s), m.val + m.eps)
 
 
 def test_word_matrix_costs_one_product_per_new_slope(monkeypatch):
@@ -257,11 +258,15 @@ def test_word_matrix_costs_one_product_per_new_slope(monkeypatch):
 
 def test_word_matrix_returns_read_only_float64_parts():
     # a tuple of 8 floats: callers cannot write the memo through it
-    table = make_tables(_deformed_444())
+    rep = _deformed_444()
+    table = make_tables(rep)
     for s in [(1, 0), (-1, 0), (0, 1), (2, 1), (-1, 1), (-1, 2)]:
         table.trace(*s)
         m = table.word_matrix(s)
         assert type(m) is tuple and len(m) == 8 and all(type(x) is float for x in m)
+    # a generator's word matrix is its own parts, value then eps
+    assert table.word_matrix((1, 0)) == rep.A.val + rep.A.eps
+    assert table.word_matrix((0, 1)) == rep.B.val + rep.B.eps
 
 
 def test_tracing_a_long_spine_holds_no_word_strings():
