@@ -85,12 +85,14 @@ class HoledTorusRep:
 def build_rep(c: TraceCoords) -> HoledTorusRep:
     """Realize trace coordinates by explicit matrices (A diagonal).
 
-    Accepts any coordinates with x > 2; the domain is checked separately
-    by validate_fuchsian.
+    Accepts any coordinates with x > 2 and a finite boundary trace; the
+    domain is checked separately by validate_fuchsian.
     """
     x, y, z = c.x, c.y, c.z
     if x <= 2.0:
         raise InvalidCoords(f"x = {x} must exceed 2 for a hyperbolic generator")
+    if not math.isfinite(kappa := c.boundary_trace()):
+        raise _outside_domain(c, kappa)
     lam = (x + math.sqrt(x * x - 4.0)) / 2.0
     denom = lam - 1.0 / lam
     p = (z - y / lam) / denom
@@ -128,6 +130,12 @@ def random_tangent(rep: HoledTorusRep, rng) -> DeformationSpec:
                              for g in (rep.A, rep.B)))
 
 
+def _outside_domain(c: TraceCoords, kappa: float) -> InvalidCoords:
+    """The error for coordinates c, with boundary trace kappa, outside the domain."""
+    return InvalidCoords(f"coordinates ({c.x}, {c.y}, {c.z}) need x, y, z > 2 and "
+                         f"a finite boundary trace {kappa} <= -2")
+
+
 def validate_fuchsian(rep: HoledTorusRep) -> None:
     """Admit rep to the identities' domain, or raise InvalidCoords.
 
@@ -141,8 +149,7 @@ def validate_fuchsian(rep: HoledTorusRep) -> None:
     """
     c, kappa = rep.coords, dual_trace(rep.boundary).re
     if not (min(c.x, c.y, c.z) > 2.0 and -math.inf < kappa <= -2.0 + PARABOLIC_TOL):
-        raise InvalidCoords(f"coordinates ({c.x}, {c.y}, {c.z}) need x, y, z > 2 and "
-                            f"a finite boundary trace {kappa} <= -2")
+        raise _outside_domain(c, kappa)
     for p, q in torus_curves.farey_enumerate(SAMPLE_DEPTH):
         if abs(rep.table.trace(p, q).re) <= 2.0 + PARABOLIC_TOL:
             raise InvalidCoords(f"non-hyperbolic simple curve of slope {p}/{q}")

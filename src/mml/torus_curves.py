@@ -49,20 +49,17 @@ class CurveBin:
 
 
 @lru_cache(maxsize=None)
-def _farey_parents(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Stern-Brocot parents (lower, upper) of an interior slope p/q, p != 0 and q >= 1
-    coprime, on either side of 1/1 (1/2 and 2/3 as well as 3/1).  A negative slope
-    has the parents of -p/q negated, 1/0 written as -1/0."""
+def _farey_triangle(p: int, q: int) -> tuple[tuple[int, int], ...]:
+    """Farey triangle (lower, upper, third) of an interior slope p/q, p != 0, q >= 1
+    coprime: its Stern-Brocot parents, lower + upper = (p, q), and the far vertex
+    third = upper - lower, signed so q >= 0, of the other triangle on their edge.
+    A negative slope has the triangle of -p/q with p negated, 1/0 written as -1/0."""
     if p < 0:
-        (a, b), (c, d) = _farey_parents(-p, q)
-        return (-a, b), (-c, d)
-    if q == 1:
-        return (p - 1, 1), (1, 0)
-    if p == 1:
-        return (0, 1), (1, q - 1)
-    b = pow(p, -1, q)
+        return tuple((-a, b) for a, b in _farey_triangle(-p, q))
+    b = pow(p, -1, q) or 1  # mod 1 the inverse is 0; b = 1 gives (p-1)/1 and 1/0
     a = (p * b - 1) // q
-    return (a, b), (p - a, q - b)
+    dp, dq = p - 2 * a, q - 2 * b  # upper - lower
+    return (a, b), (p - a, q - b), (dp, dq) if dq >= 0 else (-dp, -dq)
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +70,7 @@ def christoffel_word(p: int, q: int) -> str:
         return "a" if p > 0 else "A"
     if p == 0:
         return "b"
-    lower, upper = _farey_parents(p, q)
+    lower, upper, _ = _farey_triangle(p, q)
     return christoffel_word(*upper) + christoffel_word(*lower)
 
 
@@ -82,12 +79,13 @@ class TraceTable:
 
     One table covers every slope, keyed by the signed (p, q) with q >= 0;
     1/0 is also stored as -1/0, the parent of the negative slopes next to
-    it.  Build once, then treat as read-only.  Besides the traces, a table
-    memoizes, under the same keys, the matrix of each traced slope's
-    Christoffel word, as the 8 floats m.val + m.eps, filled from its
-    Farey parents' word matrices, the (trace, length) pair of each traced
-    slope, and the curve class of each slope it was asked for (by
-    enumerate_up_to, only the emitted ones).
+    it.  Build once, then treat as read-only.  A new slope is traced from
+    the other three vertices of its _farey_triangle.  A table also memoizes,
+    under the same keys, the matrix of each traced slope's Christoffel word,
+    as the 8 floats m.val + m.eps, filled from its Farey parents' word
+    matrices, the length of each slope asked for by length, and the curve
+    class of each slope it was asked for (by enumerate_up_to, only the
+    emitted ones).
     Word matrices only cross-check the trace recursion, so flat_product multiplies
     them in plain sums; the seed traces come from compose's fma-rounded products.
     """
@@ -100,7 +98,7 @@ class TraceTable:
             s: dual_trace(m) for s, m in seeds.items()}
         self._words: dict[tuple[int, int], tuple[float, ...]] = {
             s: m.val + m.eps for s, m in seeds.items()}
-        self._nodes: dict[tuple[int, int], tuple[float, float]] = {}
+        self._lengths: dict[tuple[int, int], float] = {}
         self._curves: dict[tuple[int, int], CurveClass] = {}
 
     def trace(self, p: int, q: int) -> DualScalar:
@@ -108,23 +106,15 @@ class TraceTable:
         t = memo.get((p, q))
         if t is not None:
             return t
-        lower, upper = _farey_parents(p, q)
-        dp, dq = upper[0] - lower[0], upper[1] - lower[1]
-        if dq < 0:
-            dp, dq = -dp, -dq
-        if dp * p < 0:
+        lower, upper, third = _farey_triangle(p, q)
+        if third[0] * p < 0:
             raise MMLError(f"unexpected mixed-sign third neighbor for {p}/{q}")
         # A neighbour not traced yet goes through self.trace, so a wrapper
-        # around it (perfbench's tracer) still sees every new slope.
-        lo = memo.get(lower)
-        if lo is None:
-            lo = self.trace(*lower)
-        up = memo.get(upper)
-        if up is None:
-            up = self.trace(*upper)
-        th = memo.get((dp, dq))
-        if th is None:
-            th = self.trace(dp, dq)
+        # around it (perfbench's tracer) still sees every new slope; a
+        # DualScalar is never falsy.
+        lo = memo.get(lower) or self.trace(*lower)
+        up = memo.get(upper) or self.trace(*upper)
+        th = memo.get(third) or self.trace(*third)
         t = lo * up - th
         # word(p/q) = word(upper) + word(lower), and both parents are traced,
         # so their word matrices are in the memo: one product per new slope.
@@ -149,28 +139,29 @@ class TraceTable:
         floats val + eps; KeyError for a slope not traced yet."""
         return self._words[slope]
 
-    def node(self, p: int, q: int) -> tuple[float, float]:
-        """(trace, length) of slope p/q: its trace's value part and translation_length.
+    def length(self, p: int, q: int) -> float:
+        """translation_length of slope p/q's trace value part.
 
         Raises MMLError on a negative trace, which length pruning cannot
         handle; nothing is stored then, so every visit raises.
         """
-        n = self._nodes.get((p, q))
+        n = self._lengths.get((p, q))
         if n is None:
             t = self.trace(p, q).re
-            n = (t, translation_length(t))
+            n = translation_length(t)
             if t < 0:
                 raise MMLError(f"slope {p}/{q} has negative trace {t}; "
                                "length pruning needs positive traces")
-            self._nodes[(p, q)] = n
+            self._lengths[(p, q)] = n
         return n
 
     def curve(self, p: int, q: int) -> CurveClass:
         c = self._curves.get((p, q))
         if c is not None:
             return c
-        t, length = self.node(p, q)
-        c = CurveClass(p, q, t, length, margulis_from_trace(self._memo[(p, q)]))
+        length = self.length(p, q)
+        t = self._memo[(p, q)]
+        c = CurveClass(p, q, t.re, length, margulis_from_trace(t))
         self._curves[(p, q)] = c
         return c
 
@@ -181,26 +172,15 @@ def make_tables(rep) -> TraceTable:
 
 
 def farey_enumerate(max_denominator_sum: int) -> list[tuple[int, int]]:
-    """All canonical slopes with |p| + q <= bound, in Stern-Brocot order.
-
-    Each positive interior slope p/q is followed by -p/q; 1/0 and 0/1
-    open the list.
+    """All canonical slopes with |p| + q <= bound: 1/0 and 0/1, then every
+    coprime p/q with p, q >= 1 and p + q <= bound, ordered by q and then by p,
+    each followed by -p/q.
     """
     if max_denominator_sum < 1:
         raise ValueError("max_denominator_sum must be >= 1")
-    out = [(1, 0), (0, 1)]
-    stack = [((0, 1), (1, 0))]
-    while stack:
-        (pl, ql), (pr, qr) = stack.pop()
-        p, q = pl + pr, ql + qr
-        if p + q > max_denominator_sum:
-            continue
-        out.append((p, q))
-        out.append((-p, q))
-        # push right child last so it is visited first (preorder, a-side first)
-        stack.append(((pl, ql), (p, q)))
-        stack.append(((p, q), (pr, qr)))
-    return out
+    n = max_denominator_sum
+    return [(1, 0), (0, 1)] + [(s * p, q) for q in range(1, n) for p in range(1, n - q + 1)
+                               if math.gcd(p, q) == 1 for s in (1, -1)]
 
 
 def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
@@ -211,21 +191,21 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     the parents and the node, a child has trace u*c - v > c, so the whole
     subtree is longer still.  Nearer the root a node may be shorter than a
     parent, and its subtree is searched.  Nodes are judged by their
-    memoized TraceTable.node (trace, length), so each is traced and
-    cross-checked, and the first visited slope with a negative trace raises
-    MMLError there; a curve class is built only for a slope that is emitted.
+    memoized TraceTable.length, so each is traced and cross-checked, and the
+    first visited slope with a negative trace raises MMLError there; a curve
+    class is built only for a slope that is emitted.
     """
     cutoff = max_total_length / 2.0
     table = rep.table
-    nodes = table._nodes
-    a, b = table.node(1, 0)[1], table.node(0, 1)[1]
-    curves = [table.curve(*s) for s in ((1, 0), (0, 1)) if table.node(*s)[1] < cutoff]
+    lengths = table._lengths
+    a, b = table.length(1, 0), table.length(0, 1)
+    curves = [table.curve(*s) for s in ((1, 0), (0, 1)) if table.length(*s) < cutoff]
     # the positive root is on top, so its whole subtree is walked first
     stack = [(0, 1, -1, 0, b, a), (0, 1, 1, 0, b, a)]
     while stack:
         pl, ql, pr, qr, left, right = stack.pop()
         p, q = pl + pr, ql + qr
-        length = (nodes.get((p, q)) or table.node(p, q))[1]
+        length = lengths.get((p, q)) or table.length(p, q)
         if length < cutoff:
             curves.append(table.curve(p, q))
         elif length >= left and length >= right:

@@ -1,9 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mml.sl2grp import DualMatrix2
+
+# On a failing property Hypothesis imports its patch writer, which imports libcst,
+# whose dependencies warn DeprecationWarning; under filterwarnings = error that
+# ends the run with INTERNALERROR.  Importing it here once, with the warning
+# ignored, leaves the failure to be reported like any other.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def random_sl2(rng: np.random.Generator) -> np.ndarray:

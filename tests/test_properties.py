@@ -5,6 +5,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -147,3 +151,27 @@ def test_reports_agree_across_the_cusp_switch(x, y, k):
     assert rc == 0 and report["passed"]
     assert (report["target"] == 1.0) == (abs(k) < 1.0)
     assert abs(report["partial_sum"] / report["target"] - 1.0) <= 1e-6
+
+
+def test_a_failing_property_is_reported_and_the_run_goes_on(tmp_path):
+    # conftest.py imports Hypothesis's patch writer with its DeprecationWarning
+    # ignored; otherwise filterwarnings = error ends the run at the first failure
+    tests = Path(__file__).resolve().parent
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(derandomize=True, database=None)
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 5
+
+        def test_passes():
+            pass
+    """))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-p", "conftest", "-c", str(tests.parent / "pyproject.toml"),
+                          "--rootdir", str(tmp_path), "test_probe.py"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert run.stdout.splitlines()[-1].startswith("1 failed, 1 passed")

@@ -52,10 +52,17 @@ def test_validate_fuchsian():
     assert TraceCoords(2.1, 2.1, 2.1).boundary_trace() > -2
     with pytest.raises(InvalidCoords, match="boundary trace"):
         validate_fuchsian(build_rep(TraceCoords(2.1, 2.1, 2.1)))
-    # xyz overflows past ~6e102: a boundary trace of -inf is not in the domain
-    assert dual_trace(build_rep(TraceCoords(1e120, 1e120, 1e120)).boundary).re == -math.inf
+    # xyz overflows past ~6e102: a boundary trace of -inf is not in the domain,
+    # and build_rep rejects it with validate_fuchsian's line
+    assert TraceCoords(1e120, 1e120, 1e120).boundary_trace() == -math.inf
     with pytest.raises(InvalidCoords, match="finite boundary trace -inf"):
-        validate_fuchsian(build_rep(TraceCoords(1e120, 1e120, 1e120)))
+        build_rep(TraceCoords(1e120, 1e120, 1e120))
+    # a rep whose boundary matrix overflows reaches validate_fuchsian's own check
+    b = build_rep(TraceCoords(4, 4, 4)).B
+    rep = HoledTorusRep(DualMatrix2((1e160, 0.0, 0.0, 1e-160)), b, TraceCoords(4, 4, 4))
+    assert dual_trace(rep.boundary).re == -math.inf
+    with pytest.raises(InvalidCoords, match="finite boundary trace -inf"):
+        validate_fuchsian(rep)
 
 
 def test_validate_fuchsian_names_the_offending_slope():

@@ -11,9 +11,10 @@ from mml.identity_engine import (_boundary_values, _grow, choose_truncation, mar
                                  mcshane_sum, tail_bound_identity)
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent, validate_fuchsian)
-from mml.sl2grp import compose, flat_product, inverse
-from mml.torus_curves import (CurveClass, bin_curves, christoffel_word, enumerate_up_to,
-                              export_census, farey_enumerate, fit_bin_constant, make_tables)
+from mml.sl2grp import compose, flat_product, inverse, translation_length
+from mml.torus_curves import (CurveClass, _farey_triangle, bin_curves, christoffel_word,
+                              enumerate_up_to, export_census, farey_enumerate,
+                              fit_bin_constant, make_tables)
 
 
 def _deformed_444():
@@ -53,6 +54,43 @@ def test_farey_enumerate_small():
     assert set(farey_enumerate(2)) == {(1, 0), (0, 1), (1, 1), (-1, 1)}
     got3 = set(farey_enumerate(3))
     assert got3 == {(1, 0), (0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2), (2, 1), (-2, 1)}
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_farey_enumerate_is_the_coprime_filter(n):
+    slopes = farey_enumerate(n)
+    brute = {(1, 0), (0, 1)} | {(s * p, q) for q in range(1, n) for p in range(1, n - q + 1)
+                                for s in (1, -1) if math.gcd(p, q) == 1}
+    assert set(slopes) == brute and len(slopes) == len(brute)
+    assert slopes[:4] == [(1, 0), (0, 1), (1, 1), (-1, 1)][:len(slopes)]
+
+
+def test_farey_enumerate_orders_by_denominator_then_numerator():
+    slopes = farey_enumerate(6)
+    assert slopes[2:14] == [(p * s, 1) for p in range(1, 6) for s in (1, -1)] + [(1, 2), (-1, 2)]
+    assert slopes[-2:] == [(1, 5), (-1, 5)]
+
+
+def test_farey_triangle_matches_its_definition():
+    for q in range(1, 80):
+        for p in range(1, 81 - q):
+            if math.gcd(p, q) != 1 or (p, q) == (1, 1):
+                continue
+            for sp in (p, -p):
+                lower, upper, third = _farey_triangle(sp, q)
+                assert (lower[0] + upper[0], lower[1] + upper[1]) == (sp, q)
+                assert abs(lower[0] * upper[1] - lower[1] * upper[0]) == 1
+                diff = (upper[0] - lower[0], upper[1] - lower[1])
+                assert third[1] >= 0 and third in (diff, (-diff[0], -diff[1]))
+                assert third[0] * sp >= 0
+
+
+def test_farey_triangle_of_the_seeds_is_mixed_sign():
+    # 1/1 and -1/1 are seeded, so trace() never asks for these triangles;
+    # christoffel_word still spells the seeds from their parents
+    assert _farey_triangle(1, 1) == ((0, 1), (1, 0), (-1, 1))
+    assert _farey_triangle(-1, 1) == ((0, 1), (-1, 0), (1, 1))
+    assert christoffel_word(1, 1) == "ab" and christoffel_word(-1, 1) == "Ab"
 
 
 def test_farey_enumerate_coprime_census():
@@ -335,11 +373,13 @@ def test_classes_are_built_only_for_emitted_slopes():
 
     short = enumerate_up_to(rep, 20.0)
     assert set(table._curves) == emitted(short)
-    # the pruned frontier is traced and judged by its (trace, length), but has no class
-    frontier = set(table._nodes) - set(table._curves)
-    assert frontier and all(2 * table.node(*k)[1] >= 20.0 for k in frontier)
+    # the pruned frontier is traced and judged by its length, but has no class
+    frontier = set(table._lengths) - set(table._curves)
+    assert frontier and all(2 * table.length(*k) >= 20.0 for k in frontier)
     assert frontier <= set(table._memo)
     assert any(p < 0 for p, _ in frontier) and any(p > 0 for p, _ in frontier)
+    assert all(type(v) is float and v == translation_length(table._memo[k].re)
+               for k, v in table._lengths.items())
     before = dict(table._curves)
     deep = enumerate_up_to(rep, 30.0)
     assert set(table._curves) == emitted(deep)
