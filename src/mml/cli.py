@@ -20,7 +20,7 @@ import numpy as np
 from . import identity_engine as engine
 from . import representation as reprs
 from . import torus_curves
-from .errors import InvalidCoords, MMLError, NonConvergence, NotHyperbolic
+from .errors import InvalidCoords, MMLError, NonConvergence
 
 DEFAULT_SEED = 20150831
 SWEEP_DRAWS_PER_CELL = 10_000  # sweep gives up after this many coordinate draws per cell
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     except NonConvergence as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (InvalidCoords, NotHyperbolic, MMLError, OSError) as e:
+    except (MMLError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

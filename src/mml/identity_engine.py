@@ -5,16 +5,16 @@ simple closed curves gamma of D(l_bdry, l_gamma, l_gamma); differentiating
 term by term turns the identity into a linear relation between the length
 derivatives (Margulis invariants) with coefficients H and K.  Truncation
 tails are certified from the exponential summand bounds together with an
-empirically fitted bin-count constant, inflated by a safety factor and
-labeled as such in reports.
+empirically fitted bin-count constant, inflated by a safety factor.  Reports
+carry the fitted constant m_hat and the slope bound kappa_hat as empirical
+figures; no report field marks them as such.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import asdict, dataclass
 
 from .errors import NonConvergence, NotHyperbolic
 from .sl2grp import PARABOLIC_TOL, dual_trace, margulis_from_trace, translation_length
@@ -102,10 +102,7 @@ class SeriesReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        """dataclasses.asdict(self), without its recursive deep copy."""
-        d = dict(vars(self))
-        d["bins"] = tuple(dict(vars(b)) for b in self.bins)
-        return d
+        return asdict(self)
 
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), indent=2), byte for byte: indent selects json's Python
@@ -174,28 +171,10 @@ def kappa_from_bins(bins: list[CurveBin], ell_bdry: float, alpha_bdry: float) ->
     return k
 
 
-def _grow(rep, n_ceiling: int) -> Iterator[tuple[int, list[CurveBin], float, float]]:
-    """Yield (n_max, bins, m_hat, kappa) at n_max = min(16, n_ceiling), then 8 deeper
-    per step, up to the ceiling."""
-    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
-    n_max = min(_GROW_START, n_ceiling)
-    bins, m_hat, kappa = [], 0.0, 0.0
-    while True:
-        # Every step enumerates all curves below its cutoff, so the bins of earlier
-        # steps are complete: m_hat and kappa are running maxima over the new ones.
-        new = bin_curves(enumerate_up_to(rep, n_max + 1), n_max, len(bins))
-        bins, m_hat = bins + new, max(m_hat, fit_bin_constant(new))
-        kappa = max(kappa, kappa_from_bins(new, ell_bdry, alpha_bdry))
-        yield n_max, bins, m_hat, kappa
-        if n_max >= n_ceiling:
-            return
-        n_max = min(n_max + _GROW_STEP, n_ceiling)
-
-
-def choose_truncation(rep, tail_tolerance: float, n_ceiling: int,
-                      tail) -> tuple[int, list[CurveBin], float, float, float]:
-    """(n_max, bins, m_hat, kappa, tail) at the least depth whose certified tail is
-    below tolerance.
+def choose_truncation(rep, ell_bdry: float, alpha_bdry: float, tail_tolerance: float,
+                      n_ceiling: int, tail) -> tuple[list[CurveBin], float, float, float]:
+    """(bins, m_hat, kappa, tail) at the least depth n_max = min(16, n_ceiling), then 8
+    deeper per step up to the ceiling, whose certified tail is below tolerance.
 
     tail(n_max, m_hat, kappa, stop) may stop once past stop (inf at the ceiling, so
     NonConvergence gives the full tail); a depth with no enumerated curve is never
@@ -203,12 +182,18 @@ def choose_truncation(rep, tail_tolerance: float, n_ceiling: int,
     """
     if tail_tolerance <= 0:
         raise ValueError("tail_tolerance must be positive")
-    for n_max, bins, m_hat, kappa in _grow(rep, n_ceiling):
+    bins, m_hat, kappa = [], 0.0, 0.0
+    for n_max in [*range(min(_GROW_START, n_ceiling), n_ceiling, _GROW_STEP), n_ceiling]:
+        # Every step enumerates all curves below its cutoff, so the bins of earlier
+        # steps are complete: m_hat and kappa are running maxima over the new ones.
+        new = bin_curves(enumerate_up_to(rep, n_max + 1), n_max, len(bins))
+        bins, m_hat = bins + new, max(m_hat, fit_bin_constant(new))
+        kappa = max(kappa, kappa_from_bins(new, ell_bdry, alpha_bdry))
         stop = tail_tolerance if n_max < n_ceiling else math.inf
         # m_hat == 0: no curve enumerated yet, so the fitted tail reads 0
         # without certifying anything.
         if m_hat > 0 and (bound := tail(n_max, m_hat, kappa, stop)) <= tail_tolerance:
-            return n_max, bins, m_hat, kappa, bound
+            return bins, m_hat, kappa, bound
     if m_hat == 0:
         raise NonConvergence(f"no curve enumerated up to bin ceiling {n_ceiling}")
     raise NonConvergence(f"tail {bound} > {tail_tolerance} at bin ceiling {n_ceiling}")
@@ -241,26 +226,32 @@ def _series(bins: list[CurveBin], ell_bdry: float, alpha_bdry: float,
     return stats, h_running
 
 
-def _first_over_one(h_running: list[float]) -> int | None:
-    """First bin (bins run 0, 1, ...) whose running H sum exceeds 1."""
-    return next((n for n, h in enumerate(h_running) if h > 1.0), None)
-
-
-def _report(target: float, series: tuple[list[BinStat], list[float]], attr: str,
-            tail_bound: float, m_hat: float, kappa_hat: float,
-            tolerance: float) -> SeriesReport:
-    """Combine the bins of a series in index order and judge the residual."""
-    stats, h_running = series
+def _verify_series(rep, tail_tolerance: float, n_ceiling: int,
+                   derivative: bool) -> SeriesReport:
+    """Truncate one series, sum its bins in index order and judge the residual: the
+    length identity, or with derivative its first variation."""
+    ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
+    if not derivative:
+        target, attr = (1.0 if cusp else ell_bdry), "sum_d"
+        tail = lambda n, m, k, stop: tail_bound_identity(n, m, ell_bdry, stop)
+    elif cusp:
+        raise NotHyperbolic("boundary-parabolic: no differentiated identity at a cusp")
+    else:
+        target, attr = alpha_bdry, "sum_deriv"
+        tail = lambda n, m, k, stop: tail_bound_derivative(n, m, ell_bdry, k, alpha_bdry, stop)
+    bins, m_hat, kappa, tail_bound = choose_truncation(rep, ell_bdry, alpha_bdry,
+                                                       tail_tolerance, n_ceiling, tail)
+    stats, h_running = _series(bins, ell_bdry, alpha_bdry, cusp)
     acc = KahanSum()
     for s in stats:  # fixed index order: the deterministic combine contract
         acc.add(getattr(s, attr))
     residual = target - acc.total
     return SeriesReport(
-        target=target, partial_sum=acc.total, residual=residual,
-        n_max=stats[-1].n if stats else 0, tail_bound=tail_bound, m_hat=m_hat,
-        kappa_hat=kappa_hat, h_partial_sum=h_running[-1] if h_running else 0.0,
-        h_threshold_n=_first_over_one(h_running), bins=tuple(stats),
-        passed=abs(residual) <= max(tail_bound, tolerance))
+        target=target, partial_sum=acc.total, residual=residual, n_max=stats[-1].n,
+        tail_bound=tail_bound, m_hat=m_hat, kappa_hat=kappa, h_partial_sum=h_running[-1],
+        # first bin (bins run 0, 1, ...) whose running H sum exceeds 1
+        h_threshold_n=next((n for n, h in enumerate(h_running) if h > 1.0), None),
+        bins=tuple(stats), passed=abs(residual) <= max(tail_bound, tail_tolerance))
 
 
 def mcshane_sum(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200) -> SeriesReport:
@@ -269,13 +260,7 @@ def mcshane_sum(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200) -> Seri
     A parabolic boundary (trace +-2) switches to the cusp-limit summand
     2/(1+e^l) with target 1.
     """
-    ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
-    _, bins, m_hat, kappa, tail_bound = choose_truncation(
-        rep, tail_tolerance, n_ceiling,
-        lambda n_max, m_hat, kappa, stop: tail_bound_identity(n_max, m_hat, ell_bdry, stop))
-    return _report(1.0 if cusp else ell_bdry,
-                   _series(bins, ell_bdry, alpha_bdry, cusp), "sum_d", tail_bound,
-                   m_hat, kappa, tail_tolerance)
+    return _verify_series(rep, tail_tolerance, n_ceiling, derivative=False)
 
 
 def margulis_residual(rep, tail_tolerance: float = 1e-6,
@@ -286,12 +271,4 @@ def margulis_residual(rep, tail_tolerance: float = 1e-6,
     the residual target - partial_sum equals the difference between
     (1 - sum H) alpha(bdry) and sum K (alpha1 + alpha2).
     """
-    ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
-    if cusp:
-        raise NotHyperbolic("boundary-parabolic: no differentiated identity at a cusp")
-    _, bins, m_hat, kappa, tail_bound = choose_truncation(
-        rep, tail_tolerance, n_ceiling, lambda n_max, m_hat, kappa, stop:
-        tail_bound_derivative(n_max, m_hat, ell_bdry, kappa, alpha_bdry, stop))
-    return _report(alpha_bdry,
-                   _series(bins, ell_bdry, alpha_bdry, cusp=False), "sum_deriv",
-                   tail_bound, m_hat, kappa, tail_tolerance)
+    return _verify_series(rep, tail_tolerance, n_ceiling, derivative=True)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mml import identity_engine
 from mml.errors import NonConvergence, NotHyperbolic
-from mml.identity_engine import (BinStat, KahanSum, _boundary_values, _grow, _series,
-                                 coeff_H, coeff_K, cusp_gap, gap_D, kappa_from_bins,
-                                 margulis_residual, mcshane_sum,
+from mml.identity_engine import (BinStat, KahanSum, _boundary_values, _series,
+                                 choose_truncation, coeff_H, coeff_K, cusp_gap, gap_D,
+                                 kappa_from_bins, margulis_residual, mcshane_sum,
                                  tail_bound_derivative, tail_bound_identity, term_derivative)
 from mml.representation import DeformationSpec, TraceCoords, attach_deformation, build_rep, random_tangent
 from mml.sl2grp import dual_trace, translation_length
@@ -21,6 +22,14 @@ from oracles import bound_D, bound_HK
 def _tangent_rep(coords, seed):
     rep = build_rep(TraceCoords(*coords))
     return attach_deformation(rep, random_tangent(rep, np.random.default_rng(seed)))
+
+
+def _grown_to(rep, n_max):
+    """choose_truncation's (bins, m_hat, kappa) at depth n_max, through a tail that
+    accepts that depth only."""
+    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
+    return choose_truncation(rep, ell_bdry, alpha_bdry, 1.0, n_max,
+                             lambda n, m, k, stop: 0.0 if n == n_max else math.inf)[:3]
 
 
 def test_gap_values():
@@ -145,6 +154,30 @@ def test_margulis_residual_rejects_cusp():
         margulis_residual(rep)
 
 
+@pytest.mark.parametrize("series", [mcshane_sum, margulis_residual])
+def test_series_reject_an_elliptic_boundary(series):
+    # x = y = z = 2.1: boundary trace 1.969, which validate_fuchsian would reject first
+    rep = build_rep(TraceCoords(2.1, 2.1, 2.1))
+    trace = dual_trace(rep.boundary).re
+    assert abs(trace) < 2.0
+    with pytest.raises(NotHyperbolic) as err:
+        series(rep)
+    assert str(err.value) == f"boundary trace {trace} is elliptic"
+
+
+@pytest.mark.parametrize("series, rep", [(mcshane_sum, build_rep(TraceCoords(4, 4, 4))),
+                                         (mcshane_sum, build_rep(TraceCoords(3, 3, 3))),
+                                         (margulis_residual, _tangent_rep((4, 4, 4), 7))],
+                         ids=["mcshane", "cusp", "margulis"])
+def test_each_series_reads_the_boundary_once(monkeypatch, series, rep):
+    calls = []
+    read = identity_engine._boundary_values
+    monkeypatch.setattr(identity_engine, "_boundary_values",
+                        lambda r: calls.append(r) or read(r))
+    series(rep, 1e-6)
+    assert calls == [rep]
+
+
 @pytest.mark.parametrize("coords, tol, n_ceiling", [((4, 4, 4), 1e-4, 200), ((4, 4, 4), 100.0, 8),
                                                     ((200, 200, 200), 1e-6, 200)],
                          ids=["generic", "low-ceiling", "far"])
@@ -213,7 +246,7 @@ def test_series_bins_are_kahan_sums_of_the_public_terms(rep, cusp):
     # each curve is the pair (l, l, alpha, alpha); the sums must match bit for bit
     ell_bdry, alpha_bdry, is_cusp = _boundary_values(rep)
     assert is_cusp == cusp
-    *_, (_, bins, _, _) = _grow(rep, 40)
+    bins, _, _ = _grown_to(rep, 40)
     stats, h_running = _series(bins, ell_bdry, alpha_bdry, cusp)
     assert [s.n for s in stats] == [b.index for b in bins] == list(range(41))
     h = KahanSum()
@@ -240,7 +273,7 @@ def test_nonconvergence_at_low_ceiling():
 def test_nonconvergence_reports_the_full_ceiling_tail():
     rep = _tangent_rep((4, 4, 4), 11)
     ell_bdry, alpha_bdry, _ = _boundary_values(rep)
-    *_, (_, bins, m_hat, kappa) = _grow(_tangent_rep((4, 4, 4), 11), 24)
+    _, m_hat, kappa = _grown_to(_tangent_rep((4, 4, 4), 11), 24)
     tails = {mcshane_sum: lambda b: tail_bound_identity(24, m_hat, ell_bdry, b),
              margulis_residual: lambda b: tail_bound_derivative(24, m_hat, ell_bdry, kappa,
                                                                 alpha_bdry, b)}
@@ -280,18 +313,31 @@ def test_report_json_schema():
 
 @pytest.mark.parametrize("coords, n_ceiling", [((4, 4, 4), 64), ((3, 3, 3), 64),
                                                ((200, 200, 200), 96)])
-def test_grown_bins_equal_binning_from_scratch(coords, n_ceiling):
+def test_grown_bins_equal_binning_from_scratch(coords, n_ceiling, monkeypatch):
     rep = build_rep(TraceCoords(*coords))
     ell_bdry, alpha_bdry, _ = _boundary_values(rep)
-    steps = list(_grow(rep, n_ceiling))
-    assert [n for n, _, _, _ in steps] == list(range(16, n_ceiling + 1, 8))
-    for n_max, bins, m_hat, kappa in steps:
-        # a fresh rep has a fresh trace table, so nothing filled by _grow is reused
-        fresh = build_rep(TraceCoords(*coords))
-        assert bins == bin_curves(enumerate_up_to(fresh, n_max + 1), n_max)
-        assert m_hat == fit_bin_constant(bins)
-        assert kappa == kappa_from_bins(bins, ell_bdry, alpha_bdry)
-    assert sum(len(b.members) for b in steps[-1][1]) > 0
+    steps = {}  # (m_hat, kappa) of each step, as its tail sees them
+    cutoffs = []  # every step's enumeration cutoff, curve-less steps included
+
+    def tail(n_max, m_hat, kappa, stop):
+        steps[n_max] = (m_hat, kappa)
+        return 0.0 if n_max == n_ceiling else math.inf
+
+    monkeypatch.setattr(identity_engine, "enumerate_up_to",
+                        lambda r, c: cutoffs.append(c) or enumerate_up_to(r, c))
+    grown, *_ = choose_truncation(rep, ell_bdry, alpha_bdry, 1.0, n_ceiling, tail)
+    monkeypatch.undo()
+    assert cutoffs == [n + 1 for n in range(16, n_ceiling + 1, 8)]
+    fitted = {}
+    for n_max in range(16, n_ceiling + 1, 8):
+        # a fresh rep has a fresh trace table, so nothing filled by the growth is reused
+        bins = bin_curves(enumerate_up_to(build_rep(TraceCoords(*coords)), n_max + 1), n_max)
+        # a step appends bins and never edits earlier ones: its bins are a prefix
+        assert grown[:n_max + 1] == bins
+        if (m_hat := fit_bin_constant(bins)) > 0:  # no tail is asked before the first curve
+            fitted[n_max] = (m_hat, kappa_from_bins(bins, ell_bdry, alpha_bdry))
+    assert steps == fitted and list(steps) == list(fitted)
+    assert sum(len(b.members) for b in grown) > 0
 
 
 def test_to_dict_equals_asdict():

@@ -15,8 +15,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mml import cli, identity_engine
-from mml.identity_engine import (_boundary_values, _grow, _report, _series, margulis_residual,
-                                 mcshane_sum)
+from mml.identity_engine import _boundary_values, margulis_residual, mcshane_sum
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent)
 from mml.sl2grp import compose, dual_trace, margulis_from_trace
@@ -83,12 +82,15 @@ def test_path_alpha_equals_the_trace_gradient_closed_form(coords, d):
 @example(coords=TraceCoords(3.0, 3.0, 3.0))  # the cusp: target 1, cusp summand
 def test_mcshane_partial_sum_is_monotone_in_depth(coords):
     rep = build_rep(coords)
-    ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
     sums = []
-    for _, bins, m_hat, _ in _grow(rep, 64):
-        series = _series(bins, ell_bdry, alpha_bdry, cusp)
-        sums.append(_report(1.0 if cusp else ell_bdry, series, "sum_d",
-                            0.0, m_hat, 0.0, TOL).partial_sum)
+    for depth in range(16, 65, 8):
+        # a tail that accepts this depth only: the report's partial sum at it
+        with mock.patch.object(identity_engine, "tail_bound_identity",
+                               lambda n_max, m_hat, ell_bdry, stop: 0.0 if n_max == depth
+                               else math.inf):
+            report = mcshane_sum(rep, TOL, 64)
+        assert report.n_max == depth
+        sums.append(report.partial_sum)
     assert len(sums) == 7 and sums[-1] > 0.0
     assert all(a <= b for a, b in zip(sums, sums[1:])), sums
 

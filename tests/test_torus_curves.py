@@ -7,7 +7,7 @@ import pytest
 
 from mml.dualnum import DualScalar
 from mml.errors import MMLError, NotHyperbolic, RecursionMismatch
-from mml.identity_engine import (_boundary_values, _grow, choose_truncation, margulis_residual,
+from mml.identity_engine import (_boundary_values, choose_truncation, margulis_residual,
                                  mcshane_sum, tail_bound_identity)
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent, validate_fuchsian)
@@ -226,14 +226,27 @@ def test_choose_truncation_tail_policy():
     tol = 1e-4
     for coords in ((4, 4, 4), (3, 3, 3)):
         rep = build_rep(TraceCoords(*coords))
-        ell_bdry, _, _ = _boundary_values(rep)
-        n_max, bins, m_hat, kappa, tail = choose_truncation(
-            rep, tol, 200, lambda n, m, k, stop: tail_bound_identity(n, m, ell_bdry, stop))
-        assert tail <= tol
+        ell_bdry, alpha_bdry, _ = _boundary_values(rep)
+        depths = []
+
+        def tail(n, m, k, stop):
+            depths.append(n)
+            return tail_bound_identity(n, m, ell_bdry, stop)
+
+        bins, m_hat, kappa, bound = choose_truncation(rep, ell_bdry, alpha_bdry, tol, 200, tail)
+        n_max = depths[-1]
+        assert bound <= tol
         assert [b.index for b in bins] == list(range(n_max + 1))
         assert n_max >= 16 and (n_max - 16) % 8 == 0
         # the grid step before it, grown on a fresh rep, is the one the tail rejected
-        steps = {n: (m, k) for n, _, m, k in _grow(build_rep(TraceCoords(*coords)), n_max)}
+        steps = {}
+
+        def record(n, m, k, stop):
+            steps[n] = (m, k)
+            return 0.0 if n == n_max else math.inf
+
+        choose_truncation(build_rep(TraceCoords(*coords)), ell_bdry, alpha_bdry, tol, n_max,
+                          record)
         assert steps[n_max] == (m_hat, kappa)
         if n_max > 16:
             assert tail_bound_identity(n_max - 8, steps[n_max - 8][0], ell_bdry) > tol
