@@ -136,8 +136,7 @@ def _verify(args, series) -> int:
     if args.format == "json":
         text = report.to_json() + "\n"
     else:
-        d = report.to_dict()
-        d.pop("bins")
+        d = {k: v for k, v in vars(report).items() if k != "bins"}
         keys = list(d)
         lines = [",".join(keys),
                  ",".join("" if d[k] is None else f"{d[k]:.12g}" if isinstance(d[k], float)

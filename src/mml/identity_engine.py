@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import NonConvergence, NotHyperbolic
 from .sl2grp import PARABOLIC_TOL, dual_trace, margulis_from_trace, translation_length
@@ -101,12 +101,10 @@ class SeriesReport:
     bins: tuple[BinStat, ...]
     passed: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        """json.dumps(self.to_dict(), indent=2), byte for byte: indent selects json's Python
-        encoder, so its C one writes the values (repr, null, true, NaN...) in one flat list."""
+        """json.dumps(dataclasses.asdict(self), indent=2), byte for byte: indent selects
+        json's Python encoder, so its C one writes the values (repr, null, true, NaN...)
+        in one flat list."""
         keys = [k for k in vars(self) if k != "bins"]
         flat = [getattr(self, k) for k in keys]
         for b in self.bins:
@@ -152,14 +150,14 @@ def tail_bound_derivative(n_max: int, m_hat: float, ell_bdry: float, kappa_hat: 
                      * (n + 1) ** 2 * math.exp(-n / 2.0), bound)
 
 
-def _boundary_values(rep) -> tuple[float, float, bool]:
-    """(length, margulis invariant, is_cusp) of the boundary element."""
+def _boundary_values(rep) -> tuple[float, float]:
+    """(length, margulis invariant) of the boundary element; (0.0, 0.0) at a cusp."""
     t = dual_trace(rep.boundary)
     if abs(abs(t.re) - 2.0) <= PARABOLIC_TOL:
-        return 0.0, 0.0, True
+        return 0.0, 0.0
     if abs(t.re) < 2.0:
         raise NotHyperbolic(f"boundary trace {t.re} is elliptic")
-    return translation_length(t.re), margulis_from_trace(t), False
+    return translation_length(t.re), margulis_from_trace(t)
 
 
 def kappa_from_bins(bins: list[CurveBin], ell_bdry: float, alpha_bdry: float) -> float:
@@ -199,59 +197,48 @@ def choose_truncation(rep, ell_bdry: float, alpha_bdry: float, tail_tolerance: f
     raise NonConvergence(f"tail {bound} > {tail_tolerance} at bin ceiling {n_ceiling}")
 
 
-def _series(bins: list[CurveBin], ell_bdry: float, alpha_bdry: float,
-            cusp: bool) -> tuple[list[BinStat], list[float]]:
-    """One pass over the bins, each curve entering as the pair (l, l, alpha, alpha).
-
-    Returns the per-bin Kahan sums of the gap terms D (the cusp summand
-    when cusp) and of their derivatives, and the running sum of the H
-    coefficients after each bin.
-    """
-    stats, h_running = [], []
-    h = KahanSum()
+def _verify_series(rep, tail_tolerance: float, n_ceiling: int,
+                   derivative: bool) -> SeriesReport:
+    """Truncate one series and judge its residual: the length identity, or with
+    derivative its first variation.  One pass over the bins, each curve entering as
+    the pair (l, l, alpha, alpha), Kahan-sums each bin's gap terms D (the cusp summand
+    when ell_bdry == 0) and their derivatives, adds the series' bin sums in index
+    order (the deterministic combine contract) and carries the running sum of the
+    H coefficients."""
+    ell_bdry, alpha_bdry = _boundary_values(rep)
+    if not derivative:
+        target = ell_bdry if ell_bdry > 0 else 1.0  # the cusp summands sum to 1
+        tail = lambda n, m, k, stop: tail_bound_identity(n, m, ell_bdry, stop)
+    elif ell_bdry == 0:
+        raise NotHyperbolic("boundary-parabolic: no differentiated identity at a cusp")
+    else:
+        target = alpha_bdry
+        tail = lambda n, m, k, stop: tail_bound_derivative(n, m, ell_bdry, k, alpha_bdry, stop)
+    bins, m_hat, kappa, tail_bound = choose_truncation(rep, ell_bdry, alpha_bdry,
+                                                       tail_tolerance, n_ceiling, tail)
+    stats, acc, h, h_threshold_n = [], KahanSum(), KahanSum(), None
     for b in bins:
         sd, sv = KahanSum(), KahanSum()
         for c in b.members:
             l, a = c.length, c.alpha
             u = l + l
             hu = coeff_H(u, ell_bdry)
-            if cusp:
+            if ell_bdry == 0:
                 sd.add(cusp_gap(l))
             else:
                 sd.add(gap_D(ell_bdry, l, l))
                 sv.add(hu * alpha_bdry + coeff_K(u, ell_bdry) * (a + a))
             h.add(hu)
         stats.append(BinStat(b.index, len(b.members), sd.total, sv.total))
-        h_running.append(h.total)
-    return stats, h_running
-
-
-def _verify_series(rep, tail_tolerance: float, n_ceiling: int,
-                   derivative: bool) -> SeriesReport:
-    """Truncate one series, sum its bins in index order and judge the residual: the
-    length identity, or with derivative its first variation."""
-    ell_bdry, alpha_bdry, cusp = _boundary_values(rep)
-    if not derivative:
-        target, attr = (1.0 if cusp else ell_bdry), "sum_d"
-        tail = lambda n, m, k, stop: tail_bound_identity(n, m, ell_bdry, stop)
-    elif cusp:
-        raise NotHyperbolic("boundary-parabolic: no differentiated identity at a cusp")
-    else:
-        target, attr = alpha_bdry, "sum_deriv"
-        tail = lambda n, m, k, stop: tail_bound_derivative(n, m, ell_bdry, k, alpha_bdry, stop)
-    bins, m_hat, kappa, tail_bound = choose_truncation(rep, ell_bdry, alpha_bdry,
-                                                       tail_tolerance, n_ceiling, tail)
-    stats, h_running = _series(bins, ell_bdry, alpha_bdry, cusp)
-    acc = KahanSum()
-    for s in stats:  # fixed index order: the deterministic combine contract
-        acc.add(getattr(s, attr))
+        acc.add(sv.total if derivative else sd.total)
+        if h_threshold_n is None and h.total > 1.0:  # first bin whose running H sum exceeds 1
+            h_threshold_n = b.index
     residual = target - acc.total
     return SeriesReport(
-        target=target, partial_sum=acc.total, residual=residual, n_max=stats[-1].n,
-        tail_bound=tail_bound, m_hat=m_hat, kappa_hat=kappa, h_partial_sum=h_running[-1],
-        # first bin (bins run 0, 1, ...) whose running H sum exceeds 1
-        h_threshold_n=next((n for n, h in enumerate(h_running) if h > 1.0), None),
-        bins=tuple(stats), passed=abs(residual) <= max(tail_bound, tail_tolerance))
+        target=target, partial_sum=acc.total, residual=residual, n_max=bins[-1].index,
+        tail_bound=tail_bound, m_hat=m_hat, kappa_hat=kappa, h_partial_sum=h.total,
+        h_threshold_n=h_threshold_n, bins=tuple(stats),
+        passed=abs(residual) <= max(tail_bound, tail_tolerance))
 
 
 def mcshane_sum(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200) -> SeriesReport:

@@ -85,13 +85,11 @@ class HoledTorusRep:
 def build_rep(c: TraceCoords) -> HoledTorusRep:
     """Realize trace coordinates by explicit matrices (A diagonal).
 
-    Accepts any coordinates with x > 2 and a finite boundary trace; the
-    domain is checked separately by validate_fuchsian.
+    Accepts any coordinates with x > 2 and a finite boundary trace, and rejects
+    the others with the domain's error; validate_fuchsian checks the rest of it.
     """
-    x, y, z = c.x, c.y, c.z
-    if x <= 2.0:
-        raise InvalidCoords(f"x = {x} must exceed 2 for a hyperbolic generator")
-    if not math.isfinite(kappa := c.boundary_trace()):
+    x, y, z, kappa = c.x, c.y, c.z, c.boundary_trace()
+    if x <= 2.0 or not math.isfinite(kappa):
         raise _outside_domain(c, kappa)
     lam = (x + math.sqrt(x * x - 4.0)) / 2.0
     denom = lam - 1.0 / lam

@@ -78,12 +78,9 @@ def project_tangent(m0: tuple[float, ...], m1: tuple[float, ...]) -> tuple[float
 
 
 def _product(m: DualMatrix2, n: DualMatrix2) -> DualMatrix2:
-    """m*n without re-validation: products of 4-float parts are 4-float parts."""
-    out = object.__new__(DualMatrix2)
-    object.__setattr__(out, "val", _mul(m.val, n.val))
-    object.__setattr__(out, "eps", tuple(
-        u + v for u, v in zip(_mul(m.val, n.eps), _mul(m.eps, n.val))))
-    return out
+    """m*n: value M0*N0, eps M0*N1 + M1*N0."""
+    return DualMatrix2(_mul(m.val, n.val),
+                       [u + v for u, v in zip(_mul(m.val, n.eps), _mul(m.eps, n.val))])
 
 
 def flat_product(m: tuple[float, ...], n: tuple[float, ...]) -> tuple[float, ...]:

@@ -97,7 +97,7 @@ def test_invalid_inputs(capsys):
 
 # 1e120: xyz overflows, so the boundary trace reads -inf; 1e200: a square
 # overflows, so it reads inf (build_rep rejects these before its round trip)
-_OUTSIDE = ["10,3,3", "4,1.5,4", "2.5,2.5,2.5", "1e120,1e120,1e120",
+_OUTSIDE = ["10,3,3", "4,1.5,4", "1.5,4,4", "2,4,4", "2.5,2.5,2.5", "1e120,1e120,1e120",
             "1e200,4,4", "4,1e200,4", "4,4,1e200"]
 
 

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from mml import identity_engine
 from mml.errors import NonConvergence, NotHyperbolic
-from mml.identity_engine import (BinStat, KahanSum, _boundary_values, _series,
-                                 choose_truncation, coeff_H, coeff_K, cusp_gap, gap_D,
-                                 kappa_from_bins, margulis_residual, mcshane_sum,
-                                 tail_bound_derivative, tail_bound_identity, term_derivative)
+from mml.identity_engine import (BinStat, KahanSum, _boundary_values, choose_truncation,
+                                 coeff_H, coeff_K, cusp_gap, gap_D, kappa_from_bins,
+                                 margulis_residual, mcshane_sum, tail_bound_derivative,
+                                 tail_bound_identity, term_derivative)
 from mml.representation import DeformationSpec, TraceCoords, attach_deformation, build_rep, random_tangent
 from mml.sl2grp import dual_trace, translation_length
 from mml.torus_curves import bin_curves, enumerate_up_to, fit_bin_constant
@@ -27,7 +27,7 @@ def _tangent_rep(coords, seed):
 def _grown_to(rep, n_max):
     """choose_truncation's (bins, m_hat, kappa) at depth n_max, through a tail that
     accepts that depth only."""
-    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
+    ell_bdry, alpha_bdry = _boundary_values(rep)
     return choose_truncation(rep, ell_bdry, alpha_bdry, 1.0, n_max,
                              lambda n, m, k, stop: 0.0 if n == n_max else math.inf)[:3]
 
@@ -184,10 +184,14 @@ def test_each_series_reads_the_boundary_once(monkeypatch, series, rep):
 def test_reports_carry_the_first_bin_where_the_h_sum_passes_1(coords, tol, n_ceiling):
     rep = build_rep(TraceCoords(*coords))
     r = mcshane_sum(rep, tail_tolerance=tol, n_ceiling=n_ceiling)
-    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
-    # _series's running H sum over the report's bins, binned afresh on a second rep
+    ell_bdry, alpha_bdry = _boundary_values(rep)
+    # the running H sum over the report's bins, binned afresh on a second rep
     bins = bin_curves(enumerate_up_to(build_rep(TraceCoords(*coords)), r.n_max + 1), r.n_max)
-    h_running = _series(bins, ell_bdry, alpha_bdry, False)[1]
+    h, h_running = KahanSum(), []
+    for b in bins:
+        for c in b.members:
+            h.add(coeff_H(c.length + c.length, ell_bdry))
+        h_running.append(h.total)
     assert r.n_max <= n_ceiling and len(h_running) == r.n_max + 1
     assert h_running == sorted(h_running) and r.h_partial_sum == h_running[-1]
     first = next((n for n, h in enumerate(h_running) if h > 1.0), None)
@@ -201,7 +205,7 @@ def test_reports_carry_the_first_bin_where_the_h_sum_passes_1(coords, tol, n_cei
 
 def _kappa(rep, max_total_length=40.0):
     """kappa over the curves with 2 * length < max_total_length and the boundary."""
-    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
+    ell_bdry, alpha_bdry = _boundary_values(rep)
     bins = bin_curves(enumerate_up_to(rep, max_total_length), int(max_total_length))
     return kappa_from_bins(bins, ell_bdry, alpha_bdry)
 
@@ -242,15 +246,20 @@ def test_rearrangement_invariance():
 @pytest.mark.parametrize("rep, cusp", [(_tangent_rep((4.5, 5.0, 5.5), 3), False),
                                        (build_rep(TraceCoords(3, 3, 3)), True)],
                          ids=["tangent", "cusp"])
-def test_series_bins_are_kahan_sums_of_the_public_terms(rep, cusp):
+def test_series_bins_are_kahan_sums_of_the_public_terms(monkeypatch, rep, cusp):
     # each curve is the pair (l, l, alpha, alpha); the sums must match bit for bit
-    ell_bdry, alpha_bdry, is_cusp = _boundary_values(rep)
-    assert is_cusp == cusp
+    ell_bdry, alpha_bdry = _boundary_values(rep)
+    assert (ell_bdry == 0.0) == cusp
     bins, _, _ = _grown_to(rep, 40)
-    stats, h_running = _series(bins, ell_bdry, alpha_bdry, cusp)
+    # reports at depth 40: a tail that accepts that depth only
+    at_40 = lambda n_max, *_: 0.0 if n_max == 40 else math.inf
+    monkeypatch.setattr(identity_engine, "tail_bound_identity", at_40)
+    monkeypatch.setattr(identity_engine, "tail_bound_derivative", at_40)
+    reports = [mcshane_sum(rep, 1.0)] + ([] if cusp else [margulis_residual(rep, 1.0)])
+    stats = reports[0].bins
     assert [s.n for s in stats] == [b.index for b in bins] == list(range(41))
-    h = KahanSum()
-    for s, b, h_total in zip(stats, bins, h_running):
+    h, sum_d, sum_deriv, h_running = KahanSum(), KahanSum(), KahanSum(), []
+    for s, b in zip(stats, bins):
         sd, sv = KahanSum(), KahanSum()
         for c in b.members:
             l, a = c.length, c.alpha
@@ -259,7 +268,13 @@ def test_series_bins_are_kahan_sums_of_the_public_terms(rep, cusp):
                 sv.add(term_derivative(l, l, ell_bdry, a, a, alpha_bdry))
             h.add(coeff_H(l + l, ell_bdry))
         assert (s.count, s.sum_d, s.sum_deriv) == (len(b.members), sd.total, sv.total)
-        assert h_total == h.total
+        sum_d.add(sd.total)
+        sum_deriv.add(sv.total)
+        h_running.append(h.total)
+    first = next((n for n, h_total in enumerate(h_running) if h_total > 1.0), None)
+    for r, partial_sum in zip(reports, (sum_d.total, sum_deriv.total)):
+        assert r.bins == stats and r.n_max == 40 and r.partial_sum == partial_sum
+        assert r.h_partial_sum == h_running[-1] and r.h_threshold_n == first
     assert sum(s.count for s in stats) > 0 and h_running[-1] > 0.0
     assert cusp or any(s.sum_deriv != 0.0 for s in stats)
 
@@ -272,7 +287,7 @@ def test_nonconvergence_at_low_ceiling():
 
 def test_nonconvergence_reports_the_full_ceiling_tail():
     rep = _tangent_rep((4, 4, 4), 11)
-    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
+    ell_bdry, alpha_bdry = _boundary_values(rep)
     _, m_hat, kappa = _grown_to(_tangent_rep((4, 4, 4), 11), 24)
     tails = {mcshane_sum: lambda b: tail_bound_identity(24, m_hat, ell_bdry, b),
              margulis_residual: lambda b: tail_bound_derivative(24, m_hat, ell_bdry, kappa,
@@ -304,7 +319,7 @@ def test_a_bounded_tail_is_the_full_tail_or_past_the_bound(n_max, m_hat, ell_bdr
 
 def test_report_json_schema():
     rep = build_rep(TraceCoords(4, 4, 4))
-    d = mcshane_sum(rep, tail_tolerance=1e-4).to_dict()
+    d = dataclasses.asdict(mcshane_sum(rep, tail_tolerance=1e-4))
     for key in ("target", "partial_sum", "residual", "n_max", "tail_bound",
                 "m_hat", "kappa_hat", "h_partial_sum", "h_threshold_n", "bins"):
         assert key in d
@@ -315,7 +330,7 @@ def test_report_json_schema():
                                                ((200, 200, 200), 96)])
 def test_grown_bins_equal_binning_from_scratch(coords, n_ceiling, monkeypatch):
     rep = build_rep(TraceCoords(*coords))
-    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
+    ell_bdry, alpha_bdry = _boundary_values(rep)
     steps = {}  # (m_hat, kappa) of each step, as its tail sees them
     cutoffs = []  # every step's enumeration cutoff, curve-less steps included
 
@@ -338,18 +353,6 @@ def test_grown_bins_equal_binning_from_scratch(coords, n_ceiling, monkeypatch):
             fitted[n_max] = (m_hat, kappa_from_bins(bins, ell_bdry, alpha_bdry))
     assert steps == fitted and list(steps) == list(fitted)
     assert sum(len(b.members) for b in grown) > 0
-
-
-def test_to_dict_equals_asdict():
-    rep = build_rep(TraceCoords(4, 4, 4))
-    repd = attach_deformation(rep, random_tangent(rep, np.random.default_rng(7)))
-    for report in (mcshane_sum(rep, tail_tolerance=1e-4),
-                   mcshane_sum(build_rep(TraceCoords(3, 3, 3)), tail_tolerance=1e-4),
-                   margulis_residual(repd, tail_tolerance=1e-4)):
-        d, ref = report.to_dict(), dataclasses.asdict(report)
-        assert d == ref and list(d) == list(ref)
-        assert type(d["bins"]) is tuple
-        assert [list(b) for b in d["bins"]] == [list(b) for b in ref["bins"]]
 
 
 @functools.cache
@@ -378,7 +381,7 @@ _REPORT_FIELDS.update(
 @example(changes={"bins": (BinStat(2**70, 0, math.nan, -0.0), BinStat(-1, 3, math.inf, 1e308))})
 def test_to_json_is_json_dumps_indent_2(which, changes):
     report = dataclasses.replace(_reports()[which], **changes)
-    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+    assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
 
 
 @pytest.mark.parametrize("coords, tol", [((4, 4, 4), 1e-6), ((4.5, 5.0, 5.5), 1e-10),
@@ -386,7 +389,7 @@ def test_to_json_is_json_dumps_indent_2(which, changes):
 def test_margulis_tail_and_kappa_equal_a_recount_from_the_final_bins(coords, tol):
     rep = _tangent_rep(coords, 11)
     r = margulis_residual(rep, tail_tolerance=tol)
-    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
+    ell_bdry, alpha_bdry = _boundary_values(rep)
     # recounted on a second rep, whose trace table margulis_residual never filled
     bins = bin_curves(enumerate_up_to(_tangent_rep(coords, 11), r.n_max + 1), r.n_max)
     m_hat = fit_bin_constant(bins)
@@ -400,12 +403,38 @@ def test_margulis_tail_and_kappa_equal_a_recount_from_the_final_bins(coords, tol
 def test_mcshane_tail_and_kappa_equal_a_recount_from_the_final_bins(coords):
     rep = _tangent_rep(coords, 11)
     r = mcshane_sum(rep, tail_tolerance=1e-6)
-    ell_bdry, alpha_bdry, _ = _boundary_values(rep)
+    ell_bdry, alpha_bdry = _boundary_values(rep)
     # recounted on a copy, whose trace table mcshane_sum never filled
     bins = bin_curves(enumerate_up_to(dataclasses.replace(rep), r.n_max + 1), r.n_max)
     assert r.m_hat == fit_bin_constant(bins)
     assert r.kappa_hat == kappa_from_bins(bins, ell_bdry, alpha_bdry)
     assert r.tail_bound == tail_bound_identity(r.n_max, r.m_hat, ell_bdry)
+
+
+_TAIL_CASES = [(series, coords) for series in (mcshane_sum, margulis_residual)
+               for coords in ((4, 4, 4), (2.5, 6, 6), (5, 6, 25), (3.2, 7, 9))]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("series, coords", _TAIL_CASES + [(mcshane_sum, (3, 3, 3))],
+                         ids=lambda v: v.__name__ if callable(v) else ",".join(map(str, v)))
+def test_certified_tail_covers_the_next_24_bins(series, coords, tol):
+    # |residual| <= max(tail, tol) lets tol hide a collapsed tail; this checks the tail
+    # against the series' own terms in bins n_max+1 .. n_max+24 of a fresh enumeration
+    rep = _tangent_rep(coords, 11)
+    r = series(rep, tol)
+    ell_bdry, alpha_bdry = _boundary_values(rep)
+    deeper = bin_curves(enumerate_up_to(_tangent_rep(coords, 11), r.n_max + 25),
+                        r.n_max + 24, r.n_max + 1)
+    rest = KahanSum()
+    for b in deeper:
+        for c in b.members:
+            l, a = c.length, c.alpha
+            rest.add(term_derivative(l, l, ell_bdry, a, a, alpha_bdry)
+                     if series is margulis_residual
+                     else gap_D(ell_bdry, l, l) if ell_bdry > 0 else cusp_gap(l))
+    assert rest.total != 0.0
+    assert r.tail_bound >= abs(rest.total)
 
 
 def test_margulis_residual_after_validation_equals_it_alone():

@@ -109,14 +109,14 @@ def _unbounded_tails():
 def test_reports_equal_a_run_whose_tails_are_unbounded(coords):
     rep = build_rep(coords)
     runs = [(mcshane_sum, rep)]
-    if not _boundary_values(rep)[2]:  # the cusp has no differentiated series
+    if _boundary_values(rep)[0] > 0:  # the cusp (length 0) has no differentiated series
         runs.append((margulis_residual,
                      attach_deformation(rep, random_tangent(rep, np.random.default_rng(5)))))
     for series, r in runs:
         for tol in (1e-6, 1e-10):
-            report = series(r, tol).to_dict()
+            report = series(r, tol)
             with _unbounded_tails():
-                assert series(r, tol).to_dict() == report
+                assert series(r, tol) == report
 
 
 def _cli(argv) -> tuple[int, str, str]:

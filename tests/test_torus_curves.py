@@ -226,7 +226,7 @@ def test_choose_truncation_tail_policy():
     tol = 1e-4
     for coords in ((4, 4, 4), (3, 3, 3)):
         rep = build_rep(TraceCoords(*coords))
-        ell_bdry, alpha_bdry, _ = _boundary_values(rep)
+        ell_bdry, alpha_bdry = _boundary_values(rep)
         depths = []
 
         def tail(n, m, k, stop):
