@@ -2,8 +2,8 @@
 
 Subcommands: verify-mcshane, verify-margulis, census, sweep.  Exit code
 0 means every requested check passed, 1 invalid input (usage errors and
-coordinates outside the domain included), 2 the certified tail could not
-be brought below tolerance.
+coordinates outside the domain included) or a float overflow, 2 the
+certified tail could not be brought below tolerance.
 """
 
 from __future__ import annotations
@@ -208,7 +208,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves it unchanged."""
     ap = _Parser(prog="mml", description="Verify length and Margulis-invariant "
                                          "identities on the one-holed torus.")
     # no prefix matching: an unknown flag such as --h is a usage error, not --help
@@ -247,14 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process; parse_args leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if "tol" in args and (not 0 < args.tol < math.inf or args.n_ceiling < 1):
             raise InvalidCoords("--tol must be > 0 and --n-ceiling >= 1")
@@ -266,6 +262,9 @@ def main(argv=None) -> int:
         return 2
     except (MMLError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OverflowError as e:  # in-domain coordinates can still overflow a summand
+        print(f"error: float overflow: {e}", file=sys.stderr)
         return 1
 
 

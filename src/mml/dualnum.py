@@ -23,7 +23,3 @@ class DualScalar:
     def __mul__(self, other):
         return DualScalar(self.re * other.re,
                           self.re * other.inf + self.inf * other.re)
-
-    def __repr__(self):
-        return f"({self.re} + {self.inf}e)"
-

@@ -117,12 +117,16 @@ class SeriesReport:
         return "{\n" + ",\n".join(lines) + "\n}"
 
 
-def _tail_sum(n_max: int, term, bound: float = math.inf) -> float:
-    """Sum term(N) >= 0 for N > n_max until increments vanish or the sum passes bound:
-    adding terms >= 0 never lowers a float sum, so one that ends <= bound keeps its bits."""
+def _tail_sum(n_max: int, m_hat: float, c: float, kappa_hat: float, a: float,
+              bound: float = math.inf) -> float:
+    """Certified remainder beyond bin n_max: the sum over N > n_max of
+    S m_hat c (2 S kappa_hat N + a) (N+1)^2 e^{-N/2}, S = SAFETY_FACTOR, until the
+    increments vanish or the sum passes bound.  Adding terms >= 0 never lowers a
+    float sum, so one that ends <= bound keeps its bits."""
+    m, k = SAFETY_FACTOR * m_hat, SAFETY_FACTOR * kappa_hat
     acc = 0.0
     for n in range(n_max + 1, n_max + 4001):
-        acc += (t := term(n))
+        acc += (t := m * c * (2.0 * k * n + a) * (n + 1) ** 2 * math.exp(-n / 2.0))
         if acc > bound or t <= 1e-22 * max(acc, 1e-300):
             break
     return acc
@@ -130,24 +134,18 @@ def _tail_sum(n_max: int, term, bound: float = math.inf) -> float:
 
 def tail_bound_identity(n_max: int, m_hat: float, ell_bdry: float,
                         bound: float = math.inf) -> float:
-    """Certified remainder of the length sum beyond bin n_max.
-
-    Uses the fitted (and inflated) bin constant; 2/(1+e^l) <= 2 e^{-N/2}
-    replaces the sinh factor in the cusp limit.
-    """
-    m = SAFETY_FACTOR * m_hat
+    """Certified remainder of the length sum beyond bin n_max: c = 4 sinh(l/2),
+    kappa_hat = 0, a = 1; 2/(1+e^l) <= 2 e^{-N/2} gives c = 2 in the cusp limit."""
     coef = 4.0 * math.sinh(ell_bdry / 2.0) if ell_bdry > 0 else 2.0
-    return _tail_sum(n_max, lambda n: m * coef * (n + 1) ** 2 * math.exp(-n / 2.0), bound)
+    return _tail_sum(n_max, m_hat, coef, 0.0, 1.0, bound)
 
 
 def tail_bound_derivative(n_max: int, m_hat: float, ell_bdry: float, kappa_hat: float,
                           alpha_bdry: float, bound: float = math.inf) -> float:
-    """Certified remainder of the differentiated sum beyond bin n_max."""
-    m = SAFETY_FACTOR * m_hat
-    k = SAFETY_FACTOR * kappa_hat
-    c = 4.0 * math.cosh(ell_bdry / 2.0)
-    return _tail_sum(n_max, lambda n: m * c * (2.0 * k * n + abs(alpha_bdry))
-                     * (n + 1) ** 2 * math.exp(-n / 2.0), bound)
+    """Certified remainder of the differentiated sum beyond bin n_max: c = 4 cosh(l/2),
+    a = |alpha(bdry)|."""
+    return _tail_sum(n_max, m_hat, 4.0 * math.cosh(ell_bdry / 2.0), kappa_hat,
+                     abs(alpha_bdry), bound)
 
 
 def _boundary_values(rep) -> tuple[float, float]:

@@ -77,17 +77,16 @@ def christoffel_word(p: int, q: int) -> str:
 class TraceTable:
     """Memoized dual traces of slope words for one pair of generator matrices.
 
-    One table covers every slope, keyed by the signed (p, q) with q >= 0;
-    1/0 is also stored as -1/0, the parent of the negative slopes next to
-    it.  Build once, then treat as read-only.  A new slope is traced from
-    the other three vertices of its _farey_triangle.  A table also memoizes,
-    under the same keys, the matrix of each traced slope's Christoffel word,
-    as the 8 floats m.val + m.eps, filled from its Farey parents' word
-    matrices, the length of each slope asked for by length, and the curve
-    class of each slope it was asked for (by enumerate_up_to, only the
-    emitted ones).
-    Word matrices only cross-check the trace recursion, so flat_product multiplies
-    them in plain sums; the seed traces come from compose's fma-rounded products.
+    Keys are the signed slopes (p, q), q >= 0, and 1/0 is also stored as -1/0,
+    the parent of the negative slopes next to it.  The seeds 1/0, -1/0, 0/1, 1/1
+    and -1/1 are traced from compose's fma-rounded products; trace takes any other
+    slope from the other three vertices of its _farey_triangle.  Four memos share
+    the keys: the traces; the word matrix of each traced slope as the 8 floats
+    val + eps, its Farey parents' product by flat_product; the length of each
+    slope asked for by length; the curve class of each slope asked for by curve.
+    Every new trace is checked, value and eps part, against the trace of its word
+    matrix and raises RecursionMismatch past RECURSION_TOL.  Build once, then
+    treat as read-only.
     """
 
     def __init__(self, gen_a: DualMatrix2, gen_b: DualMatrix2):
@@ -107,8 +106,6 @@ class TraceTable:
         if t is not None:
             return t
         lower, upper, third = _farey_triangle(p, q)
-        if third[0] * p < 0:
-            raise MMLError(f"unexpected mixed-sign third neighbor for {p}/{q}")
         # A neighbour not traced yet goes through self.trace, so a wrapper
         # around it (perfbench's tracer) still sees every new slope; a
         # DualScalar is never falsy.
@@ -120,19 +117,14 @@ class TraceTable:
         # so their word matrices are in the memo: one product per new slope.
         words = self._words
         words[(p, q)] = flat_product(words[upper], words[lower])
-        self._check_against_word(p, q, t)
-        memo[(p, q)] = t
-        return t
-
-    def _check_against_word(self, p: int, q: int, t: DualScalar) -> None:
         m = self.word_matrix((p, q))
         re, eps = m[0] + m[3], m[4] + m[7]
         if abs(re - t.re) > RECURSION_TOL * max(1.0, abs(re)):
-            raise RecursionMismatch(
-                f"slope {p}/{q}: recursion {t.re} vs direct {re}")
+            raise RecursionMismatch(f"slope {p}/{q}: recursion {t.re} vs direct {re}")
         if abs(eps - t.inf) > RECURSION_TOL * max(1.0, abs(re), abs(eps)):
-            raise RecursionMismatch(
-                f"slope {p}/{q}: recursion eps part {t.inf} vs direct {eps}")
+            raise RecursionMismatch(f"slope {p}/{q}: recursion eps part {t.inf} vs direct {eps}")
+        memo[(p, q)] = t
+        return t
 
     def word_matrix(self, slope: tuple[int, int]) -> tuple[float, ...]:
         """Matrix of the Christoffel word of a traced slope (p, q), as the 8
@@ -199,7 +191,7 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     table = rep.table
     lengths = table._lengths
     a, b = table.length(1, 0), table.length(0, 1)
-    curves = [table.curve(*s) for s in ((1, 0), (0, 1)) if table.length(*s) < cutoff]
+    curves = [table.curve(*s) for s, n in (((1, 0), a), ((0, 1), b)) if n < cutoff]
     # the positive root is on top, so its whole subtree is walked first
     stack = [(0, 1, -1, 0, b, a), (0, 1, 1, 0, b, a)]
     while stack:

@@ -461,7 +461,13 @@ def test_sweep_that_cannot_fill_its_box_stops(lo, hi, tmp_path):
      "--path-dir", "1e308,1e308,1e308"],  # the path tangent overflows
     ["census", "--coords", "1e120,1e120,1e120"],  # the commutator overflows
     ["verify-margulis", "--coords", "1e120,1e120,1e120", "--deform", "tangent"],
-], ids=["path-tangent-overflow", "census-overflow", "tangent-overflow"])
+    # in the domain, but a summand's exp overflows in coeff_H
+    ["verify-mcshane", "--coords", "1e100,1e100,1e100", "--n-ceiling", "2000"],
+    ["verify-margulis", "--coords", "1e100,1e100,1e100", "--n-ceiling", "2000",
+     "--deform", "path"],
+    ["verify-mcshane", "--coords", "1e80,1e80,1e20", "--n-ceiling", "2000"],
+], ids=["path-tangent-overflow", "census-overflow", "tangent-overflow", "mcshane-summand-overflow",
+        "margulis-summand-overflow", "mcshane-skewed-summand-overflow"])
 def test_overflowing_input_prints_one_error_line(argv, tmp_path):
     # in a subprocess, so a RuntimeWarning would reach stderr rather than pytest
     env = dict(os.environ, PYTHONPATH=str(Path(mml.__file__).resolve().parents[1]))

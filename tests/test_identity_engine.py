@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import json
 import math
 
@@ -315,6 +316,35 @@ def test_a_bounded_tail_is_the_full_tail_or_past_the_bound(n_max, m_hat, ell_bdr
             assert stopped.hex() == full.hex()
         else:
             assert stopped > bound
+
+
+def _reference_tail(n_max, term, bound):
+    """Reference tail: term(N) summed for N > n_max, one closure per series, under
+    _tail_sum's stopping rule."""
+    acc = 0.0
+    for n in range(n_max + 1, n_max + 4001):
+        acc += (t := term(n))
+        if acc > bound or t <= 1e-22 * max(acc, 1e-300):
+            break
+    return acc
+
+
+@pytest.mark.parametrize("n_max", [0, 16, 88, 200])
+def test_tails_equal_their_term_by_term_reference(n_max):
+    s = identity_engine.SAFETY_FACTOR
+    for ell, m_hat, bound in itertools.product((0.0, 0.7, 3.2), (0.013, 0.9), (math.inf, 1e-6)):
+        m = s * m_hat
+        coef = 4.0 * math.sinh(ell / 2.0) if ell > 0 else 2.0
+        want = _reference_tail(n_max, lambda n: m * coef * (n + 1) ** 2 * math.exp(-n / 2.0),
+                               bound)
+        assert tail_bound_identity(n_max, m_hat, ell, bound).hex() == want.hex()
+        c = 4.0 * math.cosh(ell / 2.0)
+        for kappa, alpha in itertools.product((0.05, 2.5), (-3.7, 0.4)):
+            k = s * kappa
+            want = _reference_tail(n_max, lambda n: m * c * (2.0 * k * n + abs(alpha))
+                                   * (n + 1) ** 2 * math.exp(-n / 2.0), bound)
+            got = tail_bound_derivative(n_max, m_hat, ell, kappa, alpha, bound)
+            assert got.hex() == want.hex()
 
 
 def test_report_json_schema():

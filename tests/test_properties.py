@@ -99,7 +99,8 @@ def _unbounded_tails():
     """Patch _tail_sum to ignore its bound: every tail, rejected ones too, is summed in full."""
     full = identity_engine._tail_sum
     return mock.patch.object(identity_engine, "_tail_sum",
-                             lambda n_max, term, bound=math.inf: full(n_max, term))
+                             lambda n_max, m_hat, c, kappa_hat, a, bound=math.inf:
+                             full(n_max, m_hat, c, kappa_hat, a))
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
