@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     except (MMLError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OverflowError as e:  # in-domain coordinates can still overflow a summand
+    except OverflowError as e:  # a path tangent or a commutator can still overflow
         print(f"error: float overflow: {e}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonConvergence, NotHyperbolic
+# PARABOLIC_TOL is unused here, but perfbench's cusp inputs read identity_engine.PARABOLIC_TOL.
 from .sl2grp import PARABOLIC_TOL, dual_trace, margulis_from_trace, translation_length
 # make_tables is unused here, but perfbench's tracer wraps identity_engine.make_tables.
 from .torus_curves import CurveBin, bin_curves, enumerate_up_to, fit_bin_constant, make_tables
@@ -52,21 +53,29 @@ def gap_D(x: float, y: float, z: float) -> float:
     Evaluated as 2 log1p(2 sinh(x/2) / (e^{-x/2} + e^{(y+z)/2})) so that
     large y + z does not cancel.
     """
-    u = 2.0 * math.sinh(x / 2.0) / (math.exp(-x / 2.0) + math.exp((y + z) / 2.0))
-    return 2.0 * math.log1p(u)
+    w, s = (y + z) / 2.0, 2.0 * math.sinh(x / 2.0)
+    if w > 700.0:  # divide through by e^w, which would overflow
+        return 2.0 * math.log1p(s * math.exp(-w) / (math.exp(-x / 2.0 - w) + 1.0))
+    return 2.0 * math.log1p(s / (math.exp(-x / 2.0) + math.exp(w)))
 
 
 def cusp_gap(ell: float) -> float:
     """Limit of gap_D(x, ell, ell)/x as x -> 0: the cusped summand 2/(1+e^ell)."""
-    return 2.0 / (1.0 + math.exp(ell))
+    return (2.0 / (1.0 + math.exp(ell)) if ell <= 700.0  # past 700, e^ell would overflow
+            else 2.0 * math.exp(-ell) / (1.0 + math.exp(-ell)))
 
 
 def coeff_H(u: float, v: float) -> float:
-    return 1.0 / (1.0 + math.exp((u + v) / 2.0)) + 1.0 / (1.0 + math.exp((u - v) / 2.0))
+    a, b = (u + v) / 2.0, (u - v) / 2.0  # past 700, 1/(1+e^w) as e^-w/(1+e^-w): e^w overflows
+    return ((1.0 / (1.0 + math.exp(a)) if a <= 700.0 else math.exp(-a) / (1.0 + math.exp(-a)))
+            + (1.0 / (1.0 + math.exp(b)) if b <= 700.0 else math.exp(-b) / (1.0 + math.exp(-b))))
 
 
 def coeff_K(u: float, v: float) -> float:
     """-sinh(v/2) / (cosh(u/2) + cosh(v/2)); equals the difference form of H."""
+    if u > 1400.0:  # cosh(u/2) would overflow: divide through by it, up to e^-u
+        s = 2.0 * math.exp(-u / 2.0)
+        return -math.sinh(v / 2.0) * s / (1.0 + math.cosh(v / 2.0) * s)
     return -math.sinh(v / 2.0) / (math.cosh(u / 2.0) + math.cosh(v / 2.0))
 
 
@@ -150,11 +159,9 @@ def tail_bound_derivative(n_max: int, m_hat: float, ell_bdry: float, kappa_hat: 
 
 def _boundary_values(rep) -> tuple[float, float]:
     """(length, margulis invariant) of the boundary element; (0.0, 0.0) at a cusp."""
-    t = dual_trace(rep.boundary)
-    if abs(abs(t.re) - 2.0) <= PARABOLIC_TOL:
+    if rep.coords.kind() == "cusp":
         return 0.0, 0.0
-    if abs(t.re) < 2.0:
-        raise NotHyperbolic(f"boundary trace {t.re} is elliptic")
+    t = dual_trace(rep.boundary)  # translation_length refuses a non-hyperbolic trace
     return translation_length(t.re), margulis_from_trace(t)
 
 

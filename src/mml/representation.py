@@ -16,11 +16,9 @@ from functools import cached_property
 from . import torus_curves
 from .errors import InvalidCoords
 from .sl2grp import (PARABOLIC_TOL, DualMatrix2, commutator, compose, dual_trace,
-                     project_tangent, tangency_defect)
+                     project_tangent, tangency_defect, two_product)
 
 TANGENT_TOL = 1e-10
-#: validate_fuchsian checks every slope with |p| + q up to this.
-SAMPLE_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -32,13 +30,26 @@ class TraceCoords:
     z: float
 
     def boundary_trace(self) -> float:
-        """Trace of the commutator [A, B]: x^2 + y^2 + z^2 - xyz - 2."""
+        """Trace of [A, B], x^2 + y^2 + z^2 - xyz - 2, rounded once from its exact value
+        (two_product's error-free terms, math.fsum); near overflow, in float arithmetic."""
         x, y, z = self.x, self.y, self.z
+        xy, e = two_product(x, y)
+        terms = (*two_product(x, x), *two_product(y, y), *two_product(z, z), -2.0,
+                 *two_product(-xy, z), *two_product(-e, z))
+        if sum(map(abs, terms)) < 1e307:  # all finite, and no partial sum can overflow
+            return math.fsum(terms)
         return x * x + y * y + z * z - x * y * z - 2.0
 
+    def kind(self) -> str:
+        """The domain's one decision: "inside" (x, y, z > 2 and boundary trace below
+        -2 - PARABOLIC_TOL), its limit "cusp" (within PARABOLIC_TOL of -2) or "outside"."""
+        d = self.boundary_trace() + 2.0
+        if min(self.x, self.y, self.z) > 2.0 and -math.inf < d <= PARABOLIC_TOL:
+            return "inside" if d < -PARABOLIC_TOL else "cusp"
+        return "outside"
+
     def in_domain(self) -> bool:
-        return (self.x > 2.0 and self.y > 2.0 and self.z > 2.0
-                and self.boundary_trace() < -2.0)
+        return self.kind() == "inside"
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,9 @@ class HoledTorusRep:
 def build_rep(c: TraceCoords) -> HoledTorusRep:
     """Realize trace coordinates by explicit matrices (A diagonal).
 
-    Accepts any coordinates with x > 2 and a finite boundary trace, and rejects
-    the others with the domain's error; validate_fuchsian checks the rest of it.
+    Accepts any coordinates it can construct, x > 2 with a finite boundary trace, and
+    rejects the others with the domain's error.  Elliptic and non-Fuchsian reps are
+    built too; validate_fuchsian is the domain's gate.
     """
     x, y, z, kappa = c.x, c.y, c.z, c.boundary_trace()
     if x <= 2.0 or not math.isfinite(kappa):
@@ -137,17 +149,16 @@ def _outside_domain(c: TraceCoords, kappa: float) -> InvalidCoords:
 def validate_fuchsian(rep: HoledTorusRep) -> None:
     """Admit rep to the identities' domain, or raise InvalidCoords.
 
-    The domain is x, y, z > 2 with a finite boundary trace < -2, plus its cusp limit:
-    the trace is read and classified as identity_engine does, so a trace
-    within PARABOLIC_TOL of -2 passes and runs the cusp form.  Such a
-    representation is Fuchsian (Goldman, "The modular group action on real
-    SL(2)-characters of a one-holed torus", Geom. Topol. 2003); as a cheap
-    guard it then checks |trace| > 2 + PARABOLIC_TOL, as translation_length
-    does, for every slope with |p| + q <= SAMPLE_DEPTH.
+    rep.coords.kind() decides the domain; "inside" and "cusp" pass.  Every simple
+    curve of such a rep is hyperbolic (Goldman, "The modular group action on real
+    SL(2)-characters of a one-holed torus", Geom. Topol. 2003).  As a guard on the
+    rep's own matrices, its boundary trace must be finite, and the four root slopes,
+    from which the trace recursion derives every other, must have |trace| >
+    2 + PARABOLIC_TOL, as translation_length asks; enumerate_up_to checks the rest.
     """
-    c, kappa = rep.coords, dual_trace(rep.boundary).re
-    if not (min(c.x, c.y, c.z) > 2.0 and -math.inf < kappa <= -2.0 + PARABOLIC_TOL):
-        raise _outside_domain(c, kappa)
-    for p, q in torus_curves.farey_enumerate(SAMPLE_DEPTH):
+    c, t = rep.coords, dual_trace(rep.boundary).re
+    if not math.isfinite(t) or c.kind() == "outside":
+        raise _outside_domain(c, c.boundary_trace() if math.isfinite(t) else t)
+    for p, q in ((1, 0), (0, 1), (1, 1), (-1, 1)):
         if abs(rep.table.trace(p, q).re) <= 2.0 + PARABOLIC_TOL:
             raise InvalidCoords(f"non-hyperbolic simple curve of slope {p}/{q}")

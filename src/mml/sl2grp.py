@@ -17,7 +17,7 @@ from .dualnum import DualScalar
 from .errors import NotHyperbolic
 
 #: |trace| <= 2 + this is treated as non-hyperbolic, and a boundary trace
-#: within this of +-2 as parabolic (the cusp).
+#: within this of -2 as parabolic (the cusp; see TraceCoords.kind).
 PARABOLIC_TOL = 1e-9
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
 
@@ -37,16 +37,20 @@ class DualMatrix2:
         object.__setattr__(self, "eps", eps)
 
 
-def _fma(a: float, b: float, c: float) -> float:
-    """a*b + c rounded once, as an FMA does: Dekker's split (Numer. Math. 18, 1971) writes
-    a*b as p + e exactly and math.fsum rounds p + e + c.  Inexact for |a*b| < 2**-969,
-    where e underflows; a*b + c, rounded twice, when the product or the split overflows
-    (e is not finite) or the sum does."""
+def two_product(a: float, b: float) -> tuple[float, float]:
+    """(p, e), p = a*b rounded and p + e = a*b exactly (Dekker, Numer. Math. 18, 1971);
+    e is inexact for |a*b| < 2**-969, and not finite if the product or the split overflows."""
     p = a * b
     ah = (t := _SPLIT * a) - (t - a)
     bh = (t := _SPLIT * b) - (t - b)
     al, bl = a - ah, b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a*b + c rounded once, as an FMA does: math.fsum rounds two_product's p + e + c;
+    a*b + c, rounded twice, when e is not finite or the sum overflows."""
+    p, e = two_product(a, b)
     try:
         return math.fsum((p, e, c)) if math.isfinite(e) else p + c
     except OverflowError:  # p + e + c beyond the largest float

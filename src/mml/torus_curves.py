@@ -163,18 +163,6 @@ def make_tables(rep) -> TraceTable:
     return TraceTable(rep.A, rep.B)
 
 
-def farey_enumerate(max_denominator_sum: int) -> list[tuple[int, int]]:
-    """All canonical slopes with |p| + q <= bound: 1/0 and 0/1, then every
-    coprime p/q with p, q >= 1 and p + q <= bound, ordered by q and then by p,
-    each followed by -p/q.
-    """
-    if max_denominator_sum < 1:
-        raise ValueError("max_denominator_sum must be >= 1")
-    n = max_denominator_sum
-    return [(1, 0), (0, 1)] + [(s * p, q) for q in range(1, n) for p in range(1, n - q + 1)
-                               if math.gcd(p, q) == 1 for s in (1, -1)]
-
-
 def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     """Every curve class with 2*length < max_total_length, in Farey order.
 

@@ -6,7 +6,10 @@ code with what it checks.  It holds:
 * the Lorentzian Margulis invariant, an independent route to the length
   derivative that mml computes from dual traces;
 * the exponential bounds on the gap summand and on the coefficients H and K;
-* the determinant of a dual 2x2 matrix and the unit-determinant group test.
+* the determinant of a dual 2x2 matrix and the unit-determinant group test;
+* the boundary trace of three floats as an exact Fraction, and the domain
+  decision read from it;
+* the canonical slopes with |p| + q up to a bound.
 
 A dual matrix is anything with value and eps parts ``m.val`` and ``m.eps``, each
 the 4 entries of a 2x2 matrix, row-major.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -38,6 +42,29 @@ def in_group(m, tol: float = GROUP_TOL) -> bool:
     """Whether det(m) is 1 + 0*eps within tol in each part."""
     d0, d1 = det(m)
     return abs(d0 - 1.0) <= tol and abs(d1) <= tol
+
+
+def boundary_trace(x: float, y: float, z: float) -> Fraction:
+    """x^2 + y^2 + z^2 - xyz - 2 of three floats, exactly."""
+    x, y, z = map(Fraction, (x, y, z))
+    return x * x + y * y + z * z - x * y * z - 2
+
+
+def domain_kind(x: float, y: float, z: float, tol: float) -> str:
+    """"inside" (x, y, z > 2, exact boundary trace below -2 - tol), "cusp" (x, y, z > 2,
+    within tol of -2) or "outside", decided in exact arithmetic."""
+    if not min(x, y, z) > 2.0:
+        return "outside"
+    d = boundary_trace(x, y, z) + 2
+    return "inside" if d < -Fraction(tol) else "cusp" if abs(d) <= Fraction(tol) else "outside"
+
+
+def farey_enumerate(n: int) -> list[tuple[int, int]]:
+    """All canonical slopes with |p| + q <= n, n >= 1: 1/0 and 0/1, then every
+    coprime p/q with p, q >= 1 and p + q <= n, ordered by q and then by p,
+    each followed by -p/q."""
+    return [(1, 0), (0, 1)] + [(s * p, q) for q in range(1, n) for p in range(1, n - q + 1)
+                               if math.gcd(p, q) == 1 for s in (1, -1)]
 
 
 def bound_D(x: float, y: float, z: float) -> float:

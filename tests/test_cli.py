@@ -96,9 +96,12 @@ def test_invalid_inputs(capsys):
 
 
 # 1e120: xyz overflows, so the boundary trace reads -inf; 1e200: a square
-# overflows, so it reads inf (build_rep rejects these before its round trip)
+# overflows, so it reads inf (build_rep rejects these before its round trip).
+# The last two read below -2 in floats; exactly, their traces are 2.8e10 and -1.99714.
 _OUTSIDE = ["10,3,3", "4,1.5,4", "1.5,4,4", "2,4,4", "2.5,2.5,2.5", "1e120,1e120,1e120",
-            "1e200,4,4", "4,1e200,4", "4,4,1e200"]
+            "1e200,4,4", "4,1e200,4", "4,4,1e200",
+            "2027396.488049708,26191146.853534587,53099839148837.19",
+            "7220.101826171673,5755.62103777745,41556167.9139992"]
 
 
 @pytest.mark.parametrize("command, coords",
@@ -110,8 +113,9 @@ def test_verify_mcshane_rejects_coords_outside_the_domain(command, coords, tmp_p
     assert run([command, "--coords", coords, "--out", str(out)]) == 1
     assert not out.exists()
     err = capsys.readouterr().err
+    kappa = TraceCoords(*map(float, coords.split(","))).boundary_trace()
     assert err.startswith("error: coordinates") and "x, y, z > 2" in err
-    assert "boundary trace" in err and "<= -2" in err and err.count("\n") == 1
+    assert f"boundary trace {kappa} <= -2" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("coords", ["2.6943989121171104,7.2604181522038616,4.259065393690246",
@@ -461,13 +465,7 @@ def test_sweep_that_cannot_fill_its_box_stops(lo, hi, tmp_path):
      "--path-dir", "1e308,1e308,1e308"],  # the path tangent overflows
     ["census", "--coords", "1e120,1e120,1e120"],  # the commutator overflows
     ["verify-margulis", "--coords", "1e120,1e120,1e120", "--deform", "tangent"],
-    # in the domain, but a summand's exp overflows in coeff_H
-    ["verify-mcshane", "--coords", "1e100,1e100,1e100", "--n-ceiling", "2000"],
-    ["verify-margulis", "--coords", "1e100,1e100,1e100", "--n-ceiling", "2000",
-     "--deform", "path"],
-    ["verify-mcshane", "--coords", "1e80,1e80,1e20", "--n-ceiling", "2000"],
-], ids=["path-tangent-overflow", "census-overflow", "tangent-overflow", "mcshane-summand-overflow",
-        "margulis-summand-overflow", "mcshane-skewed-summand-overflow"])
+], ids=["path-tangent-overflow", "census-overflow", "tangent-overflow"])
 def test_overflowing_input_prints_one_error_line(argv, tmp_path):
     # in a subprocess, so a RuntimeWarning would reach stderr rather than pytest
     env = dict(os.environ, PYTHONPATH=str(Path(mml.__file__).resolve().parents[1]))
@@ -476,6 +474,21 @@ def test_overflowing_input_prints_one_error_line(argv, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, n_max", [
+    (["verify-mcshane", "--coords", "1e100,1e100,1e100"], 1424),
+    (["verify-margulis", "--coords", "1e100,1e100,1e100", "--deform", "path"], 968),
+    (["verify-mcshane", "--coords", "1e80,1e80,1e20"], 872),
+], ids=["mcshane-summand", "margulis-summand", "mcshane-skewed-summand"])
+def test_summands_past_the_exp_range_give_a_verdict(argv, n_max, tmp_path):
+    # in the domain, with summands whose e^w overflows (w > 709.78), each then ~ e^-w
+    env = dict(os.environ, PYTHONPATH=str(Path(mml.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mml.cli", *argv, "--n-ceiling", "2000"],
+                          capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["passed"] is True and report["n_max"] == n_max
 
 
 def _readme_examples() -> tuple[list[list[str]], list[str]]:

@@ -104,6 +104,22 @@ def test_cusp_gap_is_limit():
     assert math.isclose(gap_D(x, ell, ell) / x, cusp_gap(ell), rel_tol=1e-6)
 
 
+@pytest.mark.parametrize("w", [699.5, 700.5, 709.5, 709.79, 710.5, 712.0])
+def test_summands_past_the_exp_range(w):
+    """e^w overflows past w = 709.78 and cosh(w) past 710.48; each summand divides
+    through by it past 700.  At a boundary length 1400 and curves of length w (coordinates
+    near 1e152), every reference is a plain expression in e^{w - 700}."""
+    r = 1.0 / (1.0 + math.exp(w - 700.0))
+    assert math.isclose(gap_D(1400.0, w, w), 2.0 * math.log1p(math.exp(700.0 - w)),
+                        rel_tol=1e-12)
+    # a = (u + v)/2 = w + 700 is past the range; b = w - 700 is not
+    assert math.isclose(coeff_H(2.0 * w, 1400.0), r, rel_tol=1e-12)
+    assert math.isclose(coeff_K(2.0 * w, 1400.0), -r, rel_tol=1e-12)
+    # each 1/(1 + e^w) alone, on either side of the switch at 700
+    assert math.isclose(coeff_H(2.0 * w, 0.0), 2.0 * math.exp(-w), rel_tol=1e-12)
+    assert math.isclose(cusp_gap(w), 2.0 * math.exp(-w), rel_tol=1e-12)
+
+
 def test_mcshane_sum_444():
     rep = build_rep(TraceCoords(4, 4, 4))
     r = mcshane_sum(rep, tail_tolerance=1e-6)
@@ -163,7 +179,7 @@ def test_series_reject_an_elliptic_boundary(series):
     assert abs(trace) < 2.0
     with pytest.raises(NotHyperbolic) as err:
         series(rep)
-    assert str(err.value) == f"boundary trace {trace} is elliptic"
+    assert str(err.value) == f"trace {trace} is not hyperbolic (|t| <= 2 + PARABOLIC_TOL)"
 
 
 @pytest.mark.parametrize("series, rep", [(mcshane_sum, build_rep(TraceCoords(4, 4, 4))),

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mml.dualnum import DualScalar
-from mml.errors import InvalidCoords
+from mml.errors import InvalidCoords, RecursionMismatch
 from mml.representation import (DeformationSpec, HoledTorusRep, TraceCoords,
                                 attach_deformation, build_rep, random_tangent,
                                 validate_fuchsian)
-from mml.sl2grp import (DualMatrix2, commutator, compose, dual_trace, inverse,
+from mml.sl2grp import (PARABOLIC_TOL, DualMatrix2, commutator, compose, dual_trace, inverse,
                         margulis_from_trace, project_tangent, translation_length)
 from conftest import as_array
-from oracles import in_group
+from oracles import boundary_trace, domain_kind, farey_enumerate, in_group
 
 
 def test_build_rep_roundtrip():
@@ -67,9 +68,78 @@ def test_validate_fuchsian():
 
 def test_validate_fuchsian_names_the_offending_slope():
     rep = build_rep(TraceCoords(4, 5, 6))
-    rep.table._memo[(2, 1)] = DualScalar(1.0, 0.0)
-    with pytest.raises(InvalidCoords, match="2/1"):
+    rep.table._memo[(-1, 1)] = DualScalar(1.0, 0.0)
+    with pytest.raises(InvalidCoords, match="slope -1/1$"):
         validate_fuchsian(rep)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def domain_probes(draw):
+    """Coordinates around the domain's edge, in any order: log-uniform magnitudes from 2
+    to 1e8; the cusp locus, boundary trace -2 (larger or smaller root z); and a
+    near-parabolic generator x = 2 + delta, with z anywhere across the domain's width."""
+    source = draw(st.sampled_from(["log-uniform", "cusp", "near-parabolic"]))
+    if source == "log-uniform":
+        c = [draw(_log_uniform(2.0, 1e8)) for _ in range(3)]
+    else:
+        if source == "cusp":
+            x, y = draw(_log_uniform(2.0, 1e4)), draw(_log_uniform(2.0, 1e4))
+        else:  # y past 2x / sqrt(x^2 - 4), where the domain's z-interval opens
+            x = 2.0 + draw(_log_uniform(1e-12, 1e-2))
+            y = 2.0 * x / math.sqrt(x * x - 4.0) * draw(_log_uniform(1.001, 100.0))
+        disc = x * x * y * y - 4.0 * (x * x + y * y)  # z^2 - xyz + x^2 + y^2 = 0 at the cusp
+        assume(disc > 0.0)
+        s = draw(st.sampled_from([-1.0, 1.0])) if source == "cusp" else draw(st.floats(-1.2, 1.2))
+        c = [x, y, (x * y + s * math.sqrt(disc)) / 2.0]
+    return tuple(draw(st.permutations(c)))
+
+
+_ROUNDED_IN = [(2027396.488049708, 26191146.853534587, 53099839148837.19),  # kappa +2.8e10
+               (7220.101826171673, 5755.62103777745, 41556167.9139992)]    # kappa -1.99714
+
+
+@pytest.mark.parametrize("c", _ROUNDED_IN)
+def test_coordinates_whose_float_commutator_reads_inside_are_outside(c):
+    # the trace of the float commutator reads -3.0e11 and -2.05 here, and the
+    # polynomial in floats +5.5e11 and -2.0; exactly, the trace is above -2
+    coords, rep = TraceCoords(*c), build_rep(TraceCoords(*c))
+    assert dual_trace(rep.boundary).re < -2.0
+    assert coords.boundary_trace() == float(boundary_trace(*c)) > -1.998
+    assert coords.kind() == "outside" and not coords.in_domain()
+    with pytest.raises(InvalidCoords, match=f"boundary trace {coords.boundary_trace()} <= -2"):
+        validate_fuchsian(rep)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(c=domain_probes())
+@example(c=(3.0, 3.0, 3.0))
+def test_boundary_trace_is_the_exact_trace_rounded_once_and_kind_decides_from_it(c):
+    coords = TraceCoords(*c)
+    assert coords.boundary_trace() == float(boundary_trace(*c))
+    assert coords.kind() == domain_kind(*c, PARABOLIC_TOL)
+    assert coords.in_domain() == (coords.kind() == "inside")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(c=domain_probes())
+@example(c=(49.82985893051866, 68555654.53713776, 1376349.2033772469))  # 4/1 refused
+def test_every_short_slope_past_the_gate_is_hyperbolic_or_refused(c):
+    """validate_fuchsian checks the four root slopes only; past it, every slope with
+    |p| + q <= 6 is hyperbolic, or the trace recursion refuses it."""
+    try:
+        rep = build_rep(TraceCoords(*c))
+        validate_fuchsian(rep)
+    except InvalidCoords:
+        return
+    try:
+        for p, q in farey_enumerate(6):
+            assert abs(rep.table.trace(p, q).re) > 2.0 + PARABOLIC_TOL
+    except RecursionMismatch:
+        pass
 
 
 def test_zero_deformation():

@@ -13,7 +13,7 @@ from mml import representation, sl2grp, torus_curves
 from mml.dualnum import DualScalar
 from mml.errors import NotHyperbolic
 from mml.sl2grp import (DualMatrix2, _fma, commutator, compose, dual_trace,
-                        inverse, margulis_from_trace, translation_length)
+                        inverse, margulis_from_trace, translation_length, two_product)
 from conftest import (as_array, random_hyperbolic_dual, random_sl2, random_traceless,
                       sl2_exp)
 from oracles import det, in_group
@@ -49,6 +49,22 @@ def test_fma_returns_on_non_finite_and_overflowing_input():
         assert type(got) is float
         if math.isfinite(a * b) and math.isfinite(a * b + c) and abs(a * b) >= 2.0**-969:
             assert got == float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(a=_signed(st.floats(2.0**-480, 2.0**480)), b=_signed(st.floats(2.0**-480, 2.0**480)))
+def test_two_product_is_exact(a, b):
+    p, e = two_product(a, b)
+    assert p == a * b and Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+
+
+def test_two_product_at_the_overflow_edge():
+    # 2**996 is the largest power of two whose split (2**27 + 1) * a is finite
+    p, e = two_product(2.0**996, 3.0)
+    assert Fraction(p) + Fraction(e) == Fraction(2**996 * 3)
+    for a, b in [(2.0**997, 1.0),   # the split overflows, the product does not
+                 (2.0**600, 2.0**500), (1.5e154, 1.5e154)]:  # the product overflows
+        assert not math.isfinite(two_product(a, b)[1])
 
 
 def test_algebra_modules_do_not_import_numpy():

@@ -13,8 +13,8 @@ from mml.representation import (DeformationSpec, TraceCoords, attach_deformation
                                 random_tangent, validate_fuchsian)
 from mml.sl2grp import compose, flat_product, inverse, translation_length
 from mml.torus_curves import (CurveClass, _farey_triangle, bin_curves, christoffel_word,
-                              enumerate_up_to, export_census, farey_enumerate,
-                              fit_bin_constant, make_tables)
+                              enumerate_up_to, export_census, fit_bin_constant, make_tables)
+from oracles import farey_enumerate
 
 
 def _deformed_444():
