@@ -165,8 +165,8 @@ def _sweep_cell(coords: reprs.TraceCoords, seed: int, tol: float, n_ceiling: int
 
 
 def _cmd_sweep(args) -> int:
-    if args.cells < 1 or args.deforms_per_cell < 1:
-        raise InvalidCoords("--cells and --deforms-per-cell must be >= 1")
+    if args.cells < 1 or not 1 <= args.deforms_per_cell <= 1000:  # seeds seed + 1000 i + j
+        raise InvalidCoords("--cells must be >= 1 and --deforms-per-cell in 1..1000")
     lo, hi = args.coord_min, args.coord_max
     # x, y, z <= 3 gives x^2 + y^2 + z^2 >= 3 (xyz)^(2/3) >= xyz (AM-GM), so a
     # boundary trace >= -2: the box [lo, hi]^3, lo <= hi, meets the domain iff hi > 3.

@@ -7,7 +7,10 @@ derivatives (Margulis invariants) with coefficients H and K.  Truncation
 tails are certified from the exponential summand bounds together with an
 empirically fitted bin-count constant, inflated by a safety factor.  Reports
 carry the fitted constant m_hat and the slope bound kappa_hat as empirical
-figures; no report field marks them as such.
+figures; no report field marks them as such.  At a cusp (l_bdry -> 0) the identity
+over l_bdry is McShane's: its summand lim D(x, l, l)/x is H(2l, 0) = 2/(1+e^l), so
+partial_sum and h_partial_sum sum the same terms in different trees, and the tail's
+c = 4 sinh(l_bdry/2) becomes its limit over l_bdry, 2.
 """
 
 from __future__ import annotations
@@ -57,12 +60,6 @@ def gap_D(x: float, y: float, z: float) -> float:
     if w > 700.0:  # divide through by e^w, which would overflow
         return 2.0 * math.log1p(s * math.exp(-w) / (math.exp(-x / 2.0 - w) + 1.0))
     return 2.0 * math.log1p(s / (math.exp(-x / 2.0) + math.exp(w)))
-
-
-def cusp_gap(ell: float) -> float:
-    """Limit of gap_D(x, ell, ell)/x as x -> 0: the cusped summand 2/(1+e^ell)."""
-    return (2.0 / (1.0 + math.exp(ell)) if ell <= 700.0  # past 700, e^ell would overflow
-            else 2.0 * math.exp(-ell) / (1.0 + math.exp(-ell)))
 
 
 def coeff_H(u: float, v: float) -> float:
@@ -177,7 +174,7 @@ def kappa_from_bins(bins: list[CurveBin], ell_bdry: float, alpha_bdry: float) ->
 def choose_truncation(rep, ell_bdry: float, alpha_bdry: float, tail_tolerance: float,
                       n_ceiling: int, tail) -> tuple[list[CurveBin], float, float, float]:
     """(bins, m_hat, kappa, tail) at the least depth n_max = min(16, n_ceiling), then 8
-    deeper per step up to the ceiling, whose certified tail is below tolerance.
+    deeper per step up to the ceiling, whose certified tail is at most the tolerance.
 
     tail(n_max, m_hat, kappa, stop) may stop once past stop (inf at the ceiling, so
     NonConvergence gives the full tail); a depth with no enumerated curve is never
@@ -186,7 +183,8 @@ def choose_truncation(rep, ell_bdry: float, alpha_bdry: float, tail_tolerance: f
     if tail_tolerance <= 0:
         raise ValueError("tail_tolerance must be positive")
     bins, m_hat, kappa = [], 0.0, 0.0
-    for n_max in [*range(min(_GROW_START, n_ceiling), n_ceiling, _GROW_STEP), n_ceiling]:
+    depths = range(min(_GROW_START, n_ceiling), n_ceiling + _GROW_STEP, _GROW_STEP)
+    for n_max in (min(n, n_ceiling) for n in depths):  # lazy: a far ceiling costs nothing
         # Every step enumerates all curves below its cutoff, so the bins of earlier
         # steps are complete: m_hat and kappa are running maxima over the new ones.
         new = bin_curves(enumerate_up_to(rep, n_max + 1), n_max, len(bins))
@@ -207,7 +205,7 @@ def _verify_series(rep, tail_tolerance: float, n_ceiling: int,
     """Truncate one series and judge its residual: the length identity, or with
     derivative its first variation.  One pass over the bins, each curve entering as
     the pair (l, l, alpha, alpha), Kahan-sums each bin's gap terms D (the cusp summand
-    when ell_bdry == 0) and their derivatives, adds the series' bin sums in index
+    H(2l, 0) when ell_bdry == 0) and their derivatives, adds the series' bin sums in index
     order (the deterministic combine contract) and carries the running sum of the
     H coefficients."""
     ell_bdry, alpha_bdry = _boundary_values(rep)
@@ -229,7 +227,7 @@ def _verify_series(rep, tail_tolerance: float, n_ceiling: int,
             u = l + l
             hu = coeff_H(u, ell_bdry)
             if ell_bdry == 0:
-                sd.add(cusp_gap(l))
+                sd.add(hu)  # H(2l, 0) = lim D(x, l, l)/x, the cusp summand 2/(1+e^l)
             else:
                 sd.add(gap_D(ell_bdry, l, l))
                 sv.add(hu * alpha_bdry + coeff_K(u, ell_bdry) * (a + a))
@@ -243,14 +241,14 @@ def _verify_series(rep, tail_tolerance: float, n_ceiling: int,
         target=target, partial_sum=acc.total, residual=residual, n_max=bins[-1].index,
         tail_bound=tail_bound, m_hat=m_hat, kappa_hat=kappa, h_partial_sum=h.total,
         h_threshold_n=h_threshold_n, bins=tuple(stats),
-        passed=abs(residual) <= max(tail_bound, tail_tolerance))
+        passed=abs(residual) <= tail_tolerance)  # choose_truncation's tail is <= it
 
 
 def mcshane_sum(rep, tail_tolerance: float = 1e-6, n_ceiling: int = 200) -> SeriesReport:
     """Verify that the gap terms sum to the boundary length.
 
-    A parabolic boundary (trace +-2) switches to the cusp-limit summand
-    2/(1+e^l) with target 1.
+    A parabolic boundary (trace -2) switches to the cusp-limit summand
+    H(2l, 0) = 2/(1+e^l) with target 1.
     """
     return _verify_series(rep, tail_tolerance, n_ceiling, derivative=False)
 

@@ -5,7 +5,10 @@ code with what it checks.  It holds:
 
 * the Lorentzian Margulis invariant, an independent route to the length
   derivative that mml computes from dual traces;
-* the exponential bounds on the gap summand and on the coefficients H and K;
+* the exponential bounds on the gap summand and on the coefficients H and K,
+  and the closed form 2/(1+e^l) of the cusp summand;
+* the trace recursion over the Farey tree in 80-digit decimal arithmetic,
+  value and eps part, from a table's five seed traces;
 * the determinant of a dual 2x2 matrix and the unit-determinant group test;
 * the boundary trace of three floats as an exact Fraction, and the domain
   decision read from it;
@@ -17,8 +20,10 @@ the 4 entries of a 2x2 matrix, row-major.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +70,39 @@ def farey_enumerate(n: int) -> list[tuple[int, int]]:
     each followed by -p/q."""
     return [(1, 0), (0, 1)] + [(s * p, q) for q in range(1, n) for p in range(1, n - q + 1)
                                if math.gcd(p, q) == 1 for s in (1, -1)]
+
+
+def cusp_gap(ell: float) -> float:
+    """Limit of D(x, ell, ell)/x as x -> 0, the cusp summand 2/(1+e^ell); past 700,
+    where e^ell nears overflow, as 2 e^-ell/(1+e^-ell)."""
+    if ell <= 700.0:
+        return 2.0 / (1.0 + math.exp(ell))
+    return 2.0 * math.exp(-ell) / (1.0 + math.exp(-ell))
+
+
+def exact_traces(seeds: dict, n: int) -> dict[tuple[int, int], tuple[Decimal, Decimal]]:
+    """(value, eps) traces of every slope with |p| + q <= n, each an 80-digit Decimal,
+    from seeds: the dual traces (with .re and .inf) of 1/0, -1/0, 0/1, 1/1 and -1/1,
+    converted exactly.  A slope is the mediant of its Farey neighbours lower and
+    upper, and tr(upper lower) = tr(upper) tr(lower) - tr(upper lower^-1), where
+    upper lower^-1 is the slope upper - lower, signed so q >= 0."""
+    tr = {s: (Decimal(t.re), Decimal(t.inf)) for s, t in seeds.items()}
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        for sign in (1, -1):  # the Stern-Brocot tree between 0/1 and sign/0
+            stack = [((0, 1), (sign, 0))]
+            while stack:
+                lo, up = stack.pop()
+                p, q = lo[0] + up[0], lo[1] + up[1]
+                if abs(p) + q > n:
+                    continue
+                dp, dq = up[0] - lo[0], up[1] - lo[1]
+                if (p, q) not in tr:
+                    (a, da), (b, db) = tr[lo], tr[up]
+                    c, dc = tr[(dp, dq) if dq >= 0 else (-dp, -dq)]
+                    tr[(p, q)] = (a * b - c, a * db + da * b - dc)
+                stack += [(lo, (p, q)), ((p, q), up)]
+    return tr
 
 
 def bound_D(x: float, y: float, z: float) -> float:

@@ -11,13 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 from mml import identity_engine
 from mml.errors import NonConvergence, NotHyperbolic
 from mml.identity_engine import (BinStat, KahanSum, _boundary_values, choose_truncation,
-                                 coeff_H, coeff_K, cusp_gap, gap_D, kappa_from_bins,
+                                 coeff_H, coeff_K, gap_D, kappa_from_bins,
                                  margulis_residual, mcshane_sum, tail_bound_derivative,
                                  tail_bound_identity, term_derivative)
 from mml.representation import DeformationSpec, TraceCoords, attach_deformation, build_rep, random_tangent
 from mml.sl2grp import dual_trace, translation_length
 from mml.torus_curves import bin_curves, enumerate_up_to, fit_bin_constant
-from oracles import bound_D, bound_HK
+from oracles import bound_D, bound_HK, cusp_gap
 
 
 def _tangent_rep(coords, seed):
@@ -102,6 +102,20 @@ def test_cusp_gap_is_limit():
     ell = 2.7
     x = 1e-7
     assert math.isclose(gap_D(x, ell, ell) / x, cusp_gap(ell), rel_tol=1e-6)
+    assert math.isclose(gap_D(x, ell, ell) / x, coeff_H(ell + ell, 0.0), rel_tol=1e-6)
+
+
+@given(st.floats(0.0, 760.0) | st.floats(690.0, 760.0))
+@example(0.0)
+@example(700.0)
+@example(math.nextafter(700.0, 701.0))
+@example(709.79)
+@example(745.2)
+@example(760.0)
+@settings(max_examples=2000, derandomize=True, deadline=None)
+def test_the_cusp_summand_is_H_at_2l_0(ell):
+    # with v = 0 both halves of H are 1/(1+e^l): doubling one rounds like 2/(1+e^l)
+    assert coeff_H(ell + ell, 0.0).hex() == cusp_gap(ell).hex()
 
 
 @pytest.mark.parametrize("w", [699.5, 700.5, 709.5, 709.79, 710.5, 712.0])
@@ -465,7 +479,7 @@ _TAIL_CASES = [(series, coords) for series in (mcshane_sum, margulis_residual)
 @pytest.mark.parametrize("series, coords", _TAIL_CASES + [(mcshane_sum, (3, 3, 3))],
                          ids=lambda v: v.__name__ if callable(v) else ",".join(map(str, v)))
 def test_certified_tail_covers_the_next_24_bins(series, coords, tol):
-    # |residual| <= max(tail, tol) lets tol hide a collapsed tail; this checks the tail
+    # passed reads |residual| <= tol, which would hide a collapsed tail; this checks the tail
     # against the series' own terms in bins n_max+1 .. n_max+24 of a fresh enumeration
     rep = _tangent_rep(coords, 11)
     r = series(rep, tol)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mml.dualnum import DualScalar
-from mml.errors import MMLError, NotHyperbolic, RecursionMismatch
+from mml import identity_engine
+from mml.errors import MMLError, NonConvergence, NotHyperbolic, RecursionMismatch
 from mml.identity_engine import (_boundary_values, choose_truncation, margulis_residual,
                                  mcshane_sum, tail_bound_identity)
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
@@ -14,7 +15,7 @@ from mml.representation import (DeformationSpec, TraceCoords, attach_deformation
 from mml.sl2grp import compose, flat_product, inverse, translation_length
 from mml.torus_curves import (CurveClass, _farey_triangle, bin_curves, christoffel_word,
                               enumerate_up_to, export_census, fit_bin_constant, make_tables)
-from oracles import farey_enumerate
+from oracles import exact_traces, farey_enumerate
 
 
 def _deformed_444():
@@ -137,6 +138,22 @@ def test_recursion_matches_direct_everywhere():
         assert abs(rec.inf - eps) <= 1e-9 * max(1.0, abs(re), abs(eps))
 
 
+@pytest.mark.parametrize("coords, seed", [((4, 4, 4), 1), ((2.5, 6, 6), 2), ((5, 6, 25), 3),
+                                         ((3.2, 7, 9), 4), ((2.1, 40, 40.5), 5)])
+def test_traces_of_the_short_slopes_equal_the_exact_recursion(coords, seed):
+    # the float recursion against the same recursion in 80 digits, from the same seeds
+    rep = build_rep(TraceCoords(*coords))
+    table = attach_deformation(rep, random_tangent(rep, np.random.default_rng(seed))).table
+    seeds = {s: table.trace(*s) for s in ((1, 0), (-1, 0), (0, 1), (1, 1), (-1, 1))}
+    exact = exact_traces(seeds, 12)
+    assert set(exact) == set(farey_enumerate(12)) | {(-1, 0)}
+    for s, (re, eps) in exact.items():
+        t = table.trace(*s)
+        assert abs(t.re - float(re)) <= 1e-13 * abs(float(re)), s
+        assert abs(t.inf - float(eps)) <= 1e-13 * abs(float(eps)), s
+        assert eps != 0
+
+
 def test_slope_symmetry_equal_coords():
     rep = build_rep(TraceCoords(4, 4, 4))
     for p, q in [(2, 1), (3, 2), (5, 3), (4, 7)]:
@@ -250,6 +267,35 @@ def test_choose_truncation_tail_policy():
         assert steps[n_max] == (m_hat, kappa)
         if n_max > 16:
             assert tail_bound_identity(n_max - 8, steps[n_max - 8][0], ell_bdry) > tol
+
+
+def test_choose_truncation_steps_8_deeper_to_the_ceiling(monkeypatch):
+    # the depths are min(16, c), 8 deeper per step, then the ceiling c itself
+    cutoffs = []
+    monkeypatch.setattr(identity_engine, "enumerate_up_to", lambda r, c: cutoffs.append(c) or [])
+    for c in [*range(1, 300), 1000, 4999, 5000]:
+        cutoffs.clear()
+        with pytest.raises(NonConvergence, match="no curve enumerated"):
+            choose_truncation(None, 1.0, 0.0, 1.0, c, lambda *a: 0.0)
+        assert [n - 1 for n in cutoffs] == [*range(min(16, c), c, 8), c]
+
+
+def test_choose_truncation_memory_does_not_grow_with_the_ceiling():
+    # both runs accept at the same shallow depth; a far ceiling must not be paid for up front
+    peaks, depths = [], []
+    for n_ceiling in (200, 10**7):
+        rep = build_rep(TraceCoords(4, 4, 4))
+        ell_bdry, alpha_bdry = _boundary_values(rep)
+        tail = lambda n, m, k, stop: tail_bound_identity(n, m, ell_bdry, stop)
+        tracemalloc.start()
+        try:
+            bins, *_ = choose_truncation(rep, ell_bdry, alpha_bdry, 1e-6, n_ceiling, tail)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        depths.append(bins[-1].index)
+    assert depths[0] == depths[1] < 200
+    assert abs(peaks[1] - peaks[0]) <= 2**20, peaks
 
 
 def test_nonhyperbolic_rep_raises():
