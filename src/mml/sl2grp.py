@@ -47,23 +47,6 @@ def two_product(a: float, b: float) -> tuple[float, float]:
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _fma(a: float, b: float, c: float) -> float:
-    """a*b + c rounded once, as an FMA does: math.fsum rounds two_product's p + e + c;
-    a*b + c, rounded twice, when e is not finite or the sum overflows."""
-    p, e = two_product(a, b)
-    try:
-        return math.fsum((p, e, c)) if math.isfinite(e) else p + c
-    except OverflowError:  # p + e + c beyond the largest float
-        return p + c
-
-
-def _mul(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, ...]:
-    """x*y, each entry rounded as fma(x_i1, y_1j, x_i0*y_0j), as FMA matmul kernels do."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return (_fma(b, g, a * e), _fma(b, h, a * f), _fma(d, g, c * e), _fma(d, h, c * f))
-
-
 def adjugate(m: tuple[float, ...]) -> tuple[float, ...]:
     """adj(m) = det(m) m^-1 of a 2x2 matrix; entrywise linear."""
     return (m[3], -m[1], -m[2], m[0])
@@ -71,8 +54,8 @@ def adjugate(m: tuple[float, ...]) -> tuple[float, ...]:
 
 def tangency_defect(m0: tuple[float, ...], m1: tuple[float, ...]) -> float:
     """tr(adj(m0) m1), the eps part of det(m0 + eps*m1); zero iff m1 is tangent."""
-    p = _mul(adjugate(m0), m1)
-    return p[0] + p[3]
+    a, b, c, d = m0
+    return d * m1[0] - b * m1[2] - c * m1[1] + a * m1[3]
 
 
 def project_tangent(m0: tuple[float, ...], m1: tuple[float, ...]) -> tuple[float, ...]:
@@ -81,15 +64,8 @@ def project_tangent(m0: tuple[float, ...], m1: tuple[float, ...]) -> tuple[float
     return tuple(x - k * y for x, y in zip(m1, m0))
 
 
-def _product(m: DualMatrix2, n: DualMatrix2) -> DualMatrix2:
-    """m*n: value M0*N0, eps M0*N1 + M1*N0."""
-    return DualMatrix2(_mul(m.val, n.val),
-                       [u + v for u, v in zip(_mul(m.val, n.eps), _mul(m.eps, n.val))])
-
-
 def flat_product(m: tuple[float, ...], n: tuple[float, ...]) -> tuple[float, ...]:
-    """m*n of 8-float matrices val + eps in plain sums, so its bits can differ from
-    _product's: it may feed only checks with a tolerance, never a report value."""
+    """m*n of 8-float matrices val + eps: value M0*N0, eps M0*N1 + M1*N0, in plain sums."""
     a, b, c, d, ea, eb, ec, ed = m
     e, f, g, h, ee, ef, eg, eh = n
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
@@ -99,7 +75,8 @@ def flat_product(m: tuple[float, ...], n: tuple[float, ...]) -> tuple[float, ...
 
 def compose(*ms: DualMatrix2) -> DualMatrix2:
     """Product of one or more group elements; value M0*N0, eps M0*N1 + M1*N0."""
-    return reduce(_product, ms)
+    r = reduce(flat_product, (m.val + m.eps for m in ms))
+    return DualMatrix2(r[:4], r[4:])
 
 
 def inverse(m: DualMatrix2) -> DualMatrix2:

@@ -79,7 +79,7 @@ class TraceTable:
 
     Keys are the signed slopes (p, q), q >= 0, and 1/0 is also stored as -1/0,
     the parent of the negative slopes next to it.  The seeds 1/0, -1/0, 0/1, 1/1
-    and -1/1 are traced from compose's fma-rounded products; trace takes any other
+    and -1/1 are traced from compose's products; trace takes any other
     slope from the other three vertices of its _farey_triangle.  Four memos share
     the keys: the traces; the word matrix of each traced slope as the 8 floats
     val + eps, its Farey parents' product by flat_product; the length of each

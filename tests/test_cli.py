@@ -511,13 +511,28 @@ def test_summands_past_the_exp_range_give_a_verdict(argv, n_max, tmp_path):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "known defect: kind() admits the point (exact boundary trace -2.0000000364), but the "
-    "engine reads the boundary length from the float commutator, whose trace "
-    "-1.9999999276572584 translation_length refuses; reading it from the exact trace mends it"))
+    "known defect: kind() admits the point (exact boundary trace -2.0000000364), but "
+    "build_rep's float matrices are too ill-conditioned at these magnitudes to resolve the "
+    "boundary trace: their commutator's trace -1.9999999276572584 is refused by "
+    "translation_length.  Reading the boundary length from the exact trace instead breaks "
+    "test_a_near_cusp_point_is_verified_against_its_reps_boundary; the mend is the root "
+    "reduction, or a gate that refuses points whose float rep cannot resolve the trace"))
 def test_a_point_just_inside_the_cusp_gets_a_verdict():
     coords = "769.493177263098,50.79849127543404,39073.87255673075"
     assert TraceCoords(*map(float, coords.split(","))).kind() == "inside"
     assert run(["verify-mcshane", "--coords", coords]) == 0
+
+
+def test_a_near_cusp_point_is_verified_against_its_reps_boundary(tmp_path):
+    # exact boundary trace -2.00114, the commutator of the float rep's matrices
+    # -2.00080: the enumerated lengths belong to the rep, so its boundary length
+    # balances them (residual 1.7e-9), and the exact one does not (residual -2.6e-6
+    # against a tail bound 1.8e-7, exit 2)
+    coords = "888.699392673159,2646.842638982651,2352244.131669431"
+    out = tmp_path / "near-cusp.json"
+    assert TraceCoords(*map(float, coords.split(","))).kind() == "inside"
+    assert run(["verify-mcshane", "--coords", coords, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
 
 
 def _readme_examples() -> tuple[list[list[str]], list[str]]:

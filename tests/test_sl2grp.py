@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -12,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from mml import representation, sl2grp, torus_curves
 from mml.dualnum import DualScalar
 from mml.errors import NotHyperbolic
-from mml.sl2grp import (DualMatrix2, _fma, commutator, compose, dual_trace,
-                        inverse, margulis_from_trace, translation_length, two_product)
+from mml.sl2grp import (DualMatrix2, adjugate, commutator, compose, dual_trace, flat_product,
+                        inverse, margulis_from_trace, tangency_defect, translation_length,
+                        two_product)
 from conftest import (as_array, random_hyperbolic_dual, random_sl2, random_traceless,
                       sl2_exp)
 from oracles import det, in_group
@@ -32,23 +32,6 @@ def _signed(magnitudes):
     """Floats of either sign, zeros included, with |x| drawn from magnitudes."""
     return st.tuples(st.booleans(), st.just(0.0) | magnitudes).map(
         lambda t: -t[1] if t[0] else t[1])
-
-
-@settings(max_examples=500, derandomize=True, deadline=None)
-@given(a=_signed(st.floats(2.0**-400, 2.0**400)), b=_signed(st.floats(2.0**-400, 2.0**400)),
-       c=_signed(st.floats(2.0**-800, 2.0**800)))
-def test_fma_rounds_once(a, b, c):
-    assert _fma(a, b, c) == float(Fraction(a) * Fraction(b) + Fraction(c))
-
-
-def test_fma_returns_on_non_finite_and_overflowing_input():
-    big = 1.7976931348623157e308
-    values = [math.inf, -math.inf, math.nan, big, -big, 1.5e300, 2.0**-1074, 1.0, 0.0]
-    for a, b, c in itertools.product(values, repeat=3):
-        got = _fma(a, b, c)
-        assert type(got) is float
-        if math.isfinite(a * b) and math.isfinite(a * b + c) and abs(a * b) >= 2.0**-969:
-            assert got == float(Fraction(a) * Fraction(b) + Fraction(c))
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
@@ -101,20 +84,52 @@ def test_compose_block_rule(rng):
                        + as_array(m.eps) @ as_array(n.val))
 
 
-def _fma_product(x, y):
-    """x*y with entry ij the exact x_i1*y_1j + fl(x_i0*y_0j), rounded once."""
-    return tuple(float(Fraction(x[2 * i + 1]) * Fraction(y[2 + j]) + Fraction(x[2 * i] * y[j]))
-                 for i in (0, 1) for j in (0, 1))
+def _gamma(n):
+    """gamma_n = n*u / (1 - n*u), u = 2**-53: the error factor of an n-term dot product."""
+    return Fraction(n, 2**53 - n)
 
 
-def test_compose_rounds_each_entry_as_one_fma(rng):
-    # the rounding of an FMA matmul kernel, with the eps part the sum of two products
+def _exact_product(x, y):
+    """Entries of the 2x2 product x*y as (exact value, sum of |products|) pairs."""
+    terms = [[Fraction(x[2 * i + k]) * Fraction(y[2 * k + j]) for k in (0, 1)]
+             for i in (0, 1) for j in (0, 1)]
+    return [(sum(t), sum(map(abs, t))) for t in terms]
+
+
+_ENTRIES = st.tuples(*[_signed(st.floats(2.0**-400, 2.0**400))] * 8)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(x=_ENTRIES, y=_ENTRIES)
+def test_compose_is_within_a_dot_product_error_of_the_exact_product(x, y):
+    m, n = DualMatrix2(x[:4], x[4:]), DualMatrix2(y[:4], y[4:])
+    c = compose(m, n)
+    for got, (exact, size) in zip(c.val, _exact_product(m.val, n.val)):
+        assert abs(Fraction(got) - exact) <= _gamma(2) * size
+    eps = [(e1 + e2, s1 + s2) for (e1, s1), (e2, s2)
+           in zip(_exact_product(m.val, n.eps), _exact_product(m.eps, n.val))]
+    for got, (exact, size) in zip(c.eps, eps):
+        assert abs(Fraction(got) - exact) <= _gamma(4) * size
+
+
+def test_compose_is_bitwise_flat_product(rng):
+    # the trace table's seeds come from compose and its word matrices from
+    # flat_product: one kernel, so the two agree to the bit
     for _ in range(200):
-        m, n = random_hyperbolic_dual(rng), random_hyperbolic_dual(rng)
+        m, n, p = (random_hyperbolic_dual(rng) for _ in range(3))
         c = compose(m, n)
-        assert c.val == _fma_product(m.val, n.val)
-        assert c.eps == tuple(u + v for u, v in zip(_fma_product(m.val, n.eps),
-                                                    _fma_product(m.eps, n.val)))
+        assert c.val + c.eps == flat_product(m.val + m.eps, n.val + n.eps)
+        c = compose(m, n, p)
+        assert c.val + c.eps == flat_product(flat_product(m.val + m.eps, n.val + n.eps),
+                                             p.val + p.eps)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(x=_ENTRIES)
+def test_tangency_defect_is_the_trace_of_adj_m0_m1(x):
+    m0, m1 = x[:4], x[4:]
+    (e00, s00), _, _, (e11, s11) = _exact_product(adjugate(m0), m1)
+    assert abs(Fraction(tangency_defect(m0, m1)) - (e00 + e11)) <= _gamma(4) * (s00 + s11)
 
 
 def test_dual_matrix_parts_are_four_floats():
