@@ -9,12 +9,13 @@ empirically fitted bin-count constant, inflated by a safety factor.  Reports
 carry the fitted constant m_hat and the slope bound kappa_hat as empirical
 figures; no report field marks them as such.  At a cusp (l_bdry -> 0) the identity
 over l_bdry is McShane's: its summand lim D(x, l, l)/x is H(2l, 0) = 2/(1+e^l), so
-partial_sum and h_partial_sum sum the same terms in different trees, and the tail's
+partial_sum and h_partial_sum are the same exact sum of the same terms, and the tail's
 c = 4 sinh(l_bdry/2) becomes its limit over l_bdry, 2.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -32,22 +33,6 @@ _GROW_START = 16
 _GROW_STEP = 8
 _BIN_JSON = ('    {\n      "n": %s,\n      "count": %s,\n      "sum_d": %s,\n'
              '      "sum_deriv": %s\n    }')  # one BinStat in SeriesReport.to_json
-
-
-class KahanSum:
-    """Compensated accumulator; add order is the determinism contract."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
 
 
 def gap_D(x: float, y: float, z: float) -> float:
@@ -203,11 +188,10 @@ def choose_truncation(rep, ell_bdry: float, alpha_bdry: float, tail_tolerance: f
 def _verify_series(rep, tail_tolerance: float, n_ceiling: int,
                    derivative: bool) -> SeriesReport:
     """Truncate one series and judge its residual: the length identity, or with
-    derivative its first variation.  One pass over the bins, each curve entering as
-    the pair (l, l, alpha, alpha), Kahan-sums each bin's gap terms D (the cusp summand
-    H(2l, 0) when ell_bdry == 0) and their derivatives, adds the series' bin sums in index
-    order (the deterministic combine contract) and carries the running sum of the
-    H coefficients."""
+    derivative its first variation.  Each curve enters as the pair (l, l, alpha, alpha).
+    Each bin's gap terms D (the cusp summand H(2l, 0) when ell_bdry == 0) and derivatives,
+    the whole series and the H coefficients are math.fsum'd: every sum is its terms' exact
+    sum rounded once, so no report depends on the order of the curves."""
     ell_bdry, alpha_bdry = _boundary_values(rep)
     if not derivative:
         target = ell_bdry if ell_bdry > 0 else 1.0  # the cusp summands sum to 1
@@ -219,27 +203,30 @@ def _verify_series(rep, tail_tolerance: float, n_ceiling: int,
         tail = lambda n, m, k, stop: tail_bound_derivative(n, m, ell_bdry, k, alpha_bdry, stop)
     bins, m_hat, kappa, tail_bound = choose_truncation(rep, ell_bdry, alpha_bdry,
                                                        tail_tolerance, n_ceiling, tail)
-    stats, acc, h, h_threshold_n = [], KahanSum(), KahanSum(), None
+    stats, terms, hs = [], [], []
     for b in bins:
-        sd, sv = KahanSum(), KahanSum()
+        sd, sv = [], []
         for c in b.members:
             l, a = c.length, c.alpha
             u = l + l
             hu = coeff_H(u, ell_bdry)
             if ell_bdry == 0:
-                sd.add(hu)  # H(2l, 0) = lim D(x, l, l)/x, the cusp summand 2/(1+e^l)
+                sd.append(hu)  # H(2l, 0) = lim D(x, l, l)/x, the cusp summand 2/(1+e^l)
             else:
-                sd.add(gap_D(ell_bdry, l, l))
-                sv.add(hu * alpha_bdry + coeff_K(u, ell_bdry) * (a + a))
-            h.add(hu)
-        stats.append(BinStat(b.index, len(b.members), sd.total, sv.total))
-        acc.add(sv.total if derivative else sd.total)
-        if h_threshold_n is None and h.total > 1.0:  # first bin whose running H sum exceeds 1
-            h_threshold_n = b.index
-    residual = target - acc.total
+                sd.append(gap_D(ell_bdry, l, l))
+                sv.append(hu * alpha_bdry + coeff_K(u, ell_bdry) * (a + a))
+            hs.append(hu)
+        # fsum would raise on an inf term or overflow: such alphas fail choose_truncation first
+        stats.append(BinStat(b.index, len(b.members), math.fsum(sd), math.fsum(sv)))
+        terms += sv if derivative else sd
+    partial_sum, h_partial_sum, h_threshold_n = math.fsum(terms), math.fsum(hs), None
+    if h_partial_sum > 1.0:  # the first bin whose prefix sum of H exceeds 1
+        ends = itertools.accumulate(s.count for s in stats)
+        h_threshold_n = next(s.n for s, end in zip(stats, ends) if math.fsum(hs[:end]) > 1.0)
+    residual = target - partial_sum
     return SeriesReport(
-        target=target, partial_sum=acc.total, residual=residual, n_max=bins[-1].index,
-        tail_bound=tail_bound, m_hat=m_hat, kappa_hat=kappa, h_partial_sum=h.total,
+        target=target, partial_sum=partial_sum, residual=residual, n_max=bins[-1].index,
+        tail_bound=tail_bound, m_hat=m_hat, kappa_hat=kappa, h_partial_sum=h_partial_sum,
         h_threshold_n=h_threshold_n, bins=tuple(stats),
         passed=abs(residual) <= tail_tolerance)  # choose_truncation's tail is <= it
 

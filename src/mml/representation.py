@@ -113,7 +113,8 @@ def build_rep(c: TraceCoords) -> HoledTorusRep:
            dual_trace(compose(rep.A, rep.B)).re)
     if not all(math.isclose(g, w, rel_tol=0, abs_tol=1e-9 * max(1.0, abs(w)))
                for g, w in zip(got, (x, y, z))):
-        raise InvalidCoords(f"trace round-trip failed: wanted {(x, y, z)}, got {got}")
+        raise (_outside_domain(c, kappa) if c.kind() == "outside" else
+               InvalidCoords(f"trace round-trip failed: wanted {(x, y, z)}, got {got}"))
     return rep
 
 

@@ -97,11 +97,15 @@ def test_invalid_inputs(capsys):
 
 # 1e120: xyz overflows, so the boundary trace reads -inf; 1e200: a square
 # overflows, so it reads inf (build_rep rejects these before its round trip).
-# The last two read below -2 in floats; exactly, their traces are 2.8e10 and -1.99714.
+# The next two read below -2 in floats; exactly, their traces are 2.8e10 and -1.99714.
+# The last two (exact traces +1.1e15 and +2.1e17) fail build_rep's trace round trip,
+# which reports an outside point with the domain's error.
 _OUTSIDE = ["10,3,3", "4,1.5,4", "1.5,4,4", "2,4,4", "2.5,2.5,2.5", "1e120,1e120,1e120",
             "1e200,4,4", "4,1e200,4", "4,4,1e200",
             "2027396.488049708,26191146.853534587,53099839148837.19",
-            "7220.101826171673,5755.62103777745,41556167.9139992"]
+            "7220.101826171673,5755.62103777745,41556167.9139992",
+            "2.000000000003938,33257219.382194597,156028.8166929056",
+            "2.000000000345692,986.8625495453215,454792077.8649715"]
 
 
 @pytest.mark.parametrize("command, coords",
@@ -410,6 +414,18 @@ def test_spec_tangent_matrices_equal_the_library_deformation(tmp_path, capsys):
     assert run(["verify-margulis", "--spec", spec]) == 0
     want = engine.margulis_residual(attach_deformation(rep, DeformationSpec(t.a_eps, t.b_eps)))
     assert capsys.readouterr().out == want.to_json() + "\n"
+
+
+@pytest.mark.parametrize("scale, code", [(1e300, 0), (1e302, 1), (1e304, 2)])
+def test_huge_tangents_stop_before_the_exact_sums(scale, code, tmp_path, capsys):
+    # math.fsum raises on an inf term or an overflowing sum, which main does not catch;
+    # an alpha that large makes kappa or the tail infinite, and NonConvergence comes first
+    t = random_tangent(build_rep(TraceCoords(4, 5, 6)), np.random.default_rng(3))
+    a, b = ([scale * v for v in m] for m in (t.a_eps, t.b_eps))
+    spec = _spec_file(tmp_path, {"kind": "tangent", "tangent_matrices":
+                                 {"A1": [a[:2], a[2:]], "B1": [b[:2], b[2:]]}}, (4, 5, 6))
+    assert run(["verify-margulis", "--spec", spec, "--tol", "1e300"]) == code
+    assert capsys.readouterr().err.count("error:") == (code != 0)
 
 
 def test_spec_tangent_without_matrices_is_seeded_random(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mml import identity_engine
 from mml.errors import NonConvergence, NotHyperbolic
-from mml.identity_engine import (BinStat, KahanSum, _boundary_values, choose_truncation,
+from mml.identity_engine import (BinStat, _boundary_values, choose_truncation,
                                  coeff_H, coeff_K, gap_D, kappa_from_bins,
                                  margulis_residual, mcshane_sum, tail_bound_derivative,
                                  tail_bound_identity, term_derivative)
@@ -218,11 +218,10 @@ def test_reports_carry_the_first_bin_where_the_h_sum_passes_1(coords, tol, n_cei
     ell_bdry, alpha_bdry = _boundary_values(rep)
     # the running H sum over the report's bins, binned afresh on a second rep
     bins = bin_curves(enumerate_up_to(build_rep(TraceCoords(*coords)), r.n_max + 1), r.n_max)
-    h, h_running = KahanSum(), []
+    hs, h_running = [], []
     for b in bins:
-        for c in b.members:
-            h.add(coeff_H(c.length + c.length, ell_bdry))
-        h_running.append(h.total)
+        hs += [coeff_H(c.length + c.length, ell_bdry) for c in b.members]
+        h_running.append(math.fsum(hs))
     assert r.n_max <= n_ceiling and len(h_running) == r.n_max + 1
     assert h_running == sorted(h_running) and r.h_partial_sum == h_running[-1]
     first = next((n for n, h in enumerate(h_running) if h > 1.0), None)
@@ -261,23 +260,20 @@ def test_kappa_stabilizes_with_depth(rng):
 
 
 def test_rearrangement_invariance():
-    # Farey order vs bin order differ by less than 1e-10 at equal coverage
+    # an exact sum rounded once: Farey order and bin order agree bit for bit
     rep = build_rep(TraceCoords(4, 4, 4))
     lb = translation_length(dual_trace(rep.boundary).re)
     curves = enumerate_up_to(rep, 40.0)
-    farey_order = KahanSum()
-    for c in curves:
-        farey_order.add(gap_D(lb, c.length, c.length))
-    bin_order = KahanSum()
-    for c in sorted(curves, key=lambda c: (c.bin_index, c.length, c.p, c.q)):
-        bin_order.add(gap_D(lb, c.length, c.length))
-    assert abs(farey_order.total - bin_order.total) < 1e-10
+    farey_order = math.fsum(gap_D(lb, c.length, c.length) for c in curves)
+    bin_order = math.fsum(gap_D(lb, c.length, c.length)
+                          for c in sorted(curves, key=lambda c: (c.bin_index, c.length, c.p, c.q)))
+    assert farey_order == bin_order
 
 
 @pytest.mark.parametrize("rep, cusp", [(_tangent_rep((4.5, 5.0, 5.5), 3), False),
                                        (build_rep(TraceCoords(3, 3, 3)), True)],
                          ids=["tangent", "cusp"])
-def test_series_bins_are_kahan_sums_of_the_public_terms(monkeypatch, rep, cusp):
+def test_series_bins_are_exact_sums_of_the_public_terms(monkeypatch, rep, cusp):
     # each curve is the pair (l, l, alpha, alpha); the sums must match bit for bit
     ell_bdry, alpha_bdry = _boundary_values(rep)
     assert (ell_bdry == 0.0) == cusp
@@ -289,25 +285,40 @@ def test_series_bins_are_kahan_sums_of_the_public_terms(monkeypatch, rep, cusp):
     reports = [mcshane_sum(rep, 1.0)] + ([] if cusp else [margulis_residual(rep, 1.0)])
     stats = reports[0].bins
     assert [s.n for s in stats] == [b.index for b in bins] == list(range(41))
-    h, sum_d, sum_deriv, h_running = KahanSum(), KahanSum(), KahanSum(), []
+    # bin sums, partial sums and prefix H sums are math.fsum of the terms themselves
+    hs, all_d, all_deriv, h_running = [], [], [], []
     for s, b in zip(stats, bins):
-        sd, sv = KahanSum(), KahanSum()
+        sd, sv = [], []
         for c in b.members:
             l, a = c.length, c.alpha
-            sd.add(cusp_gap(l) if cusp else gap_D(ell_bdry, l, l))
+            sd.append(cusp_gap(l) if cusp else gap_D(ell_bdry, l, l))
             if not cusp:
-                sv.add(term_derivative(l, l, ell_bdry, a, a, alpha_bdry))
-            h.add(coeff_H(l + l, ell_bdry))
-        assert (s.count, s.sum_d, s.sum_deriv) == (len(b.members), sd.total, sv.total)
-        sum_d.add(sd.total)
-        sum_deriv.add(sv.total)
-        h_running.append(h.total)
+                sv.append(term_derivative(l, l, ell_bdry, a, a, alpha_bdry))
+            hs.append(coeff_H(l + l, ell_bdry))
+        assert (s.count, s.sum_d, s.sum_deriv) == (len(b.members), math.fsum(sd), math.fsum(sv))
+        all_d += sd
+        all_deriv += sv
+        h_running.append(math.fsum(hs))
     first = next((n for n, h_total in enumerate(h_running) if h_total > 1.0), None)
-    for r, partial_sum in zip(reports, (sum_d.total, sum_deriv.total)):
+    for r, partial_sum in zip(reports, (math.fsum(all_d), math.fsum(all_deriv))):
         assert r.bins == stats and r.n_max == 40 and r.partial_sum == partial_sum
         assert r.h_partial_sum == h_running[-1] and r.h_threshold_n == first
+        assert not cusp or r.partial_sum == r.h_partial_sum  # one exact sum of the same terms
     assert sum(s.count for s in stats) > 0 and h_running[-1] > 0.0
     assert cusp or any(s.sum_deriv != 0.0 for s in stats)
+
+
+@pytest.mark.parametrize("coords", [(4.5, 5, 5.5), (4, 4, 4), (5, 6, 25), (3.2, 7, 9), (2.5, 6, 6)],
+                         ids=lambda c: ",".join(map(str, c)))
+def test_reports_do_not_depend_on_the_order_of_a_bins_members(monkeypatch, coords):
+    rep = _tangent_rep(coords, 3)
+    forward = [series(rep, 1e-8).to_json() for series in (mcshane_sum, margulis_residual)]
+    binned = identity_engine.bin_curves
+    monkeypatch.setattr(identity_engine, "bin_curves", lambda *args: [
+        dataclasses.replace(b, members=b.members[::-1]) for b in binned(*args)])
+    reverse = _tangent_rep(coords, 3)
+    assert [series(reverse, 1e-8).to_json()
+            for series in (mcshane_sum, margulis_residual)] == forward
 
 
 def test_nonconvergence_at_low_ceiling():
@@ -486,15 +497,12 @@ def test_certified_tail_covers_the_next_24_bins(series, coords, tol):
     ell_bdry, alpha_bdry = _boundary_values(rep)
     deeper = bin_curves(enumerate_up_to(_tangent_rep(coords, 11), r.n_max + 25),
                         r.n_max + 24, r.n_max + 1)
-    rest = KahanSum()
-    for b in deeper:
-        for c in b.members:
-            l, a = c.length, c.alpha
-            rest.add(term_derivative(l, l, ell_bdry, a, a, alpha_bdry)
+    rest = math.fsum(term_derivative(c.length, c.length, ell_bdry, c.alpha, c.alpha, alpha_bdry)
                      if series is margulis_residual
-                     else gap_D(ell_bdry, l, l) if ell_bdry > 0 else cusp_gap(l))
-    assert rest.total != 0.0
-    assert r.tail_bound >= abs(rest.total)
+                     else gap_D(ell_bdry, c.length, c.length) if ell_bdry > 0
+                     else cusp_gap(c.length) for b in deeper for c in b.members)
+    assert rest != 0.0
+    assert r.tail_bound >= abs(rest)
 
 
 def test_margulis_residual_after_validation_equals_it_alone():

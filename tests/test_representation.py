@@ -124,6 +124,19 @@ def test_boundary_trace_is_the_exact_trace_rounded_once_and_kind_decides_from_it
     assert coords.in_domain() == (coords.kind() == "inside")
 
 
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(c=domain_probes())
+@example(c=(2.000000000003938, 33257219.382194597, 156028.8166929056))  # kappa +1.1e15
+def test_build_rep_refuses_only_outside_points_and_with_the_domain_error(c):
+    """The trace round trip can fail far out of the domain (x near 2, y or z huge); it
+    never fails inside or on the cusp locus, and an outside point gets the domain error."""
+    coords = TraceCoords(*c)
+    try:
+        build_rep(coords)
+    except InvalidCoords as e:
+        assert coords.kind() == "outside" and str(e).startswith("coordinates (")
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(c=domain_probes())
 @example(c=(49.82985893051866, 68555654.53713776, 1376349.2033772469))  # 4/1 refused
