@@ -4,8 +4,7 @@ on one-holed-torus hyperbolic surfaces and their affine deformations."""
 from .dualnum import DualScalar
 from .errors import (InvalidCoords, MMLError, NonConvergence, NotHyperbolic,
                      RecursionMismatch)
-from .identity_engine import (SeriesReport, coeff_H, coeff_K, gap_D, margulis_residual,
-                              mcshane_sum, term_derivative)
+from .identity_engine import SeriesReport, coeff_H, coeff_K, gap_D, margulis_residual, mcshane_sum
 from .representation import (DeformationSpec, HoledTorusRep, TraceCoords,
                              attach_deformation, build_rep, validate_fuchsian)
 from .sl2grp import DualMatrix2, commutator, compose, dual_trace, inverse, translation_length

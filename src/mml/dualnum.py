@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DualScalar:
     """One element a + b*eps of R[eps]/(eps^2); only * and -, the trace
     recursion's operations, are defined."""
@@ -17,9 +17,16 @@ class DualScalar:
     re: float
     inf: float = 0.0
 
+    def __init__(self, re: float, inf: float = 0.0):  # slot writes, no object.__setattr__
+        _set_re(self, re)
+        _set_inf(self, inf)
+
     def __sub__(self, other):
         return DualScalar(self.re - other.re, self.inf - other.inf)
 
     def __mul__(self, other):
         return DualScalar(self.re * other.re,
                           self.re * other.inf + self.inf * other.re)
+
+
+_set_re, _set_inf = DualScalar.re.__set__, DualScalar.inf.__set__

@@ -61,13 +61,6 @@ def coeff_K(u: float, v: float) -> float:
     return -math.sinh(v / 2.0) / (math.cosh(u / 2.0) + math.cosh(v / 2.0))
 
 
-def term_derivative(ell1: float, ell2: float, ell_bdry: float,
-                    alpha1: float, alpha2: float, alpha_bdry: float) -> float:
-    """d/dt of one gap term, by the chain rule on (H, K)."""
-    u = ell1 + ell2
-    return coeff_H(u, ell_bdry) * alpha_bdry + coeff_K(u, ell_bdry) * (alpha1 + alpha2)
-
-
 @dataclass(frozen=True)
 class BinStat:
     n: int
@@ -198,6 +191,8 @@ def _verify_series(rep, tail_tolerance: float, n_ceiling: int,
         tail = lambda n, m, k, stop: tail_bound_identity(n, m, ell_bdry, stop)
     elif ell_bdry == 0:
         raise NotHyperbolic("boundary-parabolic: no differentiated identity at a cusp")
+    elif not math.isfinite(alpha_bdry):  # the boundary commutator's eps part overflowed
+        raise OverflowError(f"boundary Margulis invariant {alpha_bdry}")
     else:
         target = alpha_bdry
         tail = lambda n, m, k, stop: tail_bound_derivative(n, m, ell_bdry, k, alpha_bdry, stop)

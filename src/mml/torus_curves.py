@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterable
 
@@ -26,7 +26,7 @@ from .sl2grp import (DualMatrix2, compose, dual_trace, flat_product, inverse,
 RECURSION_TOL = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CurveClass:
     """One isotopy class: slope p/q and values under the active representation."""
 
@@ -36,10 +36,21 @@ class CurveClass:
     length: float
     alpha: float = 0.0
 
+    def __init__(self, p: int, q: int, trace: float, length: float, alpha: float = 0.0):
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_trace(self, trace)
+        _set_length(self, length)
+        _set_alpha(self, alpha)
+
     @property
     def bin_index(self) -> int:
         """N with 2*length in [N, N+1)."""
         return int(math.floor(2.0 * self.length))
+
+
+_set_p, _set_q, _set_trace, _set_length, _set_alpha = (  # slot writes, as in DualScalar
+    getattr(CurveClass, f.name).__set__ for f in fields(CurveClass))
 
 
 @dataclass(frozen=True)
@@ -149,12 +160,9 @@ class TraceTable:
 
     def curve(self, p: int, q: int) -> CurveClass:
         c = self._curves.get((p, q))
-        if c is not None:
-            return c
-        length = self.length(p, q)
-        t = self._memo[(p, q)]
-        c = CurveClass(p, q, t.re, length, margulis_from_trace(t))
-        self._curves[(p, q)] = c
+        if c is None:
+            length, t = self.length(p, q), self._memo[(p, q)]
+            c = self._curves[(p, q)] = CurveClass(p, q, t.re, length, margulis_from_trace(t))
         return c
 
 
@@ -173,25 +181,26 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     parent, and its subtree is searched.  Nodes are judged by their
     memoized TraceTable.length, so each is traced and cross-checked, and the
     first visited slope with a negative trace raises MMLError there; a curve
-    class is built only for a slope that is emitted.
+    class is built once, on a slope's first emit, and read from the table after.
     """
     cutoff = max_total_length / 2.0
     table = rep.table
-    lengths = table._lengths
+    lengths, classes = table._lengths, table._curves
     a, b = table.length(1, 0), table.length(0, 1)
     curves = [table.curve(*s) for s, n in (((1, 0), a), ((0, 1), b)) if n < cutoff]
     # the positive root is on top, so its whole subtree is walked first
     stack = [(0, 1, -1, 0, b, a), (0, 1, 1, 0, b, a)]
+    pop, push, emit = stack.pop, stack.append, curves.append
     while stack:
-        pl, ql, pr, qr, left, right = stack.pop()
-        p, q = pl + pr, ql + qr
-        length = lengths.get((p, q)) or table.length(p, q)
-        if length < cutoff:
-            curves.append(table.curve(p, q))
+        pl, ql, pr, qr, left, right = pop()
+        key = p, q = pl + pr, ql + qr
+        length = lengths.get(key) or table.length(p, q)
+        if length < cutoff:  # a class built on an earlier walk is one probe
+            emit(classes.get(key) or table.curve(p, q))
         elif length >= left and length >= right:
             continue
-        stack.append((pl, ql, p, q, left, length))
-        stack.append((p, q, pr, qr, length, right))
+        push((pl, ql, p, q, left, length))
+        push((p, q, pr, qr, length, right))
     return curves
 
 

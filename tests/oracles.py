@@ -7,6 +7,8 @@ code with what it checks.  It holds:
   derivative that mml computes from dual traces;
 * the exponential bounds on the gap summand and on the coefficients H and K,
   and the closed form 2/(1+e^l) of the cusp summand;
+* the derivative of one gap term by the chain rule, with H and K in their
+  closed forms;
 * the trace recursion over the Farey tree in 80-digit decimal arithmetic,
   value and eps part, from a table's five seed traces;
 * the determinant of a dual 2x2 matrix and the unit-determinant group test;
@@ -103,6 +105,18 @@ def exact_traces(seeds: dict, n: int) -> dict[tuple[int, int], tuple[Decimal, De
                     tr[(p, q)] = (a * b - c, a * db + da * b - dc)
                 stack += [(lo, (p, q)), ((p, q), up)]
     return tr
+
+
+def term_derivative(ell1: float, ell2: float, ell_bdry: float,
+                    alpha1: float, alpha2: float, alpha_bdry: float) -> float:
+    """d/dt of one gap term D(l_bdry, l1, l2) by the chain rule, H(u, v) alpha_bdry +
+    K(u, v) (alpha1 + alpha2) at u = l1 + l2, v = l_bdry, with H = 1/(1+e^{(u+v)/2})
+    + 1/(1+e^{(u-v)/2}) and K = -sinh(v/2)/(cosh(u/2) + cosh(v/2)) written out; no
+    overflow guard, so for u + |v| up to ~1400."""
+    u, v = ell1 + ell2, ell_bdry
+    h = 1.0 / (1.0 + math.exp((u + v) / 2.0)) + 1.0 / (1.0 + math.exp((u - v) / 2.0))
+    k = -math.sinh(v / 2.0) / (math.cosh(u / 2.0) + math.cosh(v / 2.0))
+    return h * alpha_bdry + k * (alpha1 + alpha2)
 
 
 def bound_D(x: float, y: float, z: float) -> float:

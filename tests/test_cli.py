@@ -416,10 +416,11 @@ def test_spec_tangent_matrices_equal_the_library_deformation(tmp_path, capsys):
     assert capsys.readouterr().out == want.to_json() + "\n"
 
 
-@pytest.mark.parametrize("scale, code", [(1e300, 0), (1e302, 1), (1e304, 2)])
+@pytest.mark.parametrize("scale, code", [(1e300, 0), (1e302, 1), (1e304, 2), (1e307, 1)])
 def test_huge_tangents_stop_before_the_exact_sums(scale, code, tmp_path, capsys):
     # math.fsum raises on an inf term or an overflowing sum, which main does not catch;
-    # an alpha that large makes kappa or the tail infinite, and NonConvergence comes first
+    # an alpha that large makes kappa or the tail infinite, and NonConvergence comes first.
+    # At 1e307 the boundary's alpha itself is nan: refused as a float overflow, exit 1
     t = random_tangent(build_rep(TraceCoords(4, 5, 6)), np.random.default_rng(3))
     a, b = ([scale * v for v in m] for m in (t.a_eps, t.b_eps))
     spec = _spec_file(tmp_path, {"kind": "tangent", "tangent_matrices":

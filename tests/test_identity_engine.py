@@ -13,11 +13,11 @@ from mml.errors import NonConvergence, NotHyperbolic
 from mml.identity_engine import (BinStat, _boundary_values, choose_truncation,
                                  coeff_H, coeff_K, gap_D, kappa_from_bins,
                                  margulis_residual, mcshane_sum, tail_bound_derivative,
-                                 tail_bound_identity, term_derivative)
+                                 tail_bound_identity)
 from mml.representation import DeformationSpec, TraceCoords, attach_deformation, build_rep, random_tangent
 from mml.sl2grp import dual_trace, translation_length
 from mml.torus_curves import bin_curves, enumerate_up_to, fit_bin_constant
-from oracles import bound_D, bound_HK, cusp_gap
+from oracles import bound_D, bound_HK, cusp_gap, term_derivative
 
 
 def _tangent_rep(coords, seed):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -48,6 +50,35 @@ def test_value_types_are_slotted_frozen_and_hash_by_fields(value, field, other):
     twin = type(value)(*fields)
     assert twin == value and hash(twin) == hash(value) == hash(fields)
     assert dataclasses.replace(value, **{field: other}) != value
+
+
+@pytest.mark.parametrize("cls, args, text", [
+    (DualScalar, (1.5, -2.0), "DualScalar(re=1.5, inf=-2.0)"),
+    (CurveClass, (1, 2, 3.5, 1.9248473002384139, 0.25),
+     "CurveClass(p=1, q=2, trace=3.5, length=1.9248473002384139, alpha=0.25)"),
+], ids=["DualScalar", "CurveClass"])
+def test_value_types_build_copy_and_pickle_through_their_own_init(cls, args, text):
+    # __init__ writes the slots itself; the dataclass's other methods must still see them
+    names = [f.name for f in dataclasses.fields(cls)]
+    value = cls(*args)
+    assert cls(**dict(zip(names, args))) == value
+    assert tuple(getattr(value, n) for n in names) == args
+    assert repr(value) == text
+    short = cls(*args[:-1])  # the last field defaults to 0.0 (inf, alpha)
+    assert getattr(short, names[-1]) == 0.0 and short == cls(*args[:-1], 0.0)
+    with pytest.raises(TypeError):
+        cls(*args[:-2])  # a field without a default is missing
+    with pytest.raises(TypeError):
+        cls(**dict(zip(names[1:], args[1:])))
+    copies = [dataclasses.replace(value), copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert type(twin) is cls and twin == value and repr(twin) == text
+        assert hash(twin) == hash(value) and not hasattr(twin, "__dict__")
+    moved = dataclasses.replace(value, **{names[0]: args[0] + 1})
+    assert getattr(moved, names[0]) == args[0] + 1
+    assert tuple(getattr(moved, n) for n in names[1:]) == args[1:]
 
 
 def test_farey_enumerate_small():
