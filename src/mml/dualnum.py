@@ -21,12 +21,18 @@ class DualScalar:
         _set_re(self, re)
         _set_inf(self, inf)
 
-    def __sub__(self, other):
-        return DualScalar(self.re - other.re, self.inf - other.inf)
+    def __sub__(self, other):  # writes the slots as __init__ does, without calling it
+        r = _new(DualScalar)
+        _set_re(r, self.re - other.re)
+        _set_inf(r, self.inf - other.inf)
+        return r
 
     def __mul__(self, other):
-        return DualScalar(self.re * other.re,
-                          self.re * other.inf + self.inf * other.re)
+        r = _new(DualScalar)
+        _set_re(r, self.re * other.re)
+        _set_inf(r, self.re * other.inf + self.inf * other.re)
+        return r
 
 
+_new = object.__new__
 _set_re, _set_inf = DualScalar.re.__set__, DualScalar.inf.__set__

@@ -95,9 +95,11 @@ class TraceTable:
     the keys: the traces; the word matrix of each traced slope as the 8 floats
     val + eps, its Farey parents' product by flat_product; the length of each
     slope asked for by length; the curve class of each slope asked for by curve.
-    Every new trace is checked, value and eps part, against the trace of its word
-    matrix and raises RecursionMismatch past RECURSION_TOL.  Build once, then
-    treat as read-only.
+    A slope is traced in full only for trace or curve, or as a triangle vertex
+    of a slope being judged; every new trace is checked, value and eps part,
+    against the trace of its word matrix and raises RecursionMismatch past
+    RECURSION_TOL.  length gives any other slope a checked value and no eps
+    part, and stores only its length.  Build once, then treat as read-only.
     """
 
     def __init__(self, gen_a: DualMatrix2, gen_b: DualMatrix2):
@@ -130,9 +132,12 @@ class TraceTable:
         words[(p, q)] = flat_product(words[upper], words[lower])
         m = self.word_matrix((p, q))
         re, eps = m[0] + m[3], m[4] + m[7]
-        if abs(re - t.re) > RECURSION_TOL * max(1.0, abs(re)):
+        scale = abs(re)
+        scale = scale if scale > 1.0 else 1.0  # max(1.0, |re|), which also reads NaN as 1.0
+        if abs(re - t.re) > RECURSION_TOL * scale:
             raise RecursionMismatch(f"slope {p}/{q}: recursion {t.re} vs direct {re}")
-        if abs(eps - t.inf) > RECURSION_TOL * max(1.0, abs(re), abs(eps)):
+        a = abs(eps)
+        if abs(eps - t.inf) > RECURSION_TOL * (a if a > scale else scale):
             raise RecursionMismatch(f"slope {p}/{q}: recursion eps part {t.inf} vs direct {eps}")
         memo[(p, q)] = t
         return t
@@ -145,23 +150,45 @@ class TraceTable:
     def length(self, p: int, q: int) -> float:
         """translation_length of slope p/q's trace value part.
 
-        Raises MMLError on a negative trace, which length pruning cannot
-        handle; nothing is stored then, so every visit raises.
+        A slope not traced yet is judged by its value alone: lo.re * up.re -
+        th.re from its traced triangle, checked as trace checks it against the
+        value part of W(upper)*W(lower).  Raises MMLError on a negative trace,
+        which length pruning cannot handle; nothing is stored then, so every
+        visit raises.
         """
         n = self._lengths.get((p, q))
-        if n is None:
-            t = self.trace(p, q).re
-            n = translation_length(t)
-            if t < 0:
-                raise MMLError(f"slope {p}/{q} has negative trace {t}; "
-                               "length pruning needs positive traces")
-            self._lengths[(p, q)] = n
+        if n is not None:
+            return n
+        memo = self._memo
+        t = memo.get((p, q))
+        if t is not None:
+            t = t.re
+        else:
+            lower, upper, third = _farey_triangle(p, q)
+            lo = memo.get(lower) or self.trace(*lower)
+            up = memo.get(upper) or self.trace(*upper)
+            th = memo.get(third) or self.trace(*third)
+            t = lo.re * up.re - th.re
+            a, b, c, d, _, _, _, _ = self._words[upper]
+            e, f, g, h, _, _, _, _ = self._words[lower]
+            re = (a * e + b * g) + (c * f + d * h)  # flat_product's entries 0 and 3
+            scale = abs(re)
+            if abs(re - t) > RECURSION_TOL * (scale if scale > 1.0 else 1.0):
+                raise RecursionMismatch(f"slope {p}/{q}: recursion {t} vs direct {re}")
+        n = translation_length(t)
+        if t < 0:
+            raise MMLError(f"slope {p}/{q} has negative trace {t}; "
+                           "length pruning needs positive traces")
+        self._lengths[(p, q)] = n
         return n
 
     def curve(self, p: int, q: int) -> CurveClass:
+        """The class of slope p/q, from its full trace (taken now for a slope
+        judged by value only) and its length."""
         c = self._curves.get((p, q))
         if c is None:
-            length, t = self.length(p, q), self._memo[(p, q)]
+            t = self._memo.get((p, q)) or self.trace(p, q)
+            length = self._lengths.get((p, q)) or self.length(p, q)
             c = self._curves[(p, q)] = CurveClass(p, q, t.re, length, margulis_from_trace(t))
         return c
 
@@ -179,9 +206,11 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     the parents and the node, a child has trace u*c - v > c, so the whole
     subtree is longer still.  Nearer the root a node may be shorter than a
     parent, and its subtree is searched.  Nodes are judged by their
-    memoized TraceTable.length, so each is traced and cross-checked, and the
-    first visited slope with a negative trace raises MMLError there; a curve
-    class is built once, on a slope's first emit, and read from the table after.
+    memoized TraceTable.length: an emitted slope and each triangle vertex of a
+    visited one get a full trace, value and eps part cross-checked; the rest, the
+    pruned frontier, get only their checked value.  The first visited slope with
+    a negative trace raises MMLError there; a curve class is built once, on a
+    slope's first emit, and read from the table after.
     """
     cutoff = max_total_length / 2.0
     table = rep.table

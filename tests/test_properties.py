@@ -18,7 +18,8 @@ from mml import cli, identity_engine
 from mml.identity_engine import _boundary_values, margulis_residual, mcshane_sum
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent)
-from mml.sl2grp import compose, dual_trace, margulis_from_trace
+from mml.sl2grp import compose, dual_trace, margulis_from_trace, translation_length
+from mml.torus_curves import enumerate_up_to, make_tables
 
 TOL = 1e-6
 
@@ -93,6 +94,21 @@ def test_mcshane_partial_sum_is_monotone_in_depth(coords):
         sums.append(report.partial_sum)
     assert len(sums) == 7 and sums[-1] > 0.0
     assert all(a <= b for a, b in zip(sums, sums[1:])), sums
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(coords=in_domain_coords(), seed=st.integers(0, 2**32 - 1))
+@example(coords=TraceCoords(4.0, 4.0, 4.0), seed=cli.DEFAULT_SEED)
+def test_a_slope_judged_by_value_has_the_length_of_its_full_trace(coords, seed):
+    rep = build_rep(coords)
+    rep = attach_deformation(rep, random_tangent(rep, np.random.default_rng(seed)))
+    enumerate_up_to(rep, 57.0)
+    judged = rep.table._lengths
+    by_value = judged.keys() - rep.table._memo.keys()
+    assert by_value
+    fresh = make_tables(rep)  # traces every slope in full, value and eps part checked
+    for (p, q), length in judged.items():
+        assert length.hex() == translation_length(fresh.trace(p, q).re).hex(), (p, q)
 
 
 def _unbounded_tails():

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mml.cli import DEFAULT_SEED
 from mml.dualnum import DualScalar
 from mml import identity_engine
 from mml.errors import MMLError, NonConvergence, NotHyperbolic, RecursionMismatch
@@ -444,6 +445,63 @@ def test_corrupted_recursion_is_caught(part):
         table.trace(2 * sign, 1)
 
 
+@pytest.mark.parametrize("part", ["word-re", "re", "mirror-word-re", "mirror-re"])
+def test_a_slope_judged_by_value_is_checked_against_its_word(part):
+    # length judges 2/1 by value alone, from the traces of 1/1, 1/0 and 0/1 and the
+    # value part of W(1/0)*W(1/1): corrupt 1/1's trace value or the value (index 0)
+    # of its word matrix; likewise -2/1 from -1/1
+    sign = -1 if part.startswith("mirror") else 1
+    key, child = (sign, 1), (2 * sign, 1)
+    table = make_tables(_deformed_444())
+    if "word" in part:
+        m = list(table._words[key])
+        m[0] += 1.0
+        table._words[key] = tuple(m)
+    else:
+        t = table._memo[key]
+        table._memo[key] = DualScalar(t.re + 1.0, t.inf)
+    with pytest.raises(RecursionMismatch, match=rf"^slope {2 * sign}/1: recursion -?\d"):
+        table.length(*child)
+    assert all(child not in memo for memo in (table._memo, table._words, table._lengths))
+
+
+def test_an_eps_part_is_checked_where_it_is_computed():
+    # a slope judged by value has no eps part to check; its full trace, taken when
+    # it is emitted, checks it
+    table, clean = make_tables(_deformed_444()), make_tables(_deformed_444())
+    m = list(table._words[(1, 1)])
+    m[4] += 1.0
+    table._words[(1, 1)] = tuple(m)
+    assert table.length(2, 1) == clean.length(2, 1)
+    assert (2, 1) not in table._memo and (2, 1) not in table._words
+    with pytest.raises(RecursionMismatch, match="^slope 2/1: recursion eps part"):
+        table.curve(2, 1)
+
+
+@pytest.mark.parametrize("coords", [(4, 4, 4), (3, 3, 3), (2.2, 150, 100),
+                                    (2.6943989121171104, 7.2604181522038616, 4.259065393690246)])
+def test_only_the_seeds_emitted_slopes_and_vertices_of_judged_ones_are_traced(coords):
+    rep = build_rep(TraceCoords(*coords))
+    rep = attach_deformation(rep, random_tangent(rep, np.random.default_rng(7)))
+    for n_max in range(16, 57, 8):
+        curves = enumerate_up_to(rep, n_max + 1)
+    table = rep.table
+    seeds = {(1, 0), (-1, 0), (0, 1), (1, 1), (-1, 1)}
+    vertices = {v for k in table._lengths.keys() - seeds for v in _farey_triangle(*k)}
+    assert set(table._curves) == {(c.p, c.q) for c in curves}
+    assert set(table._memo) == seeds | set(table._curves) | vertices == set(table._words)
+    assert len(table._lengths) > len(table._memo) - len(seeds)  # a frontier judged by value
+
+
+def test_the_deep_444_residual_traces_half_the_slopes_it_judges():
+    rep = build_rep(TraceCoords(4, 4, 4))
+    rep = attach_deformation(rep, random_tangent(rep, np.random.default_rng(DEFAULT_SEED)))
+    report = margulis_residual(rep, 1e-10)
+    assert report.n_max == 88 and sum(b.count for b in report.bins) == 288
+    # every slope is judged as before (the full trace memo held 577 slopes)
+    assert len(rep.table._lengths) == 576 and len(rep.table._memo) <= 300
+
+
 def test_curve_memo_reuses_classes_across_growth():
     rep = _deformed_444()
     short = enumerate_up_to(rep, 20.0)
@@ -463,13 +521,18 @@ def test_classes_are_built_only_for_emitted_slopes():
 
     short = enumerate_up_to(rep, 20.0)
     assert set(table._curves) == emitted(short)
-    # the pruned frontier is traced and judged by its length, but has no class
+    # the pruned frontier is judged by its checked value alone: no trace, no
+    # word matrix and no class, and a length bit-equal to a full trace's
     frontier = set(table._lengths) - set(table._curves)
     assert frontier and all(2 * table.length(*k) >= 20.0 for k in frontier)
-    assert frontier <= set(table._memo)
+    assert frontier.isdisjoint(table._memo) and frontier.isdisjoint(table._words)
     assert any(p < 0 for p, _ in frontier) and any(p > 0 for p, _ in frontier)
-    assert all(type(v) is float and v == translation_length(table._memo[k].re)
-               for k, v in table._lengths.items())
+    assert all(type(v) is float for v in table._lengths.values())
+    assert all(v == translation_length(table._memo[k].re)
+               for k, v in table._lengths.items() if k not in frontier)
+    fresh = make_tables(rep)
+    assert all(table._lengths[k].hex() == translation_length(fresh.trace(*k).re).hex()
+               for k in frontier)
     before = dict(table._curves)
     deep = enumerate_up_to(rep, 30.0)
     assert set(table._curves) == emitted(deep)
