@@ -99,7 +99,8 @@ class TraceTable:
     of a slope being judged; every new trace is checked, value and eps part,
     against the trace of its word matrix and raises RecursionMismatch past
     RECURSION_TOL.  length gives any other slope a checked value and no eps
-    part, and stores only its length.  Build once, then treat as read-only.
+    part, and stores only its length.  A refused slope is stored in no memo.
+    _walk is enumerate_up_to's last walk, which the next deeper call resumes.
     """
 
     def __init__(self, gen_a: DualMatrix2, gen_b: DualMatrix2):
@@ -112,6 +113,7 @@ class TraceTable:
             s: m.val + m.eps for s, m in seeds.items()}
         self._lengths: dict[tuple[int, int], float] = {}
         self._curves: dict[tuple[int, int], CurveClass] = {}
+        self._walk: tuple[float, tuple[CurveClass, ...], list] | None = None
 
     def trace(self, p: int, q: int) -> DualScalar:
         memo = self._memo
@@ -135,9 +137,11 @@ class TraceTable:
         scale = abs(re)
         scale = scale if scale > 1.0 else 1.0  # max(1.0, |re|), which also reads NaN as 1.0
         if abs(re - t.re) > RECURSION_TOL * scale:
+            del words[(p, q)]  # a refused slope keeps no word matrix
             raise RecursionMismatch(f"slope {p}/{q}: recursion {t.re} vs direct {re}")
         a = abs(eps)
         if abs(eps - t.inf) > RECURSION_TOL * (a if a > scale else scale):
+            del words[(p, q)]
             raise RecursionMismatch(f"slope {p}/{q}: recursion eps part {t.inf} vs direct {eps}")
         memo[(p, q)] = t
         return t
@@ -199,7 +203,7 @@ def make_tables(rep) -> TraceTable:
 
 
 def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
-    """Every curve class with 2*length < max_total_length, in Farey order.
+    """Every curve class with 2*length < max_total_length.
 
     Prunes the Stern-Brocot subtree of a node past the cutoff that is at
     least as long as both Farey parents: for positive traces u, v <= c at
@@ -210,26 +214,51 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     visited one get a full trace, value and eps part cross-checked; the rest, the
     pruned frontier, get only their checked value.  The first visited slope with
     a negative trace raises MMLError there; a curve class is built once, on a
-    slope's first emit, and read from the table after.
+    slope's first emit.
+
+    The table keeps the last walk: its cutoff, the classes emitted and the
+    pending list of every visited slope not emitted, in depth-first order, as
+    (length, p, q), or for a pruned slope, its subtree still to walk, as
+    (length, pl, ql, pr, qr, left, right), with its Farey parents and their
+    lengths; it starts as the seeds and the two roots, unjudged at length -inf.
+    A deeper call scans that list: it emits each entry now below the cutoff and
+    walks a pruned one's subtree in its place, so new slopes are judged in a
+    fresh walk's order.  It returns the earlier classes, then the new ones; a
+    call no deeper returns the stored classes below its cutoff.  An error
+    leaves the stored walk as it was.
     """
     cutoff = max_total_length / 2.0
     table = rep.table
-    lengths, classes = table._lengths, table._curves
-    a, b = table.length(1, 0), table.length(0, 1)
-    curves = [table.curve(*s) for s, n in (((1, 0), a), ((0, 1), b)) if n < cutoff]
-    # the positive root is on top, so its whole subtree is walked first
-    stack = [(0, 1, -1, 0, b, a), (0, 1, 1, 0, b, a)]
-    pop, push, emit = stack.pop, stack.append, curves.append
-    while stack:
-        pl, ql, pr, qr, left, right = pop()
-        key = p, q = pl + pr, ql + qr
-        length = lengths.get(key) or table.length(p, q)
-        if length < cutoff:  # a class built on an earlier walk is one probe
-            emit(classes.get(key) or table.curve(p, q))
-        elif length >= left and length >= right:
-            continue
-        push((pl, ql, p, q, left, length))
-        push((p, q, pr, qr, length, right))
+    if table._walk is None:  # the positive root comes first, so its subtree is walked first
+        a, b = table.length(1, 0), table.length(0, 1)
+        roots = [(-math.inf, 0, 1, 1, 0, b, a), (-math.inf, 0, 1, -1, 0, b, a)]
+        table._walk = (-math.inf, (), [(a, 1, 0), (b, 0, 1)] + roots)
+    last, done, pending = table._walk
+    if not cutoff > last:
+        return [c for c in done if c.length < cutoff]
+    curves, kept, stack = list(done), [], []
+    emit, keep, pop, push = curves.append, kept.append, stack.pop, stack.append
+    for entry in pending:
+        if not entry[0] < cutoff:
+            keep(entry)
+        elif len(entry) == 3:  # a seed, or a searched slope
+            emit(table.curve(entry[1], entry[2]))
+        else:  # a pruned slope, or a root not judged yet: walk from it
+            push(entry[1:])
+            while stack:
+                pl, ql, pr, qr, left, right = pop()
+                p, q = pl + pr, ql + qr
+                length = table.length(p, q)
+                if length < cutoff:
+                    emit(table.curve(p, q))
+                elif length >= left and length >= right:
+                    keep((length, pl, ql, pr, qr, left, right))
+                    continue
+                else:
+                    keep((length, p, q))
+                push((pl, ql, p, q, left, length))
+                push((p, q, pr, qr, length, right))
+    table._walk = (cutoff, tuple(curves), kept)
     return curves
 
 

@@ -18,6 +18,11 @@ with warnings.catch_warnings():
         pass
 
 
+def curve_bits(curves) -> set:
+    """Curve classes as a set of (p, q, trace, length, alpha), floats as float.hex."""
+    return {(c.p, c.q, c.trace.hex(), c.length.hex(), c.alpha.hex()) for c in curves}
+
+
 def random_sl2(rng: np.random.Generator) -> np.ndarray:
     """Random element of SL(2,R) with moderate conditioning."""
     m = rng.standard_normal((2, 2))

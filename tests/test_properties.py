@@ -1,6 +1,7 @@
 """Hypothesis properties of both series over in-domain trace coordinates."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -12,14 +13,17 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mml import cli, identity_engine
+from mml.errors import RecursionMismatch
 from mml.identity_engine import _boundary_values, margulis_residual, mcshane_sum
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent)
 from mml.sl2grp import compose, dual_trace, margulis_from_trace, translation_length
 from mml.torus_curves import enumerate_up_to, make_tables
+from conftest import curve_bits
 
 TOL = 1e-6
 
@@ -109,6 +113,62 @@ def test_a_slope_judged_by_value_has_the_length_of_its_full_trace(coords, seed):
     fresh = make_tables(rep)  # traces every slope in full, value and eps part checked
     for (p, q), length in judged.items():
         assert length.hex() == translation_length(fresh.trace(p, q).re).hex(), (p, q)
+
+
+# max_total_length of successive calls: integers, as the growth loop and census ask, and not
+_CUTOFFS = st.lists(st.one_of(st.integers(0, 40).map(float), st.floats(0.0, 40.0)),
+                    min_size=2, max_size=6)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(coords=in_domain_coords(), seed=st.integers(0, 2**32 - 1), cutoffs=_CUTOFFS)
+@example(coords=TraceCoords(4.0, 4.0, 4.0), seed=cli.DEFAULT_SEED,
+         cutoffs=[17.0, 25.0, 25.0, 20.5, 33.25, 9.0, 41.0])
+def test_each_call_on_a_resumed_walk_equals_a_fresh_walk(coords, seed, cutoffs):
+    rep = build_rep(coords)
+    rep = attach_deformation(rep, random_tangent(rep, np.random.default_rng(seed)))
+    deepest, top = [], -math.inf
+    for m in cutoffs:
+        curves = enumerate_up_to(rep, m)
+        fresh = enumerate_up_to(dataclasses.replace(rep), m)  # a table of its own
+        assert len(curves) == len(fresh) and curve_bits(curves) == curve_bits(fresh)
+        if m > top:  # a deeper call resumes the walk: the shallower list is its prefix
+            assert curves[:len(deepest)] == deepest
+            deepest, top = curves, m
+        else:  # read from the stored classes, in their order
+            assert curves == [c for c in deepest if c.length < m / 2.0]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(coords=in_domain_coords(), seed=st.integers(0, 2**32 - 1),
+       first=st.floats(4.0, 30.0), more=st.floats(0.5, 16.0))
+@example(coords=TraceCoords(4.0, 4.0, 4.0), seed=7, first=4.0, more=4.0)
+def test_a_refused_resumed_step_is_refused_again_and_keeps_the_walk(coords, seed, first,
+                                                                    more):
+    rep = build_rep(coords)
+    rep = attach_deformation(rep, random_tangent(rep, np.random.default_rng(seed)))
+    table = rep.table
+    enumerate_up_to(rep, first)
+    walk = table._walk
+    pending = list(walk[2])
+    deeper = first + more
+    pruned = [e for e in pending if len(e) == 7 and e[0] < deeper / 2.0]
+    assume(pruned)
+    # Negate the value half of the word of a Farey parent of the first pruned slope
+    # the deeper step walks from: the next new product with it fails the value check.
+    parent = pruned[0][3:5]
+    word = table._words[parent]
+    table._words[parent] = tuple(-v for v in word[:4]) + word[4:]
+    messages = []
+    for _ in range(2):
+        with pytest.raises(RecursionMismatch) as refused:
+            enumerate_up_to(rep, deeper)
+        messages.append(str(refused.value))
+        assert table._walk is walk and walk[2] == pending
+    assert messages[0] == messages[1]
+    table._words[parent] = word
+    curves = enumerate_up_to(rep, deeper)
+    assert curve_bits(curves) == curve_bits(enumerate_up_to(dataclasses.replace(rep), deeper))
 
 
 def _unbounded_tails():

@@ -18,6 +18,7 @@ from mml.representation import (DeformationSpec, TraceCoords, attach_deformation
 from mml.sl2grp import compose, flat_product, inverse, translation_length
 from mml.torus_curves import (CurveClass, _farey_triangle, bin_curves, christoffel_word,
                               enumerate_up_to, export_census, fit_bin_constant, make_tables)
+from conftest import curve_bits
 from oracles import exact_traces, farey_enumerate
 
 
@@ -443,6 +444,10 @@ def test_corrupted_recursion_is_caught(part):
     check = "eps part" if part.endswith("inf") else r"-?\d"
     with pytest.raises(RecursionMismatch, match=f"^slope {2 * sign}/1: recursion {check}"):
         table.trace(2 * sign, 1)
+    # the refused slope keeps no word matrix and no trace
+    with pytest.raises(KeyError):
+        table.word_matrix((2 * sign, 1))
+    assert (2 * sign, 1) not in table._memo
 
 
 @pytest.mark.parametrize("part", ["word-re", "re", "mirror-word-re", "mirror-re"])
@@ -507,9 +512,11 @@ def test_curve_memo_reuses_classes_across_growth():
     short = enumerate_up_to(rep, 20.0)
     deep = enumerate_up_to(rep, 30.0)
     assert all(c is rep.table.curve(c.p, c.q) for c in short)
-    assert [c for c in deep if c.length < 10.0] == short
+    # the deeper call resumes the walk: the earlier classes, then the new ones
+    assert deep[:len(short)] == short and all(c.length >= 10.0 for c in deep[len(short):])
     # from scratch: a second rep with the same seeded tangent has a table of its own
-    assert enumerate_up_to(_deformed_444(), 30.0) == deep
+    fresh = enumerate_up_to(_deformed_444(), 30.0)
+    assert len(fresh) == len(deep) and curve_bits(fresh) == curve_bits(deep)
 
 
 def test_classes_are_built_only_for_emitted_slopes():
@@ -547,9 +554,10 @@ def test_grown_walk_equals_a_fresh_walk(coords):
         return attach_deformation(r, random_tangent(r, np.random.default_rng(7)))
 
     grown = rep()
-    for n_max in range(16, 57, 8):
-        curves = enumerate_up_to(grown, n_max + 1)
-    assert curves == enumerate_up_to(rep(), 57)
+    steps = [enumerate_up_to(grown, n_max + 1) for n_max in range(16, 57, 8)]
+    assert all(deep[:len(short)] == short for short, deep in zip(steps, steps[1:]))
+    fresh = enumerate_up_to(rep(), 57)
+    assert len(steps[-1]) == len(fresh) and curve_bits(steps[-1]) == curve_bits(fresh)
 
 
 def test_validate_fuchsian_builds_one_table(monkeypatch):
