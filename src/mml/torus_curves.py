@@ -91,16 +91,16 @@ class TraceTable:
     Keys are the signed slopes (p, q), q >= 0, and 1/0 is also stored as -1/0,
     the parent of the negative slopes next to it.  The seeds 1/0, -1/0, 0/1, 1/1
     and -1/1 are traced from compose's products; trace takes any other
-    slope from the other three vertices of its _farey_triangle.  Four memos share
-    the keys: the traces; the word matrix of each traced slope as the 8 floats
-    val + eps, its Farey parents' product by flat_product; the length of each
-    slope asked for by length; the curve class of each slope asked for by curve.
-    A slope is traced in full only for trace or curve, or as a triangle vertex
-    of a slope being judged; every new trace is checked, value and eps part,
-    against the trace of its word matrix and raises RecursionMismatch past
-    RECURSION_TOL.  length gives any other slope a checked value and no eps
-    part, and stores only its length.  A refused slope is stored in no memo.
-    _walk is enumerate_up_to's last walk, which the next deeper call resumes.
+    slope from the other three vertices of its _farey_triangle.  Two memos share
+    the keys: the traces, and the word matrix of each traced slope as the 8
+    floats val + eps, its Farey parents' product by flat_product.  A slope is
+    traced in full only for trace or curve, or as a triangle vertex of a slope
+    being judged; every new trace is checked, value and eps part, against the
+    trace of its word matrix and raises RecursionMismatch past RECURSION_TOL.
+    length gives any other slope a checked value and no eps part, and stores
+    nothing.  A refused slope is stored in neither memo.  _walk is
+    enumerate_up_to's last walk, the only record of the lengths it judged and
+    the classes it emitted, which the next deeper call resumes.
     """
 
     def __init__(self, gen_a: DualMatrix2, gen_b: DualMatrix2):
@@ -111,8 +111,6 @@ class TraceTable:
             s: dual_trace(m) for s, m in seeds.items()}
         self._words: dict[tuple[int, int], tuple[float, ...]] = {
             s: m.val + m.eps for s, m in seeds.items()}
-        self._lengths: dict[tuple[int, int], float] = {}
-        self._curves: dict[tuple[int, int], CurveClass] = {}
         self._walk: tuple[float, tuple[CurveClass, ...], list] | None = None
 
     def trace(self, p: int, q: int) -> DualScalar:
@@ -157,12 +155,8 @@ class TraceTable:
         A slope not traced yet is judged by its value alone: lo.re * up.re -
         th.re from its traced triangle, checked as trace checks it against the
         value part of W(upper)*W(lower).  Raises MMLError on a negative trace,
-        which length pruning cannot handle; nothing is stored then, so every
-        visit raises.
+        which length pruning cannot handle.  Nothing is stored.
         """
-        n = self._lengths.get((p, q))
-        if n is not None:
-            return n
         memo = self._memo
         t = memo.get((p, q))
         if t is not None:
@@ -183,18 +177,13 @@ class TraceTable:
         if t < 0:
             raise MMLError(f"slope {p}/{q} has negative trace {t}; "
                            "length pruning needs positive traces")
-        self._lengths[(p, q)] = n
         return n
 
     def curve(self, p: int, q: int) -> CurveClass:
-        """The class of slope p/q, from its full trace (taken now for a slope
-        judged by value only) and its length."""
-        c = self._curves.get((p, q))
-        if c is None:
-            t = self._memo.get((p, q)) or self.trace(p, q)
-            length = self._lengths.get((p, q)) or self.length(p, q)
-            c = self._curves[(p, q)] = CurveClass(p, q, t.re, length, margulis_from_trace(t))
-        return c
+        """A new class of slope p/q, from its full trace (taken now for a slope
+        judged by value only) and its length; nothing is stored."""
+        t = self._memo.get((p, q)) or self.trace(p, q)
+        return CurveClass(p, q, t.re, self.length(p, q), margulis_from_trace(t))
 
 
 def make_tables(rep) -> TraceTable:
@@ -209,12 +198,12 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     least as long as both Farey parents: for positive traces u, v <= c at
     the parents and the node, a child has trace u*c - v > c, so the whole
     subtree is longer still.  Nearer the root a node may be shorter than a
-    parent, and its subtree is searched.  Nodes are judged by their
-    memoized TraceTable.length: an emitted slope and each triangle vertex of a
+    parent, and its subtree is searched.  Each node is judged once per table,
+    by TraceTable.length: an emitted slope and each triangle vertex of a
     visited one get a full trace, value and eps part cross-checked; the rest, the
     pruned frontier, get only their checked value.  The first visited slope with
     a negative trace raises MMLError there; a curve class is built once, on a
-    slope's first emit.
+    slope's emit.
 
     The table keeps the last walk: its cutoff, the classes emitted and the
     pending list of every visited slope not emitted, in depth-first order, as
@@ -223,9 +212,9 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     lengths; it starts as the seeds and the two roots, unjudged at length -inf.
     A deeper call scans that list: it emits each entry now below the cutoff and
     walks a pruned one's subtree in its place, so new slopes are judged in a
-    fresh walk's order.  It returns the earlier classes, then the new ones; a
-    call no deeper returns the stored classes below its cutoff.  An error
-    leaves the stored walk as it was.
+    fresh walk's order and a pruned one is not judged again.  It returns the
+    earlier classes, then the new ones; a call no deeper returns the stored
+    classes below its cutoff.  An error leaves the stored walk as it was.
     """
     cutoff = max_total_length / 2.0
     table = rep.table
@@ -236,7 +225,7 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     last, done, pending = table._walk
     if not cutoff > last:
         return [c for c in done if c.length < cutoff]
-    curves, kept, stack = list(done), [], []
+    curves, kept, stack, unjudged = list(done), [], [], -math.inf
     emit, keep, pop, push = curves.append, kept.append, stack.pop, stack.append
     for entry in pending:
         if not entry[0] < cutoff:
@@ -244,11 +233,12 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
         elif len(entry) == 3:  # a seed, or a searched slope
             emit(table.curve(entry[1], entry[2]))
         else:  # a pruned slope, or a root not judged yet: walk from it
-            push(entry[1:])
+            push(entry)
             while stack:
-                pl, ql, pr, qr, left, right = pop()
+                length, pl, ql, pr, qr, left, right = pop()
                 p, q = pl + pr, ql + qr
-                length = table.length(p, q)
+                if length == unjudged:
+                    length = table.length(p, q)
                 if length < cutoff:
                     emit(table.curve(p, q))
                 elif length >= left and length >= right:
@@ -256,8 +246,8 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
                     continue
                 else:
                     keep((length, p, q))
-                push((pl, ql, p, q, left, length))
-                push((p, q, pr, qr, length, right))
+                push((unjudged, pl, ql, p, q, left, length))
+                push((unjudged, p, q, pr, qr, length, right))
     table._walk = (cutoff, tuple(curves), kept)
     return curves
 
@@ -269,9 +259,7 @@ def bin_curves(curves: Iterable[CurveClass], n_max: int, n_min: int = 0) -> list
     for c in curves:
         if c.length >= shortest and (n := c.bin_index) <= n_max:
             buckets.setdefault(n, []).append(c)
-    return [CurveBin(n, tuple(sorted(buckets.get(n, []),
-                                     key=lambda c: (c.length, c.p, c.q))))
-            for n in range(n_min, n_max + 1)]
+    return [CurveBin(n, tuple(buckets.get(n, ()))) for n in range(n_min, n_max + 1)]
 
 
 def fit_bin_constant(bins: Iterable[CurveBin]) -> float:
@@ -280,13 +268,13 @@ def fit_bin_constant(bins: Iterable[CurveBin]) -> float:
 
 
 def export_census(bins: list[CurveBin], path) -> None:
-    """CSV census: slope_p, slope_q, word, trace, length, bin; then the row m_hat,
-    fit_bin_constant(bins)."""
+    """CSV census: slope_p, slope_q, word, trace, length, bin, each bin's rows by
+    (length, p, q); then the row m_hat, fit_bin_constant(bins)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["slope_p", "slope_q", "word", "trace", "length", "bin"])
         for b in bins:
-            for c in b.members:
+            for c in sorted(b.members, key=lambda c: (c.length, c.p, c.q)):
                 w.writerow([c.p, c.q, christoffel_word(c.p, c.q),
                             f"{c.trace:.12g}", f"{c.length:.12g}", b.index])
         w.writerow(["m_hat", f"{fit_bin_constant(bins):.12g}", "", "", "", ""])

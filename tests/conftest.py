@@ -23,6 +23,18 @@ def curve_bits(curves) -> set:
     return {(c.p, c.q, c.trace.hex(), c.length.hex(), c.alpha.hex()) for c in curves}
 
 
+def judged(table) -> dict:
+    """Each slope a table's stored walk has judged, mapped to its length: the
+    classes emitted, then each pending entry's slope, (p, q) or, for a pruned
+    entry, (pl + pr, ql + qr); a root not judged yet (length -inf) is skipped."""
+    _, done, pending = table._walk
+    lengths = {(c.p, c.q): c.length for c in done}
+    for e in pending:
+        if e[0] != -math.inf:
+            lengths[(e[1], e[2]) if len(e) == 3 else (e[1] + e[3], e[2] + e[4])] = e[0]
+    return lengths
+
+
 def random_sl2(rng: np.random.Generator) -> np.ndarray:
     """Random element of SL(2,R) with moderate conditioning."""
     m = rng.standard_normal((2, 2))

@@ -23,7 +23,7 @@ from mml.representation import (DeformationSpec, TraceCoords, attach_deformation
                                 random_tangent)
 from mml.sl2grp import compose, dual_trace, margulis_from_trace, translation_length
 from mml.torus_curves import enumerate_up_to, make_tables
-from conftest import curve_bits
+from conftest import curve_bits, judged
 
 TOL = 1e-6
 
@@ -106,12 +106,13 @@ def test_mcshane_partial_sum_is_monotone_in_depth(coords):
 def test_a_slope_judged_by_value_has_the_length_of_its_full_trace(coords, seed):
     rep = build_rep(coords)
     rep = attach_deformation(rep, random_tangent(rep, np.random.default_rng(seed)))
-    enumerate_up_to(rep, 57.0)
-    judged = rep.table._lengths
-    by_value = judged.keys() - rep.table._memo.keys()
+    for n_max in range(16, 57, 8):  # grown as choose_truncation grows it: 17, 25, ..., 57
+        enumerate_up_to(rep, n_max + 1)
+    lengths = judged(rep.table)  # carried in the stored walk across the resumed steps
+    by_value = lengths.keys() - rep.table._memo.keys()
     assert by_value
     fresh = make_tables(rep)  # traces every slope in full, value and eps part checked
-    for (p, q), length in judged.items():
+    for (p, q), length in lengths.items():
         assert length.hex() == translation_length(fresh.trace(p, q).re).hex(), (p, q)
 
 

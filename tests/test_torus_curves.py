@@ -16,9 +16,10 @@ from mml.identity_engine import (_boundary_values, choose_truncation, margulis_r
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent, validate_fuchsian)
 from mml.sl2grp import compose, flat_product, inverse, translation_length
-from mml.torus_curves import (CurveClass, _farey_triangle, bin_curves, christoffel_word,
-                              enumerate_up_to, export_census, fit_bin_constant, make_tables)
-from conftest import curve_bits
+from mml.torus_curves import (CurveClass, TraceTable, _farey_triangle, bin_curves,
+                              christoffel_word, enumerate_up_to, export_census,
+                              fit_bin_constant, make_tables)
+from conftest import curve_bits, judged
 from oracles import exact_traces, farey_enumerate
 
 
@@ -467,7 +468,7 @@ def test_a_slope_judged_by_value_is_checked_against_its_word(part):
         table._memo[key] = DualScalar(t.re + 1.0, t.inf)
     with pytest.raises(RecursionMismatch, match=rf"^slope {2 * sign}/1: recursion -?\d"):
         table.length(*child)
-    assert all(child not in memo for memo in (table._memo, table._words, table._lengths))
+    assert child not in table._memo and child not in table._words
 
 
 def test_an_eps_part_is_checked_where_it_is_computed():
@@ -492,10 +493,12 @@ def test_only_the_seeds_emitted_slopes_and_vertices_of_judged_ones_are_traced(co
         curves = enumerate_up_to(rep, n_max + 1)
     table = rep.table
     seeds = {(1, 0), (-1, 0), (0, 1), (1, 1), (-1, 1)}
-    vertices = {v for k in table._lengths.keys() - seeds for v in _farey_triangle(*k)}
-    assert set(table._curves) == {(c.p, c.q) for c in curves}
-    assert set(table._memo) == seeds | set(table._curves) | vertices == set(table._words)
-    assert len(table._lengths) > len(table._memo) - len(seeds)  # a frontier judged by value
+    lengths = judged(table)
+    vertices = {v for k in lengths.keys() - seeds for v in _farey_triangle(*k)}
+    emitted = {(c.p, c.q) for c in curves}
+    assert emitted <= lengths.keys()
+    assert set(table._memo) == seeds | emitted | vertices == set(table._words)
+    assert len(lengths) > len(table._memo) - len(seeds)  # a frontier judged by value
 
 
 def test_the_deep_444_residual_traces_half_the_slopes_it_judges():
@@ -504,16 +507,17 @@ def test_the_deep_444_residual_traces_half_the_slopes_it_judges():
     report = margulis_residual(rep, 1e-10)
     assert report.n_max == 88 and sum(b.count for b in report.bins) == 288
     # every slope is judged as before (the full trace memo held 577 slopes)
-    assert len(rep.table._lengths) == 576 and len(rep.table._memo) <= 300
+    assert len(judged(rep.table)) == 576 and len(rep.table._memo) <= 300
 
 
 def test_curve_memo_reuses_classes_across_growth():
     rep = _deformed_444()
     short = enumerate_up_to(rep, 20.0)
     deep = enumerate_up_to(rep, 30.0)
-    assert all(c is rep.table.curve(c.p, c.q) for c in short)
-    # the deeper call resumes the walk: the earlier classes, then the new ones
-    assert deep[:len(short)] == short and all(c.length >= 10.0 for c in deep[len(short):])
+    # the deeper call resumes the walk: the earlier classes themselves, then the new ones
+    assert all(deep[i] is c for i, c in enumerate(short))
+    assert all(c.length >= 10.0 for c in deep[len(short):])
+    assert all(rep.table.curve(c.p, c.q) == c for c in deep)  # a new class, equal
     # from scratch: a second rep with the same seeded tangent has a table of its own
     fresh = enumerate_up_to(_deformed_444(), 30.0)
     assert len(fresh) == len(deep) and curve_bits(fresh) == curve_bits(deep)
@@ -522,28 +526,32 @@ def test_curve_memo_reuses_classes_across_growth():
 def test_classes_are_built_only_for_emitted_slopes():
     rep = _deformed_444()
     table = rep.table
+    built = []
 
-    def emitted(curves):
-        return {(c.p, c.q) for c in curves}
+    def curve(p, q):  # counts the classes the walk builds
+        built.append((p, q))
+        return TraceTable.curve(table, p, q)
 
+    table.curve = curve
     short = enumerate_up_to(rep, 20.0)
-    assert set(table._curves) == emitted(short)
+    assert built == [(c.p, c.q) for c in short]
     # the pruned frontier is judged by its checked value alone: no trace, no
     # word matrix and no class, and a length bit-equal to a full trace's
-    frontier = set(table._lengths) - set(table._curves)
+    lengths = judged(table)
+    frontier = lengths.keys() - set(built)
     assert frontier and all(2 * table.length(*k) >= 20.0 for k in frontier)
     assert frontier.isdisjoint(table._memo) and frontier.isdisjoint(table._words)
     assert any(p < 0 for p, _ in frontier) and any(p > 0 for p, _ in frontier)
-    assert all(type(v) is float for v in table._lengths.values())
+    assert all(type(v) is float for v in lengths.values())
     assert all(v == translation_length(table._memo[k].re)
-               for k, v in table._lengths.items() if k not in frontier)
+               for k, v in lengths.items() if k not in frontier)
     fresh = make_tables(rep)
-    assert all(table._lengths[k].hex() == translation_length(fresh.trace(*k).re).hex()
+    assert all(lengths[k].hex() == translation_length(fresh.trace(*k).re).hex()
                for k in frontier)
-    before = dict(table._curves)
+    built.clear()
     deep = enumerate_up_to(rep, 30.0)
-    assert set(table._curves) == emitted(deep)
-    assert all(table._curves[k] is c for k, c in before.items())
+    assert built == [(c.p, c.q) for c in deep[len(short):]]
+    assert all(deep[i] is c for i, c in enumerate(short))
 
 
 @pytest.mark.parametrize("coords", [(4, 4, 4), (3, 3, 3),
