@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class DualScalar:
     """One element a + b*eps of R[eps]/(eps^2); only * and -, the trace
     recursion's operations, are defined."""
@@ -17,11 +17,7 @@ class DualScalar:
     re: float
     inf: float = 0.0
 
-    def __init__(self, re: float, inf: float = 0.0):  # slot writes, no object.__setattr__
-        _set_re(self, re)
-        _set_inf(self, inf)
-
-    def __sub__(self, other):  # writes the slots as __init__ does, without calling it
+    def __sub__(self, other):  # * and - write the slots, not object.__setattr__ per field
         r = _new(DualScalar)
         _set_re(r, self.re - other.re)
         _set_inf(r, self.inf - other.inf)

@@ -98,7 +98,8 @@ class TraceTable:
     being judged; every new trace is checked, value and eps part, against the
     trace of its word matrix and raises RecursionMismatch past RECURSION_TOL.
     length gives any other slope a checked value and no eps part, and stores
-    nothing.  A refused slope is stored in neither memo.  _walk is
+    nothing.  A slope is stored in both memos at once, only after both checks
+    pass, so a refused slope is stored in neither.  _walk is
     enumerate_up_to's last walk, the only record of the lengths it judged and
     the classes it emitted, which the next deeper call resumes.
     """
@@ -126,21 +127,18 @@ class TraceTable:
         up = memo.get(upper) or self.trace(*upper)
         th = memo.get(third) or self.trace(*third)
         t = lo * up - th
-        # word(p/q) = word(upper) + word(lower), and both parents are traced,
-        # so their word matrices are in the memo: one product per new slope.
-        words = self._words
-        words[(p, q)] = flat_product(words[upper], words[lower])
-        m = self.word_matrix((p, q))
+        # word(p/q) = word(upper) + word(lower), and both parents are traced, so their
+        # word matrices are in the memo: one product and one word_matrix call per new slope.
+        m = flat_product(self.word_matrix(upper), self._words[lower])
         re, eps = m[0] + m[3], m[4] + m[7]
         scale = abs(re)
         scale = scale if scale > 1.0 else 1.0  # max(1.0, |re|), which also reads NaN as 1.0
         if abs(re - t.re) > RECURSION_TOL * scale:
-            del words[(p, q)]  # a refused slope keeps no word matrix
             raise RecursionMismatch(f"slope {p}/{q}: recursion {t.re} vs direct {re}")
         a = abs(eps)
         if abs(eps - t.inf) > RECURSION_TOL * (a if a > scale else scale):
-            del words[(p, q)]
             raise RecursionMismatch(f"slope {p}/{q}: recursion eps part {t.inf} vs direct {eps}")
+        self._words[(p, q)] = m  # stored only once both checks pass
         memo[(p, q)] = t
         return t
 
@@ -182,7 +180,7 @@ class TraceTable:
     def curve(self, p: int, q: int) -> CurveClass:
         """A new class of slope p/q, from its full trace (taken now for a slope
         judged by value only) and its length; nothing is stored."""
-        t = self._memo.get((p, q)) or self.trace(p, q)
+        t = self.trace(p, q)
         return CurveClass(p, q, t.re, self.length(p, q), margulis_from_trace(t))
 
 

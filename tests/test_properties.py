@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -166,6 +167,10 @@ def test_a_refused_resumed_step_is_refused_again_and_keeps_the_walk(coords, seed
             enumerate_up_to(rep, deeper)
         messages.append(str(refused.value))
         assert table._walk is walk and walk[2] == pending
+        # the two memos stay in step, and the refused slope is in neither
+        assert set(table._memo) == set(table._words)
+        p, q = map(int, re.match(r"slope (-?\d+)/(\d+):", messages[-1]).groups())
+        assert (p, q) not in table._memo and (p, q) not in table._words
     assert messages[0] == messages[1]
     table._words[parent] = word
     curves = enumerate_up_to(rep, deeper)

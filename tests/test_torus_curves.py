@@ -554,6 +554,23 @@ def test_classes_are_built_only_for_emitted_slopes():
     assert all(deep[i] is c for i, c in enumerate(short))
 
 
+def test_each_traced_slope_takes_one_word_product():
+    rep = _deformed_444()
+    table = rep.table
+    asked, unknown = [], []
+
+    def word_matrix(slope):  # counts the word products the walk takes
+        asked.append(slope)
+        if slope not in table._words:
+            unknown.append(slope)
+        return TraceTable.word_matrix(table, slope)
+
+    table.word_matrix = word_matrix
+    enumerate_up_to(rep, 57)
+    assert len(asked) == len(table._memo) - 5 > 0  # the traced slopes beyond the seeds
+    assert unknown == []
+
+
 @pytest.mark.parametrize("coords", [(4, 4, 4), (3, 3, 3),
                                     (2.6943989121171104, 7.2604181522038616, 4.259065393690246)])
 def test_grown_walk_equals_a_fresh_walk(coords):
