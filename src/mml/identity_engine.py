@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import NonConvergence, NotHyperbolic
 # PARABOLIC_TOL is unused here, but perfbench's cusp inputs read identity_engine.PARABOLIC_TOL.
@@ -36,15 +36,16 @@ _BIN_JSON = ('    {\n      "n": %s,\n      "count": %s,\n      "sum_d": %s,\n'
 
 
 def gap_D(x: float, y: float, z: float) -> float:
-    """2 log((e^{x/2} + e^{(y+z)/2}) / (e^{-x/2} + e^{(y+z)/2})).
+    """2 log((e^{x/2} + e^{(y+z)/2}) / (e^{-x/2} + e^{(y+z)/2}))."""
+    return _gap_term(x / 2.0, 2.0 * math.sinh(x / 2.0), math.exp(-x / 2.0), (y + z) / 2.0)
 
-    Evaluated as 2 log1p(2 sinh(x/2) / (e^{-x/2} + e^{(y+z)/2})) so that
-    large y + z does not cancel.
-    """
-    w, s = (y + z) / 2.0, 2.0 * math.sinh(x / 2.0)
+
+def _gap_term(h: float, s: float, e: float, w: float) -> float:
+    """gap_D at x = 2h, y + z = 2w, from x's factors s = 2 sinh(h) and e = e^-h, as
+    2 log1p(s / (e + e^w)), so that large y + z does not cancel."""
     if w > 700.0:  # divide through by e^w, which would overflow
-        return 2.0 * math.log1p(s * math.exp(-w) / (math.exp(-x / 2.0 - w) + 1.0))
-    return 2.0 * math.log1p(s / (math.exp(-x / 2.0) + math.exp(w)))
+        return 2.0 * math.log1p(s * math.exp(-w) / (math.exp(-h - w) + 1.0))
+    return 2.0 * math.log1p(s / (e + math.exp(w)))
 
 
 def coeff_H(u: float, v: float) -> float:
@@ -55,18 +56,33 @@ def coeff_H(u: float, v: float) -> float:
 
 def coeff_K(u: float, v: float) -> float:
     """-sinh(v/2) / (cosh(u/2) + cosh(v/2)); equals the difference form of H."""
+    return _k_term(u, math.sinh(v / 2.0), math.cosh(v / 2.0))
+
+
+def _k_term(u: float, sh: float, ch: float) -> float:
+    """coeff_K(u, v) from v's factors sh = sinh(v/2) and ch = cosh(v/2)."""
     if u > 1400.0:  # cosh(u/2) would overflow: divide through by it, up to e^-u
         s = 2.0 * math.exp(-u / 2.0)
-        return -math.sinh(v / 2.0) * s / (1.0 + math.cosh(v / 2.0) * s)
-    return -math.sinh(v / 2.0) / (math.cosh(u / 2.0) + math.cosh(v / 2.0))
+        return -sh * s / (1.0 + ch * s)
+    return -sh / (math.cosh(u / 2.0) + ch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BinStat:
     n: int
     count: int
     sum_d: float
     sum_deriv: float
+
+    def __init__(self, n: int, count: int, sum_d: float, sum_deriv: float):
+        _set_n(self, n)
+        _set_count(self, count)
+        _set_sum_d(self, sum_d)
+        _set_sum_deriv(self, sum_deriv)
+
+
+_set_n, _set_count, _set_sum_d, _set_sum_deriv = (  # slot writes, as in CurveClass
+    getattr(BinStat, f.name).__set__ for f in fields(BinStat))
 
 
 @dataclass(frozen=True)
@@ -145,7 +161,7 @@ def kappa_from_bins(bins: list[CurveBin], ell_bdry: float, alpha_bdry: float) ->
     k = abs(alpha_bdry) / ell_bdry if ell_bdry > 0 else 0.0
     for b in bins:
         for c in b.members:
-            k = max(k, abs(c.alpha) / c.length)
+            k = r if (r := abs(c.alpha) / c.length) > k else k  # max(k, r), NaN k kept too
     return k
 
 
@@ -198,6 +214,8 @@ def _verify_series(rep, tail_tolerance: float, n_ceiling: int,
         tail = lambda n, m, k, stop: tail_bound_derivative(n, m, ell_bdry, k, alpha_bdry, stop)
     bins, m_hat, kappa, tail_bound = choose_truncation(rep, ell_bdry, alpha_bdry,
                                                        tail_tolerance, n_ceiling, tail)
+    h = ell_bdry / 2.0  # the boundary's factors of gap_D and coeff_K, once per report
+    sh, ch, e, s = math.sinh(h), math.cosh(h), math.exp(-h), 2.0 * math.sinh(h)
     stats, terms, hs = [], [], []
     for b in bins:
         sd, sv = [], []
@@ -208,8 +226,8 @@ def _verify_series(rep, tail_tolerance: float, n_ceiling: int,
             if ell_bdry == 0:
                 sd.append(hu)  # H(2l, 0) = lim D(x, l, l)/x, the cusp summand 2/(1+e^l)
             else:
-                sd.append(gap_D(ell_bdry, l, l))
-                sv.append(hu * alpha_bdry + coeff_K(u, ell_bdry) * (a + a))
+                sd.append(_gap_term(h, s, e, l))  # gap_D(ell_bdry, l, l)
+                sv.append(hu * alpha_bdry + _k_term(u, sh, ch) * (a + a))
             hs.append(hu)
         # fsum would raise on an inf term or overflow: such alphas fail choose_truncation first
         stats.append(BinStat(b.index, len(b.members), math.fsum(sd), math.fsum(sv)))

@@ -53,10 +53,17 @@ _set_p, _set_q, _set_trace, _set_length, _set_alpha = (  # slot writes, as in Du
     getattr(CurveClass, f.name).__set__ for f in fields(CurveClass))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CurveBin:
     index: int
     members: tuple[CurveClass, ...]
+
+    def __init__(self, index: int, members: tuple[CurveClass, ...]):
+        _set_index(self, index)
+        _set_members(self, members)
+
+
+_set_index, _set_members = (getattr(CurveBin, f.name).__set__ for f in fields(CurveBin))
 
 
 @lru_cache(maxsize=None)
@@ -97,9 +104,9 @@ class TraceTable:
     traced in full only for trace or curve, or as a triangle vertex of a slope
     being judged; every new trace is checked, value and eps part, against the
     trace of its word matrix and raises RecursionMismatch past RECURSION_TOL.
-    length gives any other slope a checked value and no eps part, and stores
-    nothing.  A slope is stored in both memos at once, only after both checks
-    pass, so a refused slope is stored in neither.  _walk is
+    length gives any other slope a checked value, no eps part, and stores nothing;
+    curve takes the length it gave.  A slope is stored in both memos at once, only
+    after both checks pass, so a refused slope is stored in neither.  _walk is
     enumerate_up_to's last walk, the only record of the lengths it judged and
     the classes it emitted, which the next deeper call resumes.
     """
@@ -177,11 +184,11 @@ class TraceTable:
                            "length pruning needs positive traces")
         return n
 
-    def curve(self, p: int, q: int) -> CurveClass:
-        """A new class of slope p/q, from its full trace (taken now for a slope
-        judged by value only) and its length; nothing is stored."""
+    def curve(self, p: int, q: int, length: float) -> CurveClass:
+        """A new class of slope p/q with its judged length self.length(p, q), from its full
+        trace (taken now for a slope judged by value only); nothing is stored."""
         t = self.trace(p, q)
-        return CurveClass(p, q, t.re, self.length(p, q), margulis_from_trace(t))
+        return CurveClass(p, q, t.re, length, margulis_from_trace(t))
 
 
 def make_tables(rep) -> TraceTable:
@@ -201,7 +208,7 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     visited one get a full trace, value and eps part cross-checked; the rest, the
     pruned frontier, get only their checked value.  The first visited slope with
     a negative trace raises MMLError there; a curve class is built once, on a
-    slope's emit.
+    slope's emit, with the length it was judged by, so no length is computed twice.
 
     The table keeps the last walk: its cutoff, the classes emitted and the
     pending list of every visited slope not emitted, in depth-first order, as
@@ -229,7 +236,7 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
         if not entry[0] < cutoff:
             keep(entry)
         elif len(entry) == 3:  # a seed, or a searched slope
-            emit(table.curve(entry[1], entry[2]))
+            emit(table.curve(entry[1], entry[2], entry[0]))
         else:  # a pruned slope, or a root not judged yet: walk from it
             push(entry)
             while stack:
@@ -238,7 +245,7 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
                 if length == unjudged:
                     length = table.length(p, q)
                 if length < cutoff:
-                    emit(table.curve(p, q))
+                    emit(table.curve(p, q, length))
                 elif length >= left and length >= right:
                     keep((length, pl, ql, pr, qr, left, right))
                     continue

@@ -11,12 +11,12 @@ from mml.cli import DEFAULT_SEED
 from mml.dualnum import DualScalar
 from mml import identity_engine
 from mml.errors import MMLError, NonConvergence, NotHyperbolic, RecursionMismatch
-from mml.identity_engine import (_boundary_values, choose_truncation, margulis_residual,
-                                 mcshane_sum, tail_bound_identity)
+from mml.identity_engine import (BinStat, _boundary_values, choose_truncation,
+                                 margulis_residual, mcshane_sum, tail_bound_identity)
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent, validate_fuchsian)
 from mml.sl2grp import compose, flat_product, inverse, translation_length
-from mml.torus_curves import (CurveClass, TraceTable, _farey_triangle, bin_curves,
+from mml.torus_curves import (CurveBin, CurveClass, TraceTable, _farey_triangle, bin_curves,
                               christoffel_word, enumerate_up_to, export_census,
                               fit_bin_constant, make_tables)
 from conftest import curve_bits, judged
@@ -35,17 +35,23 @@ def _trace(rep, s):
 def test_enumerated_and_curve_slopes_are_canonical():
     table = make_tables(build_rep(TraceCoords(4, 4, 4)))
     for p, q in farey_enumerate(30):
-        c = table.curve(p, q)
+        c = table.curve(p, q, table.length(p, q))
         assert (c.p, c.q) == (p, q) and type(p) is int and type(q) is int
         assert math.gcd(abs(p), q) == 1 and (q > 0 or (p, q) == (1, 0))
 
 
+_CLASS = CurveClass(1, 2, 3.5, 1.9248473002384139, 0.25)
+_CLASS_TEXT = "CurveClass(p=1, q=2, trace=3.5, length=1.9248473002384139, alpha=0.25)"
+
+
 @pytest.mark.parametrize("value, field, other", [
     (DualScalar(1.5, -2.0), "inf", 2.0),
-    (CurveClass(1, 2, 3.5, 1.9248473002384139, 0.25), "alpha", 0.5),
-], ids=["DualScalar", "CurveClass"])
+    (_CLASS, "alpha", 0.5),
+    (CurveBin(3, (_CLASS,)), "index", 4),
+    (BinStat(3, 1, 0.125, -0.25), "sum_deriv", 0.5),
+], ids=["DualScalar", "CurveClass", "CurveBin", "BinStat"])
 def test_value_types_are_slotted_frozen_and_hash_by_fields(value, field, other):
-    # at least four are built per newly traced slope: no per-instance dict
+    # built per traced slope, per emitted slope or per bin: no per-instance dict
     assert not hasattr(value, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, field, other)
@@ -57,9 +63,10 @@ def test_value_types_are_slotted_frozen_and_hash_by_fields(value, field, other):
 
 @pytest.mark.parametrize("cls, args, text", [
     (DualScalar, (1.5, -2.0), "DualScalar(re=1.5, inf=-2.0)"),
-    (CurveClass, (1, 2, 3.5, 1.9248473002384139, 0.25),
-     "CurveClass(p=1, q=2, trace=3.5, length=1.9248473002384139, alpha=0.25)"),
-], ids=["DualScalar", "CurveClass"])
+    (CurveClass, (1, 2, 3.5, 1.9248473002384139, 0.25), _CLASS_TEXT),
+    (CurveBin, (3, (_CLASS,)), f"CurveBin(index=3, members=({_CLASS_TEXT},))"),
+    (BinStat, (3, 1, 0.125, -0.25), "BinStat(n=3, count=1, sum_d=0.125, sum_deriv=-0.25)"),
+], ids=["DualScalar", "CurveClass", "CurveBin", "BinStat"])
 def test_value_types_build_copy_and_pickle_through_their_own_init(cls, args, text):
     # __init__ writes the slots itself; the dataclass's other methods must still see them
     names = [f.name for f in dataclasses.fields(cls)]
@@ -67,8 +74,12 @@ def test_value_types_build_copy_and_pickle_through_their_own_init(cls, args, tex
     assert cls(**dict(zip(names, args))) == value
     assert tuple(getattr(value, n) for n in names) == args
     assert repr(value) == text
-    short = cls(*args[:-1])  # the last field defaults to 0.0 (inf, alpha)
-    assert getattr(short, names[-1]) == 0.0 and short == cls(*args[:-1], 0.0)
+    if dataclasses.fields(cls)[-1].default is not dataclasses.MISSING:
+        short = cls(*args[:-1])  # the last field defaults to 0.0 (inf, alpha)
+        assert getattr(short, names[-1]) == 0.0 and short == cls(*args[:-1], 0.0)
+    else:
+        with pytest.raises(TypeError):
+            cls(*args[:-1])
     with pytest.raises(TypeError):
         cls(*args[:-2])  # a field without a default is missing
     with pytest.raises(TypeError):
@@ -223,7 +234,7 @@ def test_enumerated_slopes_equal_brute_force_filter(coords):
     table = make_tables(rep)
     cutoff = 30.0
     got = {(c.p, c.q) for c in enumerate_up_to(rep, cutoff)}
-    want = {s for s in farey_enumerate(40) if 2 * table.curve(*s).length < cutoff}
+    want = {s for s in farey_enumerate(40) if 2 * translation_length(table.trace(*s).re) < cutoff}
     assert got == want and len(got) >= 20
 
 
@@ -481,7 +492,7 @@ def test_an_eps_part_is_checked_where_it_is_computed():
     assert table.length(2, 1) == clean.length(2, 1)
     assert (2, 1) not in table._memo and (2, 1) not in table._words
     with pytest.raises(RecursionMismatch, match="^slope 2/1: recursion eps part"):
-        table.curve(2, 1)
+        table.curve(2, 1, table.length(2, 1))
 
 
 @pytest.mark.parametrize("coords", [(4, 4, 4), (3, 3, 3), (2.2, 150, 100),
@@ -517,7 +528,8 @@ def test_curve_memo_reuses_classes_across_growth():
     # the deeper call resumes the walk: the earlier classes themselves, then the new ones
     assert all(deep[i] is c for i, c in enumerate(short))
     assert all(c.length >= 10.0 for c in deep[len(short):])
-    assert all(rep.table.curve(c.p, c.q) == c for c in deep)  # a new class, equal
+    assert all(rep.table.curve(c.p, c.q, rep.table.length(c.p, c.q)) == c
+               for c in deep)  # a new class, equal
     # from scratch: a second rep with the same seeded tangent has a table of its own
     fresh = enumerate_up_to(_deformed_444(), 30.0)
     assert len(fresh) == len(deep) and curve_bits(fresh) == curve_bits(deep)
@@ -528,9 +540,9 @@ def test_classes_are_built_only_for_emitted_slopes():
     table = rep.table
     built = []
 
-    def curve(p, q):  # counts the classes the walk builds
+    def curve(p, q, length):  # counts the classes the walk builds, each with its judged length
         built.append((p, q))
-        return TraceTable.curve(table, p, q)
+        return TraceTable.curve(table, p, q, length)
 
     table.curve = curve
     short = enumerate_up_to(rep, 20.0)
@@ -552,6 +564,23 @@ def test_classes_are_built_only_for_emitted_slopes():
     deep = enumerate_up_to(rep, 30.0)
     assert built == [(c.p, c.q) for c in deep[len(short):]]
     assert all(deep[i] is c for i, c in enumerate(short))
+
+
+def test_each_judged_slope_takes_one_length(monkeypatch):
+    import mml.torus_curves as tc
+
+    rep = _deformed_444()
+    calls = []
+
+    def counting(t):  # counts the acosh the walk runs
+        calls.append(t)
+        return translation_length(t)
+
+    monkeypatch.setattr(tc, "translation_length", counting)
+    curves = enumerate_up_to(rep, 57)
+    # an emitted slope takes the length it was judged by: it is not computed again
+    assert 0 < len(calls) <= len(judged(rep.table))
+    assert all(c.length.hex() == translation_length(c.trace).hex() for c in curves)
 
 
 def test_each_traced_slope_takes_one_word_product():
