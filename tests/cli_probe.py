@@ -7,17 +7,24 @@ spec files with huge tangent scales, usage errors, and two known failures.
 probe() runs each argv in process, in a scratch working directory with
 relative file names, and hashes (exit code, stdout, stderr, warnings, files
 written), so a hash moves with any byte the command writes and with nothing
-else.  PROBE_cli.json at the repo root holds the recorded hashes;
-tests/test_cli_probe.py fails on any change.  After a deliberate behaviour
-change, record it again from the repo root with
+else.  PROBE_cli.json at the repo root holds the recorded hashes of the first
+200 cases, and tests/test_cli_probe.py fails on any change; PROBE_cli_1500.json
+holds the first 1,500, checked as a CI step of its own with
+
+    PYTHONPATH=src python tests/cli_probe.py --count 1500 --record PROBE_cli_1500.json --check
+
+which prints each argv whose hash moved and exits 1 if any did.  After a
+deliberate behaviour change, record both again from the repo root with
 
     PYTHONPATH=src python tests/cli_probe.py
+    PYTHONPATH=src python tests/cli_probe.py --count 1500 --record PROBE_cli_1500.json
 
 and list every changed argv in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import argparse
 import collections
 import contextlib
 import hashlib
@@ -203,9 +210,45 @@ def record(results: list[dict]) -> dict:
             "cases": results}
 
 
-if __name__ == "__main__":  # one line per case, so a diff names the argv that moved
-    rec = record(probe(corpus()))
+def changed(want: dict) -> list[tuple]:
+    """Run the corpus that the record want was taken from; (argv, exit code recorded,
+    exit code now) for each case whose hash moved, and ("exit_counts", recorded, now)
+    if the counts per exit code differ.  AssertionError if the corpus itself differs."""
+    cases = corpus(want["seed"], want["count"])
+    assert cases == [{k: v for k, v in c.items() if k not in ("sha256", "exit")}
+                     for c in want["cases"]]  # the same corpus, inputs included
+    got = probe(cases)
+    moved = [(g["argv"], w["exit"], g["exit"])
+             for g, w in zip(got, want["cases"]) if g["sha256"] != w["sha256"]]
+    if (counts := record(got)["exit_counts"]) != want["exit_counts"]:
+        moved.append(("exit_counts", want["exit_counts"], counts))
+    return moved
+
+
+def _main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Record the probe's hashes, or --check them.")
+    ap.add_argument("--count", type=int, default=COUNT, help=f"cases to record (default {COUNT})")
+    ap.add_argument("--record", type=Path, default=RECORD, help=f"record file (default {RECORD.name})")
+    ap.add_argument("--check", action="store_true",
+                    help="compare with the record (its own count) instead of writing it")
+    args = ap.parse_args(argv)
+    if args.check:
+        want = json.loads(args.record.read_text())
+        if want["python"] != "%d.%d" % sys.version_info[:2]:  # argparse words its own errors
+            print(f"skipped: {args.record.name} was recorded under Python {want['python']}")
+            return 0
+        moved = changed(want)
+        for argv, before, after in moved:
+            print(f"moved: {argv}: exit {before} -> {after}")
+        print(f"{args.record.name}: {len(moved)} of {want['count']} cases moved")
+        return 1 if moved else 0
+    rec = record(probe(corpus(count=args.count)))
     head = json.dumps({k: v for k, v in rec.items() if k != "cases"}, indent=1)
-    cases = ",\n".join("  " + json.dumps(c) for c in rec["cases"])
-    RECORD.write_text(head[:-2] + ',\n "cases": [\n' + cases + "\n ]\n}\n")
-    print(f"wrote {RECORD.name}")
+    cases = ",\n".join("  " + json.dumps(c) for c in rec["cases"])  # one line per case,
+    args.record.write_text(head[:-2] + ',\n "cases": [\n' + cases + "\n ]\n}\n")  # so a diff names the argv
+    print(f"wrote {args.record.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main())
