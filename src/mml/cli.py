@@ -196,7 +196,8 @@ def _add_rep(p: argparse.ArgumentParser, seed: bool = True) -> None:
 
 
 def _add_series(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-6, help="tail tolerance")
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="tail tolerance, > 0 (a value starting with - needs the = form)")
     p.add_argument("--n-ceiling", type=int, default=200, help="bin ceiling")
     p.add_argument("--out", help="output path (default: stdout)")
 
@@ -228,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_series(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--deform", choices=["path", "tangent", "zero"], default="zero")
-    p.add_argument("--path-dir", default="1,1,1", help="coordinate direction for --deform path")
+    p.add_argument("--path-dir", default="1,1,1", help="coordinate direction for --deform path "
+                   "(a value starting with - needs the = form: --path-dir=-3,1,2)")
     p.set_defaults(fn=lambda args: _verify(args, engine.margulis_residual))
 
     p = sub.add_parser("census", help="export the curve census as CSV")

@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import NonConvergence, NotHyperbolic
-# PARABOLIC_TOL is unused here, but perfbench's cusp inputs read identity_engine.PARABOLIC_TOL.
+# Unused here: perfbench reads identity_engine.PARABOLIC_TOL and wraps its make_tables.
 from .sl2grp import PARABOLIC_TOL, dual_trace, margulis_from_trace, translation_length
-# make_tables is unused here, but perfbench's tracer wraps identity_engine.make_tables.
 from .torus_curves import CurveBin, bin_curves, enumerate_up_to, fit_bin_constant, make_tables
 
 #: Safety inflation applied to the fitted bin constant and kappa estimate.
@@ -119,16 +118,18 @@ class SeriesReport:
 
 def _tail_sum(n_max: int, m_hat: float, c: float, kappa_hat: float, a: float,
               bound: float = math.inf) -> float:
-    """Certified remainder beyond bin n_max: the sum over N > n_max of
-    S m_hat c (2 S kappa_hat N + a) (N+1)^2 e^{-N/2}, S = SAFETY_FACTOR, until the
-    increments vanish or the sum passes bound.  Adding terms >= 0 never lowers a
-    float sum, so one that ends <= bound keeps its bits."""
+    """Certified remainder beyond bin n_max: the sum over N > n_max of S m_hat c
+    (2 S kappa_hat N + a) (N+1)^2 e^{-N/2}, S = SAFETY_FACTOR, until the increments
+    vanish or the sum passes bound.  Adding terms >= 0 never lowers a float sum, so one
+    that ends <= bound keeps its bits; one that is not finite raises OverflowError."""
     m, k = SAFETY_FACTOR * m_hat, SAFETY_FACTOR * kappa_hat
     acc = 0.0
     for n in range(n_max + 1, n_max + 4001):
         acc += (t := m * c * (2.0 * k * n + a) * (n + 1) ** 2 * math.exp(-n / 2.0))
         if acc > bound or t <= 1e-22 * max(acc, 1e-300):
             break
+    if not math.isfinite(acc):
+        raise OverflowError(f"tail {acc} at n_max {n_max}")
     return acc
 
 

@@ -11,7 +11,6 @@ is spelled out only for the census.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -273,13 +272,13 @@ def fit_bin_constant(bins: Iterable[CurveBin]) -> float:
 
 
 def export_census(bins: list[CurveBin], path) -> None:
-    """CSV census: slope_p, slope_q, word, trace, length, bin, each bin's rows by
-    (length, p, q); then the row m_hat, fit_bin_constant(bins)."""
+    """CSV census as one string, written once: the header, each bin's rows by (length, p, q),
+    the row m_hat.  No field needs quoting (ints, {a, A, b} words, .12g floats): csv's bytes."""
+    rows = ["slope_p,slope_q,word,trace,length,bin\r\n"]
+    for b in bins:
+        for c in sorted(b.members, key=lambda c: (c.length, c.p, c.q)):
+            rows.append(f"{c.p},{c.q},{christoffel_word(c.p, c.q)},"
+                        f"{c.trace:.12g},{c.length:.12g},{b.index}\r\n")
+    rows.append(f"m_hat,{fit_bin_constant(bins):.12g},,,,\r\n")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["slope_p", "slope_q", "word", "trace", "length", "bin"])
-        for b in bins:
-            for c in sorted(b.members, key=lambda c: (c.length, c.p, c.q)):
-                w.writerow([c.p, c.q, christoffel_word(c.p, c.q),
-                            f"{c.trace:.12g}", f"{c.length:.12g}", b.index])
-        w.writerow(["m_hat", f"{fit_bin_constant(bins):.12g}", "", "", "", ""])
+        fh.write("".join(rows))

@@ -14,7 +14,8 @@ code with what it checks.  It holds:
 * the determinant of a dual 2x2 matrix and the unit-determinant group test;
 * the boundary trace of three floats as an exact Fraction, and the domain
   decision read from it;
-* the canonical slopes with |p| + q up to a bound.
+* the canonical slopes with |p| + q up to a bound;
+* the census CSV as csv.writer writes it.
 
 A dual matrix is anything with value and eps parts ``m.val`` and ``m.eps``, each
 the 4 entries of a 2x2 matrix, row-major.
@@ -22,6 +23,7 @@ the 4 entries of a 2x2 matrix, row-major.
 
 from __future__ import annotations
 
+import csv
 import decimal
 import math
 from dataclasses import dataclass
@@ -72,6 +74,17 @@ def farey_enumerate(n: int) -> list[tuple[int, int]]:
     each followed by -p/q."""
     return [(1, 0), (0, 1)] + [(s * p, q) for q in range(1, n) for p in range(1, n - q + 1)
                                if math.gcd(p, q) == 1 for s in (1, -1)]
+
+
+def census_csv(rows, m_hat: float, path) -> None:
+    """The census file through csv.writer: the header, each row (p, q, word, trace,
+    length, bin) in the order given, floats as .12g, then the row m_hat."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["slope_p", "slope_q", "word", "trace", "length", "bin"])
+        for p, q, word, trace, length, n in rows:
+            w.writerow([p, q, word, f"{trace:.12g}", f"{length:.12g}", n])
+        w.writerow(["m_hat", f"{m_hat:.12g}", "", "", "", ""])
 
 
 def cusp_gap(ell: float) -> float:

@@ -387,6 +387,21 @@ def test_bad_deformation_input_fails_cleanly(flags, deformation, names, tmp_path
     assert err.startswith("error: ") and err.count("\n") == 1 and names in err
 
 
+def test_a_value_starting_with_minus_needs_the_equals_form(capsys):
+    # argparse reads a spaced -3.0,1.0,2.0 as a flag; in the = form it is the option's value
+    with pytest.raises(SystemExit) as e:
+        run(_PATH + ["--path-dir", "-3.0,1.0,2.0"])
+    err = capsys.readouterr().err
+    assert e.value.code == 1 and "argument --path-dir: expected one argument" in err
+    assert run(_PATH + ["--path-dir=-3.0,1.0,2.0"]) == 0
+    capsys.readouterr()
+    assert run(["verify-margulis", "--coords", "4,4,4", "--tol=-1e-6"]) == 1
+    assert capsys.readouterr().err == "error: --tol must be > 0 and --n-ceiling >= 1\n"
+    with pytest.raises(SystemExit):
+        run(["verify-margulis", "--help"])
+    assert " ".join(capsys.readouterr().out.split()).count("needs the = form") == 2
+
+
 @pytest.mark.parametrize("deformation", [{"kind": "tangent"}, {"kind": "curve"}],
                          ids=["tangent", "unknown-kind"])
 def test_census_does_not_read_the_spec_deformation(deformation, tmp_path):
@@ -416,17 +431,24 @@ def test_spec_tangent_matrices_equal_the_library_deformation(tmp_path, capsys):
     assert capsys.readouterr().out == want.to_json() + "\n"
 
 
-@pytest.mark.parametrize("scale, code", [(1e300, 0), (1e302, 1), (1e304, 2), (1e307, 1)])
+@pytest.mark.parametrize("scale, code", [(1e300, 0), (1e302, 1), (1e304, 1), (1e307, 1),
+                                         pytest.param(None, 1, id="diag-1e300-1")])
 def test_huge_tangents_stop_before_the_exact_sums(scale, code, tmp_path, capsys):
     # math.fsum raises on an inf term or an overflowing sum, which main does not catch;
-    # an alpha that large makes kappa or the tail infinite, and NonConvergence comes first.
-    # At 1e307 the boundary's alpha itself is nan: refused as a float overflow, exit 1
-    t = random_tangent(build_rep(TraceCoords(4, 5, 6)), np.random.default_rng(3))
-    a, b = ([scale * v for v in m] for m in (t.a_eps, t.b_eps))
-    spec = _spec_file(tmp_path, {"kind": "tangent", "tangent_matrices":
-                                 {"A1": [a[:2], a[2:]], "B1": [b[:2], b[2:]]}}, (4, 5, 6))
-    assert run(["verify-margulis", "--spec", spec, "--tol", "1e300"]) == code
-    assert capsys.readouterr().err.count("error:") == (code != 0)
+    # an alpha that large makes kappa or the tail infinite, which choose_truncation refuses
+    # as a float overflow, exit 1, at the first depth whose tail is not finite.  At 1e307
+    # the boundary's alpha itself is nan, refused as a float overflow before any depth.
+    tol = "1e300"
+    if scale is None:  # A1 = 1e300 diag(lam, -1/lam): alpha(bdry) 4.8e300 is finite
+        lam = (4.0 + 12.0 ** 0.5) / 2.0
+        mats, tol = {"A1": [[1e300 * lam, 0.0], [0.0, -1e300 / lam]]}, "1e-6"
+    else:
+        t = random_tangent(build_rep(TraceCoords(4, 5, 6)), np.random.default_rng(3))
+        a, b = ([scale * v for v in m] for m in (t.a_eps, t.b_eps))
+        mats = {"A1": [a[:2], a[2:]], "B1": [b[:2], b[2:]]}
+    spec = _spec_file(tmp_path, {"kind": "tangent", "tangent_matrices": mats}, (4, 5, 6))
+    assert run(["verify-margulis", "--spec", spec, "--tol", tol]) == code
+    assert capsys.readouterr().err.count("error: float overflow: ") == (code != 0)
 
 
 def test_spec_tangent_without_matrices_is_seeded_random(tmp_path, capsys):

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 from unittest import mock
@@ -23,8 +24,10 @@ from mml.identity_engine import _boundary_values, margulis_residual, mcshane_sum
 from mml.representation import (DeformationSpec, TraceCoords, attach_deformation, build_rep,
                                 random_tangent)
 from mml.sl2grp import compose, dual_trace, margulis_from_trace, translation_length
-from mml.torus_curves import enumerate_up_to, make_tables
+from mml.torus_curves import (bin_curves, christoffel_word, enumerate_up_to, export_census,
+                              fit_bin_constant, make_tables)
 from conftest import curve_bits, judged
+from oracles import census_csv
 
 TOL = 1e-6
 
@@ -175,6 +178,34 @@ def test_a_refused_resumed_step_is_refused_again_and_keeps_the_walk(coords, seed
     table._words[parent] = word
     curves = enumerate_up_to(rep, deeper)
     assert curve_bits(curves) == curve_bits(enumerate_up_to(dataclasses.replace(rep), deeper))
+
+
+def _census_bins(coords, n_max: int) -> list:
+    """The bins census writes at coords to n_max."""
+    return bin_curves(enumerate_up_to(build_rep(coords), n_max + 1), n_max)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(coords=in_domain_coords(), n_max=st.integers(0, 70))
+@example(coords=TraceCoords(4.0, 4.0, 4.0), n_max=70)
+@example(coords=TraceCoords(4.0, 4.0, 4.0), n_max=0)
+def test_census_writes_the_bytes_of_csv_writer(coords, n_max):
+    bins = _census_bins(coords, n_max)
+    rows = [(c.p, c.q, christoffel_word(c.p, c.q), c.trace, c.length, b.index)
+            for b in bins for c in sorted(b.members, key=lambda c: (c.length, c.p, c.q))]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        export_census(bins, got)
+        census_csv(rows, fit_bin_constant(bins), want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_census_at_444_orders_equal_lengths_by_slope():
+    # (4, 4, 4) has equal-length slopes that the walk emits out of (p, q) order,
+    # so the byte check above also checks the census's (p, q) tie-break there
+    assert any(sorted(b.members, key=lambda c: c.length)
+               != sorted(b.members, key=lambda c: (c.length, c.p, c.q))
+               for b in _census_bins(TraceCoords(4.0, 4.0, 4.0), 70))
 
 
 def _unbounded_tails():
