@@ -240,12 +240,14 @@ def _main(argv=None) -> int:
         moved = changed(want)
         for argv, before, after in moved:
             print(f"moved: {argv}: exit {before} -> {after}")
-        print(f"{args.record.name}: {len(moved)} of {want['count']} cases moved")
+        n = sum(m[0] != "exit_counts" for m in moved)
+        print(f"{args.record.name}: {n} of {want['count']} cases moved")
         return 1 if moved else 0
     rec = record(probe(corpus(count=args.count)))
     head = json.dumps({k: v for k, v in rec.items() if k != "cases"}, indent=1)
-    cases = ",\n".join("  " + json.dumps(c) for c in rec["cases"])  # one line per case,
-    args.record.write_text(head[:-2] + ',\n "cases": [\n' + cases + "\n ]\n}\n")  # so a diff names the argv
+    # one line per case, so a diff names the argv that moved
+    cases = ",\n".join("  " + json.dumps(c) for c in rec["cases"])
+    args.record.write_text(head[:-2] + ',\n "cases": [\n' + cases + "\n ]\n}\n")
     print(f"wrote {args.record.name}")
     return 0
 

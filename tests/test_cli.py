@@ -435,8 +435,8 @@ def test_spec_tangent_matrices_equal_the_library_deformation(tmp_path, capsys):
                                          pytest.param(None, 1, id="diag-1e300-1")])
 def test_huge_tangents_stop_before_the_exact_sums(scale, code, tmp_path, capsys):
     # math.fsum raises on an inf term or an overflowing sum, which main does not catch;
-    # an alpha that large makes kappa or the tail infinite, which choose_truncation refuses
-    # as a float overflow, exit 1, at the first depth whose tail is not finite.  At 1e307
+    # an alpha that large makes kappa or the tail infinite, and a tail that is not finite
+    # is refused as a float overflow, exit 1, at the first depth that computes it.  At 1e307
     # the boundary's alpha itself is nan, refused as a float overflow before any depth.
     tol = "1e300"
     if scale is None:  # A1 = 1e300 diag(lam, -1/lam): alpha(bdry) 4.8e300 is finite
