@@ -177,12 +177,16 @@ def choose_truncation(rep, ell_bdry: float, alpha_bdry: float, tail_tolerance: f
     """
     if tail_tolerance <= 0:
         raise ValueError("tail_tolerance must be positive")
-    bins, m_hat, kappa = [], 0.0, 0.0
+    bins, m_hat, kappa, seen = [], 0.0, 0.0, 0
     depths = range(min(_GROW_START, n_ceiling), n_ceiling + _GROW_STEP, _GROW_STEP)
     for n_max in (min(n, n_ceiling) for n in depths):  # lazy: a far ceiling costs nothing
         # Every step enumerates all curves below its cutoff, so the bins of earlier
         # steps are complete: m_hat and kappa are running maxima over the new ones.
-        new = bin_curves(enumerate_up_to(rep, n_max + 1), n_max, len(bins))
+        curves = enumerate_up_to(rep, n_max + 1)  # on this grid, the last step's classes first
+        new = bin_curves(curves[seen:], n_max, len(bins))
+        if sum(len(b.members) for b in new) != len(curves) - seen:  # not so: a walk left deeper
+            new = bin_curves(curves, n_max, len(bins))
+        seen = len(curves)
         bins, m_hat = bins + new, max(m_hat, fit_bin_constant(new))
         kappa = max(kappa, kappa_from_bins(new, ell_bdry, alpha_bdry))
         stop = tail_tolerance if n_max < n_ceiling else math.inf

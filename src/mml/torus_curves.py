@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .dualnum import DualScalar
 from .errors import MMLError, RecursionMismatch
-from .sl2grp import (DualMatrix2, compose, dual_trace, flat_product, inverse,
+from .sl2grp import (PARABOLIC_TOL, DualMatrix2, compose, dual_trace, flat_product, inverse,
                      margulis_from_trace, translation_length)
 
 #: Direct evaluation vs recursion disagreement beyond this raises.
@@ -96,18 +96,14 @@ class TraceTable:
 
     Keys are the signed slopes (p, q), q >= 0, and 1/0 is also stored as -1/0,
     the parent of the negative slopes next to it.  The seeds 1/0, -1/0, 0/1, 1/1
-    and -1/1 are traced from compose's products; trace takes any other
-    slope from the other three vertices of its _farey_triangle.  Two memos share
-    the keys: the traces, and the word matrix of each traced slope as the 8
-    floats val + eps, its Farey parents' product by flat_product.  A slope is
-    traced in full only for trace or curve, or as a triangle vertex of a slope
-    being judged; every new trace is checked, value and eps part, against the
-    trace of its word matrix and raises RecursionMismatch past RECURSION_TOL.
-    length gives any other slope a checked value, no eps part, and stores nothing;
-    curve takes the length it gave.  A slope is stored in both memos at once, only
-    after both checks pass, so a refused slope is stored in neither.  _walk is
-    enumerate_up_to's last walk, the only record of the lengths it judged and
-    the classes it emitted, which the next deeper call resumes.
+    and -1/1 are traced from compose's products; trace takes any other slope from
+    the other three vertices of its _farey_triangle.  Two memos share the keys: the
+    traces, and the word matrix of each traced slope as the 8 floats val + eps, its
+    Farey parents' product by flat_product.  trace is the one place a slope is
+    traced in full; it checks each new trace, value and eps part, against its word
+    matrix's (see _refusal) and only then stores it, in both memos, so a refused
+    slope is in neither.  A slope the walk prunes has only its value, checked by
+    check_value.  _walk is enumerate_up_to's last walk, which a deeper call resumes.
     """
 
     def __init__(self, gen_a: DualMatrix2, gen_b: DualMatrix2):
@@ -140,10 +136,10 @@ class TraceTable:
         scale = abs(re)
         scale = scale if scale > 1.0 else 1.0  # max(1.0, |re|), which also reads NaN as 1.0
         if abs(re - t.re) > RECURSION_TOL * scale:
-            raise RecursionMismatch(f"slope {p}/{q}: recursion {t.re} vs direct {re}")
+            raise _refusal(p, q, "value", t.re, re)
         a = abs(eps)
         if abs(eps - t.inf) > RECURSION_TOL * (a if a > scale else scale):
-            raise RecursionMismatch(f"slope {p}/{q}: recursion eps part {t.inf} vs direct {eps}")
+            raise _refusal(p, q, "eps", t.inf, eps)
         self._words[(p, q)] = m  # stored only once both checks pass
         memo[(p, q)] = t
         return t
@@ -153,41 +149,38 @@ class TraceTable:
         floats val + eps; KeyError for a slope not traced yet."""
         return self._words[slope]
 
-    def length(self, p: int, q: int) -> float:
-        """translation_length of slope p/q's trace value part.
-
-        A slope not traced yet is judged by its value alone: lo.re * up.re -
-        th.re from its traced triangle, checked as trace checks it against the
-        value part of W(upper)*W(lower).  Raises MMLError on a negative trace,
-        which length pruning cannot handle.  Nothing is stored.
-        """
-        memo = self._memo
-        t = memo.get((p, q))
-        if t is not None:
-            t = t.re
-        else:
-            lower, upper, third = _farey_triangle(p, q)
-            lo = memo.get(lower) or self.trace(*lower)
-            up = memo.get(upper) or self.trace(*upper)
-            th = memo.get(third) or self.trace(*third)
-            t = lo.re * up.re - th.re
-            a, b, c, d, _, _, _, _ = self._words[upper]
-            e, f, g, h, _, _, _, _ = self._words[lower]
-            re = (a * e + b * g) + (c * f + d * h)  # flat_product's entries 0 and 3
-            scale = abs(re)
-            if abs(re - t) > RECURSION_TOL * (scale if scale > 1.0 else 1.0):
-                raise RecursionMismatch(f"slope {p}/{q}: recursion {t} vs direct {re}")
-        n = translation_length(t)
-        if t < 0:
-            raise MMLError(f"slope {p}/{q} has negative trace {t}; "
-                           "length pruning needs positive traces")
-        return n
+    def check_value(self, p: int, q: int, t: float, lower: tuple, upper: tuple) -> None:
+        """Check slope p/q's value t as trace does: against W(upper)*W(lower), both traced."""
+        a, b, c, d, _, _, _, _ = self._words[upper]
+        e, f, g, h, _, _, _, _ = self._words[lower]
+        re = (a * e + b * g) + (c * f + d * h)  # flat_product's entries 0 and 3
+        scale = abs(re)
+        if abs(re - t) > RECURSION_TOL * (scale if scale > 1.0 else 1.0):
+            raise _refusal(p, q, "value", t, re)
 
     def curve(self, p: int, q: int, length: float) -> CurveClass:
-        """A new class of slope p/q with its judged length self.length(p, q), from its full
-        trace (taken now for a slope judged by value only); nothing is stored."""
+        """A new class of slope p/q with its judged length, from its full trace."""
         t = self.trace(p, q)
         return CurveClass(p, q, t.re, length, margulis_from_trace(t))
+
+
+def _refusal(p: int, q: int, part: str, recursion: float, direct: float) -> Exception:
+    """The error of slope p/q whose recursion and word matrix disagree past RECURSION_TOL
+    on the "value" or "eps" part of its trace: OverflowError if either is not finite."""
+    if not (math.isfinite(recursion) and math.isfinite(direct)):
+        return OverflowError(f"slope {p}/{q}: {part} part of the trace, "
+                             f"recursion {recursion} vs direct {direct}")
+    part = "eps part " if part == "eps" else ""
+    return RecursionMismatch(f"slope {p}/{q}: recursion {part}{recursion} vs direct {direct}")
+
+
+def _length(p: int, q: int, t: float) -> float:
+    """translation_length of slope p/q's trace value t; MMLError on a negative trace."""
+    n = translation_length(t)
+    if t < 0:
+        raise MMLError(f"slope {p}/{q} has negative trace {t}; "
+                       "length pruning needs positive traces")
+    return n
 
 
 def make_tables(rep) -> TraceTable:
@@ -202,56 +195,69 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     least as long as both Farey parents: for positive traces u, v <= c at
     the parents and the node, a child has trace u*c - v > c, so the whole
     subtree is longer still.  Nearer the root a node may be shorter than a
-    parent, and its subtree is searched.  Each node is judged once per table,
-    by TraceTable.length: an emitted slope and each triangle vertex of a
-    visited one get a full trace, value and eps part cross-checked; the rest, the
-    pruned frontier, get only their checked value.  The first visited slope with
-    a negative trace raises MMLError there; a curve class is built once, on a
-    slope's emit, with the length it was judged by, so no length is computed twice.
+    parent, and its subtree is searched.
 
-    The table keeps the last walk: its cutoff, the classes emitted and the
-    pending list of every visited slope not emitted, in depth-first order, as
-    (length, p, q), or for a pruned slope, its subtree still to walk, as
-    (length, pl, ql, pr, qr, left, right), with its Farey parents and their
-    lengths; it starts as the seeds and the two roots, unjudged at length -inf.
-    A deeper call scans that list: it emits each entry now below the cutoff and
-    walks a pruned one's subtree in its place, so new slopes are judged in a
-    fresh walk's order and a pruned one is not judged again.  It returns the
-    earlier classes, then the new ones; a call no deeper returns the stored
-    classes below its cutoff.  An error leaves the stored walk as it was.
+    A stack item (length, pl, ql, pr, qr, left, right, vl, vr, t) is a node with its
+    Farey parents, their lengths and float trace values, and its own trace value
+    t = vl * vr - vth, vth its triangle's far vertex: trace's value bits.  The left
+    child takes (vl, t), far vertex vr, the right (t, vr) and vl; the roots 1/1 and
+    -1/1, seeds, take compose's traces.  Each node is judged once per table by the
+    length of t, checked once: by trace, eps part too, for an emitted or searched
+    slope; by check_value for a pruned one, or first for a t not above 2 +
+    PARABOLIC_TOL, which translation_length or the sign test then refuses.
+
+    The table keeps the last walk: its cutoff, the classes emitted and the pending
+    list of every visited slope not emitted, in depth-first order, as (length, p, q)
+    or a pruned slope's stack item; it starts as the seeds and the two roots,
+    unjudged at length -inf.  A deeper call emits each entry now below its cutoff
+    and walks a pruned one's subtree in its place, so new slopes are judged in a
+    fresh walk's order.  It returns the earlier classes, then the new ones; a call
+    no deeper returns the stored classes below its cutoff.  An error leaves the
+    stored walk as it was.
     """
     cutoff = max_total_length / 2.0
     table = rep.table
     if table._walk is None:  # the positive root comes first, so its subtree is walked first
-        a, b = table.length(1, 0), table.length(0, 1)
-        roots = [(-math.inf, 0, 1, 1, 0, b, a), (-math.inf, 0, 1, -1, 0, b, a)]
+        memo = table._memo
+        va, vb = memo[(1, 0)].re, memo[(0, 1)].re
+        a, b = _length(1, 0, va), _length(0, 1, vb)
+        roots = [(-math.inf, 0, 1, 1, 0, b, a, vb, va, memo[(1, 1)].re),
+                 (-math.inf, 0, 1, -1, 0, b, a, vb, memo[(-1, 0)].re, memo[(-1, 1)].re)]
         table._walk = (-math.inf, (), [(a, 1, 0), (b, 0, 1)] + roots)
     last, done, pending = table._walk
     if not cutoff > last:
         return [c for c in done if c.length < cutoff]
     curves, kept, stack, unjudged = list(done), [], [], -math.inf
     emit, keep, pop, push = curves.append, kept.append, stack.pop, stack.append
+    trace, check, curve = table.trace, table.check_value, table.curve
+    hyperbolic = 2.0 + PARABOLIC_TOL
     for entry in pending:
         if not entry[0] < cutoff:
             keep(entry)
         elif len(entry) == 3:  # a seed, or a searched slope
-            emit(table.curve(entry[1], entry[2], entry[0]))
+            emit(curve(entry[1], entry[2], entry[0]))
         else:  # a pruned slope, or a root not judged yet: walk from it
             push(entry)
             while stack:
-                length, pl, ql, pr, qr, left, right = pop()
+                length, pl, ql, pr, qr, left, right, vl, vr, t = pop()
                 p, q = pl + pr, ql + qr
                 if length == unjudged:
-                    length = table.length(p, q)
+                    if t > hyperbolic:
+                        length = translation_length(t)
+                    else:  # a recursion fault is refused as one, not as a short trace
+                        check(p, q, t, (pl, ql), (pr, qr))
+                        length = _length(p, q, t)
                 if length < cutoff:
-                    emit(table.curve(p, q, length))
+                    emit(curve(p, q, length))
                 elif length >= left and length >= right:
-                    keep((length, pl, ql, pr, qr, left, right))
+                    check(p, q, t, (pl, ql), (pr, qr))
+                    keep((length, pl, ql, pr, qr, left, right, vl, vr, t))
                     continue
                 else:
+                    trace(p, q)  # its children's checks read its word matrix
                     keep((length, p, q))
-                push((unjudged, pl, ql, p, q, left, length))
-                push((unjudged, p, q, pr, qr, length, right))
+                push((unjudged, pl, ql, p, q, left, length, vl, t, vl * t - vr))
+                push((unjudged, p, q, pr, qr, length, right, t, vr, t * vr - vl))
     table._walk = (cutoff, tuple(curves), kept)
     return curves
 

@@ -431,17 +431,21 @@ def test_spec_tangent_matrices_equal_the_library_deformation(tmp_path, capsys):
     assert capsys.readouterr().out == want.to_json() + "\n"
 
 
-@pytest.mark.parametrize("scale, code", [(1e300, 0), (1e302, 1), (1e304, 1), (1e307, 1),
-                                         pytest.param(None, 1, id="diag-1e300-1")])
-def test_huge_tangents_stop_before_the_exact_sums(scale, code, tmp_path, capsys):
+@pytest.mark.parametrize("scale, tol, code", [
+    pytest.param(s, "1e300", c, id=f"{s:g}-{c}") for s, c in
+    [(1e300, 0), (1e302, 1), (1e304, 1), (1e307, 1)]] + [
+    pytest.param(1e302, "1e-6", 1, id="1e302-tol-1e-6-1"),
+    pytest.param(None, "1e-6", 1, id="diag-1e300-1")])
+def test_huge_tangents_stop_before_the_exact_sums(scale, tol, code, tmp_path, capsys):
     # math.fsum raises on an inf term or an overflowing sum, which main does not catch;
     # an alpha that large makes kappa or the tail infinite, and a tail that is not finite
     # is refused as a float overflow, exit 1, at the first depth that computes it.  At 1e307
     # the boundary's alpha itself is nan, refused as a float overflow before any depth.
-    tol = "1e300"
+    # At 1e302 and tol 1e-6 the growth goes deeper, to an eps part past the float range:
+    # slope 9/1's recursion reads inf against a finite word matrix, a float overflow too.
     if scale is None:  # A1 = 1e300 diag(lam, -1/lam): alpha(bdry) 4.8e300 is finite
         lam = (4.0 + 12.0 ** 0.5) / 2.0
-        mats, tol = {"A1": [[1e300 * lam, 0.0], [0.0, -1e300 / lam]]}, "1e-6"
+        mats = {"A1": [[1e300 * lam, 0.0], [0.0, -1e300 / lam]]}
     else:
         t = random_tangent(build_rep(TraceCoords(4, 5, 6)), np.random.default_rng(3))
         a, b = ([scale * v for v in m] for m in (t.a_eps, t.b_eps))

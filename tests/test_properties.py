@@ -157,7 +157,7 @@ def test_a_refused_resumed_step_is_refused_again_and_keeps_the_walk(coords, seed
     walk = table._walk
     pending = list(walk[2])
     deeper = first + more
-    pruned = [e for e in pending if len(e) == 7 and e[0] < deeper / 2.0]
+    pruned = [e for e in pending if len(e) > 3 and e[0] < deeper / 2.0]
     assume(pruned)
     # Negate the value half of the word of a Farey parent of the first pruned slope
     # the deeper step walks from: the next new product with it fails the value check.

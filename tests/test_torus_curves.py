@@ -1,7 +1,10 @@
+import collections
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
+import sys
 import tracemalloc
 
 import numpy as np
@@ -33,11 +36,14 @@ def _trace(rep, s):
 
 
 def test_enumerated_and_curve_slopes_are_canonical():
-    table = make_tables(build_rep(TraceCoords(4, 4, 4)))
-    for p, q in farey_enumerate(30):
-        c = table.curve(p, q, table.length(p, q))
-        assert (c.p, c.q) == (p, q) and type(p) is int and type(q) is int
-        assert math.gcd(abs(p), q) == 1 and (q > 0 or (p, q) == (1, 0))
+    rep = build_rep(TraceCoords(4, 4, 4))
+    slopes = farey_enumerate(30)
+    deepest = max(2 * translation_length(make_tables(rep).trace(*s).re) for s in slopes)
+    curves = enumerate_up_to(rep, deepest + 1)  # a walk past every slope with |p| + q <= 30
+    assert set(slopes) <= {(c.p, c.q) for c in curves}
+    for c in curves:
+        assert type(c.p) is int and type(c.q) is int
+        assert math.gcd(abs(c.p), c.q) == 1 and (c.q > 0 or (c.p, c.q) == (1, 0))
 
 
 _CLASS = CurveClass(1, 2, 3.5, 1.9248473002384139, 0.25)
@@ -343,6 +349,27 @@ def test_choose_truncation_memory_does_not_grow_with_the_ceiling():
     assert abs(peaks[1] - peaks[0]) <= 2**20, peaks
 
 
+def test_each_growth_step_bins_only_its_new_classes(monkeypatch):
+    handed = []
+    binned = identity_engine.bin_curves
+    monkeypatch.setattr(identity_engine, "bin_curves",
+                        lambda curves, *args: binned(handed.extend(curves) or curves, *args))
+    report = margulis_residual(_deformed_444(), 1e-10)
+    slopes = [(c.p, c.q) for c in handed]
+    assert len(slopes) == len(set(slopes)) == sum(b.count for b in report.bins) > 0
+    fresh = enumerate_up_to(_deformed_444(), report.n_max + 1)
+    assert set(slopes) == {(c.p, c.q) for c in fresh}
+
+
+def test_a_walk_left_deeper_off_the_growth_grid_gives_the_same_report():
+    # 30 is not on choose_truncation's grid of cutoffs 17, 25, ...: the steps below it
+    # read the stored walk's classes in its own order, and must still bin each once
+    rep = _deformed_444()
+    enumerate_up_to(rep, 30.0)
+    assert margulis_residual(rep, 1e-10).to_json() == \
+        margulis_residual(_deformed_444(), 1e-10).to_json()
+
+
 def test_nonhyperbolic_rep_raises():
     # kappa > -2 and tr(a^-1 b) = xy - z = 0.21: an elliptic simple curve
     rep = build_rep(TraceCoords(2.1, 2.1, 4.2))
@@ -462,37 +489,111 @@ def test_corrupted_recursion_is_caught(part):
     assert (2 * sign, 1) not in table._memo
 
 
+@pytest.mark.parametrize("key, part, walk", [((1, 1), "value", False), ((1, 1), "eps", False),
+                                             ((1, 0), "value", True)],
+                         ids=["value", "eps", "value-judged"])
+def test_a_check_past_the_float_range_is_a_float_overflow(key, part, walk):
+    # an inf in a parent's trace makes 2/1's recursion inf against a finite word matrix:
+    # refused as a float overflow that names the slope and the part, not as a recursion
+    # mismatch, by trace, and by the walk's check of 2/1, pruned at max_total_length 8
+    rep = _deformed_444()
+    t = rep.table._memo[key]
+    rep.table._memo[key] = DualScalar(math.inf, t.inf) if part == "value" else \
+        DualScalar(t.re, math.inf)
+    with pytest.raises(OverflowError, match=f"^slope 2/1: {part} part of the trace, "
+                                            r"recursion inf vs direct -?\d"):
+        enumerate_up_to(rep, 8.0) if walk else rep.table.trace(2, 1)
+
+
+def _frontier(rep, max_total_length):
+    """The slopes a walk to max_total_length judges and does not emit."""
+    emitted = {(c.p, c.q) for c in enumerate_up_to(rep, max_total_length)}
+    return judged(rep.table).keys() - emitted
+
+
 @pytest.mark.parametrize("part", ["word-re", "re", "mirror-word-re", "mirror-re"])
 def test_a_slope_judged_by_value_is_checked_against_its_word(part):
-    # length judges 2/1 by value alone, from the traces of 1/1, 1/0 and 0/1 and the
-    # value part of W(1/0)*W(1/1): corrupt 1/1's trace value or the value (index 0)
-    # of its word matrix; likewise -2/1 from -1/1
-    sign = -1 if part.startswith("mirror") else 1
+    # At (4, 4, 4) and max_total_length 8 the walk emits the root 1/1 (trace 4, length
+    # 2.63) and prunes 2/1 (trace 12, length 4.96), judged by its value alone from the
+    # traces of 1/1, 1/0 and 0/1: corrupt 1/1's trace value or the value (index 0) of
+    # its word matrix, and the value check against W(1/0)*W(1/1) refuses 2/1; likewise
+    # -2/1 (trace 44) from -1/1 (trace 12) at max_total_length 12
+    sign, cutoff = (-1, 12.0) if part.startswith("mirror") else (1, 8.0)
     key, child = (sign, 1), (2 * sign, 1)
-    table = make_tables(_deformed_444())
+    clean = _deformed_444()
+    assert child in _frontier(clean, cutoff) and child not in clean.table._memo
+    rep = _deformed_444()
+    table = rep.table
     if "word" in part:
         m = list(table._words[key])
         m[0] += 1.0
         table._words[key] = tuple(m)
-    else:
+    else:  # the root stays below the cutoff, and its child on the frontier
         t = table._memo[key]
         table._memo[key] = DualScalar(t.re + 1.0, t.inf)
     with pytest.raises(RecursionMismatch, match=rf"^slope {2 * sign}/1: recursion -?\d"):
-        table.length(*child)
+        enumerate_up_to(rep, cutoff)
     assert child not in table._memo and child not in table._words
 
 
 def test_an_eps_part_is_checked_where_it_is_computed():
     # a slope judged by value has no eps part to check; its full trace, taken when
-    # it is emitted, checks it
-    table, clean = make_tables(_deformed_444()), make_tables(_deformed_444())
+    # a deeper walk emits it, checks it
+    rep, clean = _deformed_444(), _deformed_444()
+    table = rep.table
     m = list(table._words[(1, 1)])
     m[4] += 1.0
     table._words[(1, 1)] = tuple(m)
-    assert table.length(2, 1) == clean.length(2, 1)
+    assert (2, 1) in _frontier(rep, 8.0) == _frontier(clean, 8.0)
+    assert curve_bits(table._walk[1]) == curve_bits(clean.table._walk[1])
+    assert judged(table) == judged(clean.table)
     assert (2, 1) not in table._memo and (2, 1) not in table._words
     with pytest.raises(RecursionMismatch, match="^slope 2/1: recursion eps part"):
-        table.curve(2, 1, table.length(2, 1))
+        enumerate_up_to(rep, 12.0)  # 2/1 is emitted now
+
+
+@pytest.mark.parametrize("t01", [15.0, 20.0], ids=["short", "negative"])
+def test_a_corrupted_parent_is_refused_as_a_mismatch_before_its_length(t01):
+    # 2/1's recursion value 4 * 4 - t(0/1) is 1 (not hyperbolic) or -4 (a negative
+    # trace) once 0/1's seed trace is corrupted: the value check against W(1/0)*W(1/1)
+    # refuses it before translation_length or the sign test does
+    rep = _deformed_444()
+    t = rep.table._memo[(0, 1)]
+    rep.table._memo[(0, 1)] = DualScalar(t01, t.inf)
+    with pytest.raises(RecursionMismatch,
+                       match=rf"^slope 2/1: recursion {16.0 - t01} vs direct 12\.0"):
+        enumerate_up_to(rep, 8.0)
+
+
+def test_each_judged_slope_has_its_value_checked_once():
+    # The value checks are the lines that compare |re - t| with RECURSION_TOL: count
+    # each one run, by the slope (p, q) of its frame
+    import mml.torus_curves as tc
+    lines, _ = inspect.getsourcelines(tc)
+    value_checks = {n for n, line in enumerate(lines, 1)
+                    if "abs(re - " in line and "RECURSION_TOL" in line}
+    checked = collections.Counter()
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno in value_checks:
+            checked[frame.f_locals["p"], frame.f_locals["q"]] += 1
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code.co_filename == tc.__file__ else None
+
+    rep = _deformed_444()
+    seeds = {(1, 0), (-1, 0), (0, 1), (1, 1), (-1, 1)}
+    before = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        enumerate_up_to(rep, 57)
+    finally:
+        sys.settrace(before)
+    lengths = judged(rep.table)
+    frontier = lengths.keys() - rep.table._memo.keys()
+    assert value_checks and frontier
+    assert checked == collections.Counter(lengths.keys() - seeds)
 
 
 @pytest.mark.parametrize("coords", [(4, 4, 4), (3, 3, 3), (2.2, 150, 100),
@@ -528,8 +629,7 @@ def test_curve_memo_reuses_classes_across_growth():
     # the deeper call resumes the walk: the earlier classes themselves, then the new ones
     assert all(deep[i] is c for i, c in enumerate(short))
     assert all(c.length >= 10.0 for c in deep[len(short):])
-    assert all(rep.table.curve(c.p, c.q, rep.table.length(c.p, c.q)) == c
-               for c in deep)  # a new class, equal
+    assert all(rep.table.curve(c.p, c.q, c.length) == c for c in deep)  # a new class, equal
     # from scratch: a second rep with the same seeded tangent has a table of its own
     fresh = enumerate_up_to(_deformed_444(), 30.0)
     assert len(fresh) == len(deep) and curve_bits(fresh) == curve_bits(deep)
@@ -551,7 +651,7 @@ def test_classes_are_built_only_for_emitted_slopes():
     # word matrix and no class, and a length bit-equal to a full trace's
     lengths = judged(table)
     frontier = lengths.keys() - set(built)
-    assert frontier and all(2 * table.length(*k) >= 20.0 for k in frontier)
+    assert frontier and all(2 * lengths[k] >= 20.0 for k in frontier)
     assert frontier.isdisjoint(table._memo) and frontier.isdisjoint(table._words)
     assert any(p < 0 for p, _ in frontier) and any(p > 0 for p, _ in frontier)
     assert all(type(v) is float for v in lengths.values())
