@@ -155,13 +155,20 @@ def _cmd_census(args) -> int:
     return 0
 
 
-def _sweep_cell(coords: reprs.TraceCoords, seed: int, tol: float, n_ceiling: int) -> dict:
-    report = engine.margulis_residual(_rep(coords, {"kind": "tangent"}, seed),
-                                      tail_tolerance=tol, n_ceiling=n_ceiling)
-    return {"coords": [coords.x, coords.y, coords.z], "seed": seed,
-            "residual": report.residual, "tail_bound": report.tail_bound,
-            "kappa_hat": report.kappa_hat, "h_threshold_n": report.h_threshold_n,
-            "passed": report.passed}
+def _sweep_cell(coords: reprs.TraceCoords, seeds, tol: float, n_ceiling: int) -> list[dict]:
+    """One cell's rows, a random tangent per seed, each adopting the previous one's walk."""
+    rows, prev = [], None
+    for seed in seeds:
+        rep = _rep(coords, {"kind": "tangent"}, seed)
+        if prev is not None:
+            rep.table.adopt(prev.table)
+        report = engine.margulis_residual(rep, tail_tolerance=tol, n_ceiling=n_ceiling)
+        rows.append({"coords": [coords.x, coords.y, coords.z], "seed": seed,
+                     "residual": report.residual, "tail_bound": report.tail_bound,
+                     "kappa_hat": report.kappa_hat, "h_threshold_n": report.h_threshold_n,
+                     "passed": report.passed})
+        prev = rep
+    return rows
 
 
 def _cmd_sweep(args) -> int:
@@ -179,8 +186,9 @@ def _cmd_sweep(args) -> int:
     if len(cells) < args.cells:
         raise InvalidCoords(f"--coord-min {lo}, --coord-max {hi}: {len(cells)} of "
                             f"{args.cells} cells in the domain after {draws} draws")
-    results = [_sweep_cell(c, args.seed + 1000 * i + j, args.tol, args.n_ceiling)
-               for i, c in enumerate(cells) for j in range(args.deforms_per_cell)]
+    per_cell = range(args.deforms_per_cell)
+    results = [row for i, c in enumerate(cells) for row in _sweep_cell(
+        c, [args.seed + 1000 * i + j for j in per_cell], args.tol, args.n_ceiling)]
     n_pass = sum(r["passed"] for r in results)
     payload = {"cells": results, "pass_count": n_pass, "total": len(results)}
     _write(json.dumps(payload, indent=2) + "\n", args.out)

@@ -103,7 +103,7 @@ class TraceTable:
     traced in full; it checks each new trace, value and eps part, against its word
     matrix's (see _refusal) and only then stores it, in both memos, so a refused
     slope is in neither.  A slope the walk prunes has only its value, checked by
-    check_value.  _walk is enumerate_up_to's last walk, which a deeper call resumes.
+    check_value.  _walk is enumerate_up_to's last walk (or adopt's), which a deeper call resumes.
     """
 
     def __init__(self, gen_a: DualMatrix2, gen_b: DualMatrix2):
@@ -134,11 +134,11 @@ class TraceTable:
         m = flat_product(self.word_matrix(upper), self._words[lower])
         re, eps = m[0] + m[3], m[4] + m[7]
         scale = abs(re)
-        scale = scale if scale > 1.0 else 1.0  # max(1.0, |re|), which also reads NaN as 1.0
-        if abs(re - t.re) > RECURSION_TOL * scale:
+        scale = scale if scale > 1.0 else 1.0  # max(1.0, |re|); a strict < fails inf and NaN
+        if not abs(re - t.re) < RECURSION_TOL * scale:
             raise _refusal(p, q, "value", t.re, re)
         a = abs(eps)
-        if abs(eps - t.inf) > RECURSION_TOL * (a if a > scale else scale):
+        if not abs(eps - t.inf) < RECURSION_TOL * (a if a > scale else scale):
             raise _refusal(p, q, "eps", t.inf, eps)
         self._words[(p, q)] = m  # stored only once both checks pass
         memo[(p, q)] = t
@@ -155,8 +155,19 @@ class TraceTable:
         e, f, g, h, _, _, _, _ = self._words[lower]
         re = (a * e + b * g) + (c * f + d * h)  # flat_product's entries 0 and 3
         scale = abs(re)
-        if abs(re - t) > RECURSION_TOL * (scale if scale > 1.0 else 1.0):
+        if not abs(re - t) < RECURSION_TOL * (scale if scale > 1.0 else 1.0):
             raise _refusal(p, q, "value", t, re)
+
+    def adopt(self, other: TraceTable) -> None:
+        """Start from other's stored walk, whose judgements read value parts only: its classes
+        are pending here, traced in full when emitted.  ValueError unless this table has not
+        walked, other has, and their generators have the same value parts."""
+        if self._walk is not None or other._walk is None:
+            raise ValueError("adopt wants a table that has not walked and one that has")
+        if any(self._words[s][:4] != other._words[s][:4] for s in ((1, 0), (0, 1))):
+            raise ValueError("cannot adopt the walk of generators with other value parts")
+        _, done, pending = other._walk
+        self._walk = (-math.inf, (), [(c.length, c.p, c.q) for c in done] + pending)
 
     def curve(self, p: int, q: int, length: float) -> CurveClass:
         """A new class of slope p/q with its judged length, from its full trace."""
@@ -213,7 +224,8 @@ def enumerate_up_to(rep, max_total_length: float) -> list[CurveClass]:
     and walks a pruned one's subtree in its place, so new slopes are judged in a
     fresh walk's order.  It returns the earlier classes, then the new ones; a call
     no deeper returns the stored classes below its cutoff.  An error leaves the
-    stored walk as it was.
+    stored walk as it was.  An adopted walk (TraceTable.adopt) has the sibling's classes
+    pending, in its order, so no slope the sibling judged is judged again.
     """
     cutoff = max_total_length / 2.0
     table = rep.table

@@ -493,19 +493,48 @@ def test_sweep_rejects_an_empty_or_out_of_domain_grid(flags, tmp_path, capsys):
 @pytest.mark.parametrize("cells, per_cell, code", [(2, 1000, 0), (2, 1001, 1)])
 def test_sweep_never_reuses_a_tangent_seed(cells, per_cell, code, monkeypatch, tmp_path):
     # tangent j of cell i is seeded seed + 1000 i + j, so past 1000 per cell the
-    # cells would share draws; the recording stand-in stops at the first repeat
+    # cells would share draws; the recording stand-in, given a cell's seeds, stops
+    # at the first repeat
     seeds = []
 
-    def cell(coords, seed, tol, n_ceiling):
-        assert seed not in seeds, f"seed {seed} drawn twice"
-        seeds.append(seed)
-        return {"passed": True}
+    def cell(coords, cell_seeds, tol, n_ceiling):
+        rows = []
+        for seed in cell_seeds:
+            assert seed not in seeds, f"seed {seed} drawn twice"
+            seeds.append(seed)
+            rows.append({"passed": True})
+        return rows
 
     monkeypatch.setattr(cli, "_sweep_cell", cell)
     out = tmp_path / "sweep.json"
     assert run(["sweep", "--cells", str(cells), "--deforms-per-cell", str(per_cell),
                 "--out", str(out)]) == code
     assert len(seeds) == (cells * per_cell if code == 0 else 0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_writes_the_bytes_of_fresh_per_tangent_reports(seed, tmp_path):
+    # each tangent of a cell adopts the previous tangent's walk; the rows must be those
+    # of a fresh rep per tangent, each with its own alphas
+    out = tmp_path / "sweep.json"
+    assert run(["sweep", "--cells", "2", "--deforms-per-cell", "5", "--tol", "1e-6",
+                "--seed", str(seed), "--out", str(out)]) == 0
+    rng = np.random.default_rng(seed)
+    cells = []
+    while len(cells) < 2:
+        c = TraceCoords(*rng.uniform(3.5, 6.0, 3).tolist())
+        cells += [c] if c.in_domain() else []
+    rows = []
+    for i, c in enumerate(cells):
+        for j in range(5):
+            rep = cli._rep(c, {"kind": "tangent"}, seed + 1000 * i + j)
+            r = engine.margulis_residual(rep, tail_tolerance=1e-6, n_ceiling=200)
+            rows.append({"coords": [c.x, c.y, c.z], "seed": seed + 1000 * i + j,
+                         "residual": r.residual, "tail_bound": r.tail_bound,
+                         "kappa_hat": r.kappa_hat, "h_threshold_n": r.h_threshold_n,
+                         "passed": r.passed})
+    payload = {"cells": rows, "pass_count": 10, "total": 10}
+    assert out.read_text() == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("lo, hi", [("3.5", "1e300"),   # x*x overflows: no draw is in the domain

@@ -291,3 +291,25 @@ def test_a_failing_property_is_reported_and_the_run_goes_on(tmp_path):
                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert run.stdout.splitlines()[-1].startswith("1 failed, 1 passed")
+
+
+def _tangent(coords, seed):
+    rep = build_rep(coords)
+    return attach_deformation(rep, random_tangent(rep, np.random.default_rng(seed)))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(coords=in_domain_coords(), seeds=st.tuples(st.integers(0, 2**32 - 1),
+                                                  st.integers(0, 2**32 - 1)),
+       walked=st.floats(4.0, 24.0))
+def test_an_adopted_walk_returns_a_fresh_walks_classes(coords, seeds, walked):
+    # a table that adopts a sibling tangent's walk returns a fresh table's classes,
+    # alphas included, below, at and above the sibling's cutoff
+    sibling = _tangent(coords, seeds[0])
+    enumerate_up_to(sibling, walked)
+    for cutoff in (walked / 2.0, walked, 1.5 * walked):
+        rep = _tangent(coords, seeds[1])
+        rep.table.adopt(sibling.table)
+        got = enumerate_up_to(rep, cutoff)
+        fresh = enumerate_up_to(_tangent(coords, seeds[1]), cutoff)
+        assert len(got) == len(fresh) and curve_bits(got) == curve_bits(fresh)

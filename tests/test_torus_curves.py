@@ -26,9 +26,9 @@ from conftest import curve_bits, judged
 from oracles import exact_traces, farey_enumerate
 
 
-def _deformed_444():
+def _deformed_444(seed=7):
     rep = build_rep(TraceCoords(4, 4, 4))
-    return attach_deformation(rep, random_tangent(rep, np.random.default_rng(7)))
+    return attach_deformation(rep, random_tangent(rep, np.random.default_rng(seed)))
 
 
 def _trace(rep, s):
@@ -505,6 +505,28 @@ def test_a_check_past_the_float_range_is_a_float_overflow(key, part, walk):
         enumerate_up_to(rep, 8.0) if walk else rep.table.trace(2, 1)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("entry, check", [(0, "trace"), (4, "trace"), (0, "check_value")],
+                         ids=["value", "eps", "check_value"])
+def test_a_non_finite_word_matrix_is_a_float_overflow(bad, entry, check):
+    # W(2/1) = W(1/0) W(1/1): an inf or NaN in the value (index 0) or eps (index 4) part
+    # of W(1/1) makes that side of 2/1's direct trace inf or NaN, which no recursion
+    # value may pass against, in trace and in check_value alike
+    table = _deformed_444().table
+    t = table._memo[(1, 0)].re * table._memo[(1, 1)].re - table._memo[(0, 1)].re
+    m = list(table._words[(1, 1)])
+    m[entry] = bad
+    table._words[(1, 1)] = tuple(m)
+    part = "eps" if entry == 4 else "value"
+    with pytest.raises(OverflowError, match=rf"^slope 2/1: {part} part of the trace, "
+                                            rf"recursion -?\d\S* vs direct {bad}$"):
+        if check == "trace":
+            table.trace(2, 1)
+        else:
+            table.check_value(2, 1, t, *_farey_triangle(2, 1)[:2])
+    assert (2, 1) not in table._memo and (2, 1) not in table._words
+
+
 def _frontier(rep, max_total_length):
     """The slopes a walk to max_total_length judges and does not emit."""
     emitted = {(c.p, c.q) for c in enumerate_up_to(rep, max_total_length)}
@@ -712,6 +734,58 @@ def test_grown_walk_equals_a_fresh_walk(coords):
     assert all(deep[:len(short)] == short for short, deep in zip(steps, steps[1:]))
     fresh = enumerate_up_to(rep(), 57)
     assert len(steps[-1]) == len(fresh) and curve_bits(steps[-1]) == curve_bits(fresh)
+
+
+def test_an_adopted_walk_judges_no_slope_up_to_the_siblings_cutoff(monkeypatch):
+    import mml.torus_curves as tc
+
+    sibling, rep = _deformed_444(), _deformed_444(8)
+    enumerate_up_to(sibling, 57)
+    rep.table.adopt(sibling.table)
+    lengths, checks = [], []
+    monkeypatch.setattr(tc, "translation_length",
+                        lambda t: lengths.append(t) or translation_length(t))
+    check = rep.table.check_value
+    rep.table.check_value = lambda *args: checks.append(args) or check(*args)
+    steps = [enumerate_up_to(rep, n_max + 1) for n_max in range(16, 57, 8)]
+    assert lengths == [] and checks == []
+    assert all(deep[:len(short)] == short for short, deep in zip(steps, steps[1:]))
+    assert curve_bits(steps[-1]) == curve_bits(enumerate_up_to(_deformed_444(8), 57))
+    enumerate_up_to(rep, 65)  # past the sibling's cutoff the walk judges again
+    assert lengths and checks
+
+
+def test_adopt_refuses_other_value_parts_and_a_table_that_has_walked():
+    sibling = _deformed_444()
+    enumerate_up_to(sibling, 20.0)
+    other = build_rep(TraceCoords(4, 5, 6))
+    with pytest.raises(ValueError, match="other value parts"):
+        other.table.adopt(sibling.table)
+    walked = _deformed_444(8)
+    enumerate_up_to(walked, 8.0)
+    kept = walked.table._walk
+    with pytest.raises(ValueError, match="not walked"):
+        walked.table.adopt(sibling.table)
+    assert walked.table._walk is kept and other.table._walk is None
+    with pytest.raises(ValueError, match="not walked"):  # nor a sibling that has not
+        _deformed_444(8).table.adopt(_deformed_444().table)
+    undeformed = build_rep(TraceCoords(4, 4, 4))  # the eps parts may differ
+    undeformed.table.adopt(sibling.table)
+    assert curve_bits(enumerate_up_to(undeformed, 20.0)) == \
+        curve_bits(enumerate_up_to(build_rep(TraceCoords(4, 4, 4)), 20.0))
+
+
+def test_an_adopted_walk_checks_its_own_eps_parts():
+    # the sibling emitted 2/1; the adopting table traces it in full again, against its
+    # own word matrices
+    sibling, rep = _deformed_444(), _deformed_444(8)
+    enumerate_up_to(sibling, 12.0)
+    rep.table.adopt(sibling.table)
+    m = list(rep.table._words[(1, 1)])
+    m[4] += 1.0
+    rep.table._words[(1, 1)] = tuple(m)
+    with pytest.raises(RecursionMismatch, match="^slope 2/1: recursion eps part"):
+        enumerate_up_to(rep, 12.0)
 
 
 def test_validate_fuchsian_builds_one_table(monkeypatch):
